@@ -32,6 +32,7 @@ from .evaluation import (
     DEFAULT_ALPHA_GRID,
     MetricsRecord,
     alpha_sweep,
+    compare_to_grid,
     evaluate_predictions,
     frontier_gap,
     pareto_frontier,

@@ -1,28 +1,24 @@
 """Fixed-penalty training: one weight vector per fairness strength.
 
-train_fixed minimizes bce + fairness_weight * fairness_gap with the same
-optimizer, batching, and seeding machinery as the subspace trainer;
-fairness_weight = 0 is plain empirical risk minimization. sweep_fixed trains
-one independently initialized model per grid value, which is the multi-model
-competitor the single subspace run replaces.
+train_fixed minimizes bce + fairness_weight * fairness_gap through the
+subspace trainer's own epoch/batch loop with a single endpoint: no mixing
+ratio, no diversity regularizer, one Adam state. fairness_weight = 0 is plain
+empirical risk minimization. sweep_fixed trains one independently
+initialized model per grid value, which is the multi-model competitor the
+single subspace run replaces.
 """
 
 from __future__ import annotations
 
-import logging
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import checkpoint as ckpt
-from .data import BatchPlan, Dataset, batches
-from .errors import EmptyGroupError, NumericError, ParameterError, ShapeError
-from .losses import bce, fairness_loss
-from .model import MlpArchitecture, backward, forward, init_params
-from .subspace import AdamState, TrainConfig
-
-logger = logging.getLogger(__name__)
+from .data import Dataset
+from .errors import ParameterError, ShapeError
+from .model import MlpArchitecture, forward
+from .subspace import TrainConfig, _task_gradient, _train_loop
 
 # Grid of penalty strengths 0.05 .. 1.00 in steps of 0.05, plus 0 for the
 # empirical-risk-minimization anchor.
@@ -53,73 +49,35 @@ class FixedBatchGradients:
 def fixed_batch_gradients(arch: MlpArchitecture, weights: np.ndarray,
                           x: np.ndarray, y: np.ndarray, s: np.ndarray,
                           fairness_weight: float, metric: str) -> FixedBatchGradients:
-    pred, cache = forward(arch, weights, x)
-    ce = bce(pred, y)
-    dpred = ce.grad_pred.copy()
-    loss_fair: float | None = None
-    skipped = False
-    try:
-        fl = fairness_loss(metric, pred, y, s)
-        loss_fair = fl.value
-        dpred += fairness_weight * fl.grad_pred
-    except EmptyGroupError:
-        skipped = True
-    g = backward(arch, weights, cache, dpred)
-    return FixedBatchGradients(g, ce.value, loss_fair, skipped)
+    g, loss_ce, loss_fair, _ = _task_gradient(arch, weights, x, y, s, metric,
+                                              fairness_weight)
+    return FixedBatchGradients(g, loss_ce, loss_fair, loss_fair is None)
 
 
 def train_fixed(train: Dataset, config: TrainConfig, fairness_weight: float,
                 arch: MlpArchitecture | None = None, probe=None) -> FixedModel:
     """Train a single weight vector at one fixed penalty strength.
 
-    fairness_weight overrides config.fairness_weight; batching, seeding, Adam
-    settings, and the empty-group skip policy match train_subspace.
+    fairness_weight overrides config.fairness_weight. The run is the
+    one-endpoint case of the subspace training loop: same batching, seeding,
+    Adam settings and empty-group skip policy, one weight vector initialized
+    from config.seed. probe, if given, is called as probe(epoch, batch_index,
+    bg) with the FixedBatchGradients of every batch before the update.
     """
     if not (np.isfinite(fairness_weight) and fairness_weight >= 0):
         raise ParameterError("fairness_weight must be >= 0 and finite")
-    t0 = time.perf_counter()
-    if arch is None:
-        arch = MlpArchitecture(train.dim)
-    if arch.input_dim != train.dim:
-        raise ShapeError("architecture input_dim does not match the dataset")
-    weights = init_params(arch, config.seed)
-    adam = AdamState.zeros(arch.param_count)
-    shuffle_seed = config.seed if config.shuffle_seed is None else config.shuffle_seed
-    plan = BatchPlan(config.batch_size, shuffle_seed)
 
-    total_batches = 0
-    skipped_batches = 0
-    for epoch in range(config.epochs):
-        ce_sum = 0.0
-        epoch_batches = 0
-        for bi, idx in enumerate(batches(train, plan, epoch)):
-            bg = fixed_batch_gradients(arch, weights, train.features[idx],
-                                       train.labels[idx], train.sensitive[idx],
-                                       fairness_weight, config.fairness_metric)
-            if not np.isfinite(bg.loss_ce) or (
-                    bg.loss_fair is not None and not np.isfinite(bg.loss_fair)):
-                raise NumericError(f"non-finite loss at epoch {epoch}")
-            if probe is not None:
-                probe(epoch, bi, bg)
-            weights = adam.apply(weights, bg.g_theta, config.learning_rate)
-            epoch_batches += 1
-            skipped_batches += int(bg.fairness_skipped)
-            ce_sum += bg.loss_ce
-        total_batches += epoch_batches
-        if not np.all(np.isfinite(weights)):
-            raise NumericError(f"non-finite weights after epoch {epoch}")
-        logger.info("fixed A=%g epoch %d: mean_ce=%.6f", fairness_weight, epoch,
-                    ce_sum / max(epoch_batches, 1))
+    def step(arch, weights, x, y, s):
+        bg = fixed_batch_gradients(arch, weights[0], x, y, s, fairness_weight,
+                                   config.fairness_metric)
+        return bg, (bg.g_theta,), (bg,)
 
-    meta = config.meta_snapshot()
-    meta.update({
-        "epochs_completed": str(config.epochs),
-        "batches_total": str(total_batches),
-        "fairness_skipped_batches": str(skipped_batches),
-        "fixed.fairness_weight": repr(float(fairness_weight)),
-    })
+    arch, (weights,), meta, wall_time_s = _train_loop(
+        train, config, arch, (config.seed,), step, probe,
+        label=f"fixed A={fairness_weight:g} ")
+    meta["fixed.fairness_weight"] = repr(float(fairness_weight))
     return FixedModel(arch, weights, float(fairness_weight), meta,
-                      wall_time_s=time.perf_counter() - t0)
+                      wall_time_s=wall_time_s)
 
 
 def sweep_fixed(train: Dataset, config: TrainConfig,

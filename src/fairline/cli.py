@@ -1,10 +1,13 @@
 """Command-line interface: synth, train, sweep, compare.
 
 Logs go to stderr; machine-readable outputs go to files or stdout. Exit
-codes: 0 success, 2 usage error, 3 data error, 4 numeric failure. A config
-file (flat key=value, keys spelled like the long flags without dashes)
-supplies defaults; command-line flags win. YODO_SEED in the environment
-provides the default seed.
+codes: 0 success; 2 usage error (bad flags, config file or parameter
+values); 4 numeric failure during training; 3 for any other package error
+(data, checkpoint, shape, empty group, frontier range) and for OS errors.
+No package error escapes as a traceback. A config file (flat key=value,
+keys spelled like the long flags without dashes) supplies defaults;
+command-line flags win. YODO_SEED in the environment provides the default
+seed. compare is a thin caller of evaluation.compare_to_grid.
 """
 
 from __future__ import annotations
@@ -13,27 +16,10 @@ import argparse
 import logging
 import os
 import sys
-import time
 
-
-from .baseline import predict_fixed, sweep_fixed
 from .data import CsvSchema, load_csv, split, synth_biased
-from .errors import (
-    CheckpointError,
-    DataError,
-    EmptyGroupError,
-    FrontierRangeError,
-    NumericError,
-    ParameterError,
-)
-from .evaluation import (
-    DEFAULT_ALPHA_GRID,
-    alpha_sweep,
-    evaluate_predictions,
-    frontier_gap,
-    pareto_frontier,
-    write_report,
-)
+from .errors import FairlineError, NumericError, ParameterError
+from .evaluation import DEFAULT_ALPHA_GRID, alpha_sweep, compare_to_grid, write_report
 from .subspace import TrainConfig, load_checkpoint, save_checkpoint, train_subspace
 
 logger = logging.getLogger("fairline")
@@ -41,8 +27,6 @@ logger = logging.getLogger("fairline")
 USAGE_ERROR = 2
 DATA_ERROR = 3
 NUMERIC_ERROR = 4
-
-_METRIC_FIELD = {"dp": "dp_relaxed", "eo": "eo_relaxed", "eodd": "eodd_relaxed"}
 
 
 class UsageError(Exception):
@@ -300,54 +284,30 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    from dataclasses import replace as dc_replace
-
     alpha_grid = _parse_grid(args.grid, "--grid", lo=0.0, hi=1.0)
     fairness_grid = _parse_grid(args.fairness_grid, "--fairness-grid", lo=0.0)
     train_ds, test_ds = _load_split(args)
     if test_ds is None:
         raise UsageError("--test-fraction must be > 0 for compare")
-    config = _train_config(args)
-
+    model = None
     if args.checkpoint:
         model = load_checkpoint(args.checkpoint)
-        subspace_time = None
         logger.info("loaded subspace checkpoint %s", args.checkpoint)
-    else:
-        t0 = time.perf_counter()
-        model = train_subspace(train_ds, config)
-        subspace_time = time.perf_counter() - t0
-        logger.info("subspace training: %.3fs", subspace_time)
-    sub_records = alpha_sweep(model, test_ds, alpha_grid)
-
-    fixed_models = sweep_fixed(train_ds, config, fairness_grid)
-    fixed_records = []
-    for fm in fixed_models:
-        pred = predict_fixed(fm, test_ds.features)
-        rec = evaluate_predictions(pred, test_ds.labels, test_ds.sensitive)
-        fixed_records.append(dc_replace(
-            rec, fairness_weight=fm.fairness_weight,
-            seed=int(fm.train_meta["config.seed"])))
-    fixed_times = [fm.wall_time_s for fm in fixed_models]
-    logger.info("fixed training: %d models, %.3fs total", len(fixed_models),
-                sum(fixed_times))
-
-    write_report(sub_records + fixed_records, args.out)
+    line_records, fixed_records, gap, ratio = compare_to_grid(
+        train_ds, test_ds, _train_config(args), alpha_grid, fairness_grid, model=model)
+    write_report(line_records + fixed_records, args.out)
     logger.info("report written to %s", args.out)
-    field = _METRIC_FIELD[args.metric]
-    try:
-        gap = frontier_gap(pareto_frontier(sub_records, field),
-                           pareto_frontier(fixed_records, field), field)
-        print(f"frontier_gap={gap:.9g}")
-    except FrontierRangeError as exc:
-        logger.warning("frontier gap undefined: %s", exc)
-        print("frontier_gap=")
-    if subspace_time is not None:
-        ratio = subspace_time / (sum(fixed_times) / len(fixed_times))
-        print(f"wall_time_ratio={ratio:.9g}")
-    else:
-        print("wall_time_ratio=")
+    print("frontier_gap=" if gap is None else f"frontier_gap={gap:.9g}")
+    print("wall_time_ratio=" if ratio is None else f"wall_time_ratio={ratio:.9g}")
     return 0
+
+
+def _exit_code(exc: Exception) -> int:
+    if isinstance(exc, (UsageError, ParameterError)):
+        return USAGE_ERROR
+    if isinstance(exc, NumericError):
+        return NUMERIC_ERROR
+    return DATA_ERROR
 
 
 def main(argv=None) -> int:
@@ -365,21 +325,9 @@ def main(argv=None) -> int:
             "compare": cmd_compare,
         }[args.command]
         return handler(args)
-    except UsageError as exc:
+    except (UsageError, FairlineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except (DataError, CheckpointError, EmptyGroupError, FrontierRangeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return DATA_ERROR
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return DATA_ERROR
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return NUMERIC_ERROR
+        return _exit_code(exc)
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
-"""Held-out metrics, alpha sweeps, Pareto frontiers, and CSV reports.
+"""Held-out metrics, alpha sweeps, Pareto frontiers, CSV reports, and the
+line-versus-grid comparison.
 
 Relaxed metrics are computed in one global pass over the full prediction
 vector (no batching). Hard metrics threshold at 0.5 unless told otherwise.
@@ -6,17 +7,24 @@ vector (no batching). Hard metrics threshold at 0.5 unless told otherwise.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .baseline import DEFAULT_FAIRNESS_GRID, predict_fixed, sweep_fixed
 from .data import Dataset
 from .errors import FrontierRangeError, ParameterError
 from .losses import demographic_parity_gap, equal_opportunity_gap, equalized_odds_gap
-from .subspace import SubspaceModel, predict
+from .subspace import SubspaceModel, TrainConfig, predict, train_subspace
 from .tensor import masked_mean
 
+logger = logging.getLogger(__name__)
+
 DEFAULT_ALPHA_GRID = tuple(k / 20 for k in range(21))
+
+# Report field that measures each training fairness metric.
+_METRIC_FIELD = {"dp": "dp_relaxed", "eo": "eo_relaxed", "eodd": "eodd_relaxed"}
 
 REPORT_HEADER = "alpha,A,error_rate,dp_relaxed,dp_hard,eo_relaxed,eodd_relaxed,wall_time_s,seed"
 
@@ -127,6 +135,53 @@ def frontier_gap(f1: list[MetricsRecord], f2: list[MetricsRecord],
     for a, b in zip(cuts[:-1], cuts[1:]):
         total += abs(_step_value(e1, v1, a) - _step_value(e2, v2, a)) * (b - a)
     return total / (hi - lo)
+
+
+def compare_to_grid(train: Dataset, test: Dataset, config: TrainConfig,
+                    alpha_grid=DEFAULT_ALPHA_GRID,
+                    fairness_grid=DEFAULT_FAIRNESS_GRID,
+                    model: SubspaceModel | None = None):
+    """One line against a grid of fixed-penalty models on the same split.
+
+    Trains the line on train unless model is given, sweeps it over
+    alpha_grid, trains one fixed model per fairness_grid value (sweep_fixed
+    seeding), and evaluates everything on test. Returns
+    (line_records, fixed_records, gap, ratio):
+
+    - fixed_records carry A (fairness_weight) and each model's seed;
+    - gap is the frontier gap over all points in the report field of
+      config.fairness_metric, or None when the frontiers' error ranges do
+      not overlap;
+    - ratio is the line's wall time over the mean fixed-run wall time, or
+      None when the model carries no wall time (loaded from a checkpoint).
+    """
+    if model is None:
+        model = train_subspace(train, config)
+        logger.info("subspace training: %.3fs", model.wall_time_s)
+    line_records = alpha_sweep(model, test, alpha_grid)
+
+    fixed_models = sweep_fixed(train, config, fairness_grid)
+    fixed_records = []
+    for fm in fixed_models:
+        pred = predict_fixed(fm, test.features)
+        rec = evaluate_predictions(pred, test.labels, test.sensitive)
+        fixed_records.append(replace(
+            rec, fairness_weight=fm.fairness_weight,
+            seed=int(fm.train_meta["config.seed"])))
+    fixed_total_s = sum(fm.wall_time_s for fm in fixed_models)
+    logger.info("fixed training: %d models, %.3fs total", len(fixed_models),
+                fixed_total_s)
+
+    field = _METRIC_FIELD[config.fairness_metric]
+    try:
+        gap = frontier_gap(pareto_frontier(line_records, field),
+                           pareto_frontier(fixed_records, field), field)
+    except FrontierRangeError as exc:
+        logger.warning("frontier gap undefined: %s", exc)
+        gap = None
+    ratio = (None if model.wall_time_s is None
+             else model.wall_time_s / (fixed_total_s / len(fixed_models)))
+    return line_records, fixed_records, gap, ratio
 
 
 def _fmt(value) -> str:

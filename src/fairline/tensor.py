@@ -1,9 +1,9 @@
-"""Dense float64 array primitives used by the model and the losses.
+"""Dense float64 array primitives used by the model, the losses and the
+metrics: a shape-checked matmul, the sigmoid and ReLU activations with their
+derivatives, and a masked mean.
 
-Conventions: a Matrix is a 2-D C-contiguous float64 ndarray in batch-rows
-layout (each row one sample), a Vector is a 1-D float64 ndarray. Binary
-operations require identical shapes; the only broadcasting allowed is
-multiplication by a scalar.
+Conventions: a Matrix is a 2-D float64 ndarray in batch-rows layout (each
+row one sample), a Vector is a 1-D float64 ndarray.
 """
 
 from __future__ import annotations
@@ -16,52 +16,12 @@ Matrix = np.ndarray
 Vector = np.ndarray
 
 
-def matrix(values) -> Matrix:
-    """Coerce nested sequences / arrays to a 2-D float64 matrix."""
-    a = np.ascontiguousarray(values, dtype=np.float64)
-    if a.ndim != 2:
-        raise ShapeError(f"expected a 2-D matrix, got ndim={a.ndim}")
-    return a
-
-
-def vector(values) -> Vector:
-    """Coerce a sequence / array to a 1-D float64 vector."""
-    a = np.ascontiguousarray(values, dtype=np.float64)
-    if a.ndim != 1:
-        raise ShapeError(f"expected a 1-D vector, got ndim={a.ndim}")
-    return a
-
-
-def _check_same_shape(a: np.ndarray, b: np.ndarray, op: str) -> None:
-    if a.shape != b.shape:
-        raise ShapeError(f"{op}: shape mismatch {a.shape} vs {b.shape}")
-
-
 def matmul(a: Matrix, b: Matrix) -> Matrix:
     if a.ndim != 2 or b.ndim != 2:
         raise ShapeError(f"matmul: operands must be 2-D, got {a.ndim}-D and {b.ndim}-D")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dimensions differ, {a.shape} x {b.shape}")
     return a @ b
-
-
-def add(a, b):
-    _check_same_shape(a, b, "add")
-    return a + b
-
-
-def sub(a, b):
-    _check_same_shape(a, b, "sub")
-    return a - b
-
-
-def mul(a, b):
-    _check_same_shape(a, b, "mul")
-    return a * b
-
-
-def scale(a, c: float):
-    return a * float(c)
 
 
 # Smallest positive double and the largest double below 1: sigmoid output is
@@ -98,14 +58,6 @@ def relu(t):
 def relu_grad(t):
     """Subgradient of relu; defined as 0 at t == 0."""
     return (t > 0.0).astype(np.float64)
-
-
-def vsum(v: Vector) -> float:
-    return float(np.sum(v))
-
-
-def vmean(v: Vector) -> float:
-    return float(np.mean(v))
 
 
 def masked_mean(v: Vector, mask: np.ndarray) -> float:

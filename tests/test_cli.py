@@ -113,6 +113,19 @@ def test_sweep_missing_checkpoint_is_data_error(synth_csv, tmp_path):
                 "--test", str(synth_csv), "--out", str(tmp_path / "r.csv")]) == 3
 
 
+def test_sweep_feature_width_mismatch_is_data_error(checkpoint, tmp_path, capsys):
+    # the checkpoint was trained on 6 features; this CSV has 4
+    narrow = tmp_path / "narrow.csv"
+    assert run(["synth", "--n", "100", "--d", "4", "--out", str(narrow)]) == 0
+    capsys.readouterr()
+    code = run(["sweep", "--checkpoint", str(checkpoint), "--test", str(narrow),
+                "--out", str(tmp_path / "r.csv")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------- compare
 
 def compare_args(synth_csv, out, extra=()):
