@@ -48,7 +48,7 @@ from .losses import (
     fairness_loss,
     squared_cosine,
 )
-from .model import MlpArchitecture, backward, forward, init_params
+from .model import MlpArchitecture, Workspace, backward, forward, init_params
 from .subspace import (
     AdamState,
     SubspaceModel,

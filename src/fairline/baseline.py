@@ -17,7 +17,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from .data import Dataset
 from .errors import ParameterError, ShapeError
-from .model import MlpArchitecture, forward
+from .model import MlpArchitecture, Workspace, forward
 from .subspace import TrainConfig, _task_gradient, _train_loop
 
 # Grid of penalty strengths 0.05 .. 1.00 in steps of 0.05, plus 0 for the
@@ -48,9 +48,10 @@ class FixedBatchGradients:
 
 def fixed_batch_gradients(arch: MlpArchitecture, weights: np.ndarray,
                           x: np.ndarray, y: np.ndarray, s: np.ndarray,
-                          fairness_weight: float, metric: str) -> FixedBatchGradients:
-    g, loss_ce, loss_fair, _ = _task_gradient(arch, weights, x, y, s, metric,
-                                              fairness_weight)
+                          fairness_weight: float, metric: str,
+                          workspace: Workspace | None = None) -> FixedBatchGradients:
+    g, loss_ce, loss_fair = _task_gradient(arch, weights, x, y, s, metric,
+                                           fairness_weight, workspace=workspace)
     return FixedBatchGradients(g, loss_ce, loss_fair, loss_fair is None)
 
 
@@ -67,9 +68,9 @@ def train_fixed(train: Dataset, config: TrainConfig, fairness_weight: float,
     if not (np.isfinite(fairness_weight) and fairness_weight >= 0):
         raise ParameterError("fairness_weight must be >= 0 and finite")
 
-    def step(arch, weights, x, y, s):
+    def step(arch, weights, x, y, s, workspace):
         bg = fixed_batch_gradients(arch, weights[0], x, y, s, fairness_weight,
-                                   config.fairness_metric)
+                                   config.fairness_metric, workspace=workspace)
         return bg, (bg.g_theta,), (bg,)
 
     arch, (weights,), meta, wall_time_s = _train_loop(

@@ -4,6 +4,16 @@ All trainable weights live in one flat float64 parameter vector with a fixed
 canonical layout: layer 1 weights row-major (fan_in x fan_out), layer 1
 biases, layer 2 weights, ... The forward pass is X @ W + b per layer with
 ReLU on hidden layers and sigmoid on the single output unit.
+
+forward and backward take an optional Workspace: per-hidden-layer
+(rows, width) buffers that a training run allocates once and reuses for every
+batch. With a workspace each pre-activation, activation and activation
+gradient is written into the workspace's first b rows; without one the same
+operations allocate their outputs. The results are bit-identical either way.
+A ForwardCache from a workspace call points into the workspace, so it is
+valid only until the next forward or backward call on that workspace. The
+gradient vector backward returns is always a new array, so a caller may keep
+it.
 """
 
 from __future__ import annotations
@@ -38,12 +48,47 @@ class MlpArchitecture:
 
 @dataclass
 class ForwardCache:
-    """Per-layer intermediates of one forward pass, consumed by backward."""
+    """Per-layer intermediates of one forward pass, consumed by backward.
+
+    From a forward call with a workspace, the hidden-layer arrays are views
+    into it (see the module docstring for how long they stay valid).
+    """
 
     inputs: np.ndarray  # (b, d)
     pre_acts: list[np.ndarray]  # hidden pre-activations, then output logits (b,)
     hidden: list[np.ndarray]  # post-ReLU hidden activations
     pred: np.ndarray  # sigmoid output (b,)
+
+
+class Workspace:
+    """Reusable forward/backward buffers for one architecture and batch size.
+
+    Per hidden layer: the pre-activation, the activation and the gradient
+    with respect to the activation, each (rows, width) float64. A batch of
+    b <= rows rows uses the first b rows of each buffer.
+    """
+
+    def __init__(self, arch: MlpArchitecture, rows: int):
+        self.hidden_dims = arch.hidden_dims
+        self.rows = rows
+        self.layers = [tuple(np.empty((rows, h)) for _ in range(3))
+                       for h in arch.hidden_dims]
+
+
+def _layer_buffers(arch: MlpArchitecture, workspace: Workspace | None, b: int
+                   ) -> list[tuple]:
+    """Per hidden layer, the (pre-activation, activation, activation gradient)
+    out= targets for a b-row batch: the workspace's first b rows, or Nones
+    so that each operation allocates."""
+    if workspace is None:
+        return [(None, None, None)] * len(arch.hidden_dims)
+    if workspace.hidden_dims != arch.hidden_dims or b > workspace.rows:
+        raise ShapeError(
+            f"workspace for hidden dims {workspace.hidden_dims} and "
+            f"{workspace.rows} rows does not fit hidden dims {arch.hidden_dims} "
+            f"and {b} rows"
+        )
+    return [tuple(buf[:b] for buf in bufs) for bufs in workspace.layers]
 
 
 def _check_params(arch: MlpArchitecture, params: np.ndarray) -> None:
@@ -83,20 +128,22 @@ def init_params(arch: MlpArchitecture, seed: int) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def forward(arch: MlpArchitecture, params: np.ndarray, x: np.ndarray
-            ) -> tuple[np.ndarray, ForwardCache]:
+def forward(arch: MlpArchitecture, params: np.ndarray, x: np.ndarray,
+            workspace: Workspace | None = None) -> tuple[np.ndarray, ForwardCache]:
     """Batch forward pass; returns predictions in (0, 1) and the cache."""
     _check_params(arch, params)
     if x.ndim != 2 or x.shape[1] != arch.input_dim:
         raise ShapeError(f"input shape {x.shape} does not match input_dim={arch.input_dim}")
     layers = layer_views(arch, params)
+    bufs = _layer_buffers(arch, workspace, x.shape[0])
     pre_acts: list[np.ndarray] = []
     hidden: list[np.ndarray] = []
     h = x
-    for w, b in layers[:-1]:
-        z = tensor.matmul(h, w) + b
+    for (w, b), (z_out, h_out, _) in zip(layers[:-1], bufs):
+        z = tensor.matmul(h, w, out=z_out)
+        z += b
         pre_acts.append(z)
-        h = tensor.relu(z)
+        h = tensor.relu(z, out=h_out)
         hidden.append(h)
     w_out, b_out = layers[-1]
     logits = (tensor.matmul(h, w_out) + b_out)[:, 0]
@@ -106,10 +153,11 @@ def forward(arch: MlpArchitecture, params: np.ndarray, x: np.ndarray
 
 
 def backward(arch: MlpArchitecture, params: np.ndarray, cache: ForwardCache,
-             dloss_dpred: np.ndarray) -> np.ndarray:
+             dloss_dpred: np.ndarray, workspace: Workspace | None = None
+             ) -> np.ndarray:
     """Full parameter gradient for a scalar loss with the given d(loss)/d(pred).
 
-    Returns a flat vector in the same canonical layout as params.
+    Returns a new flat vector in the same canonical layout as params.
     """
     _check_params(arch, params)
     b = cache.inputs.shape[0]
@@ -118,6 +166,7 @@ def backward(arch: MlpArchitecture, params: np.ndarray, cache: ForwardCache,
             f"dloss_dpred shape {dloss_dpred.shape} does not match batch size {b}"
         )
     layers = layer_views(arch, params)
+    bufs = _layer_buffers(arch, workspace, b)
     n_layers = len(layers)
     grads_w: list[np.ndarray] = [None] * n_layers  # type: ignore[list-item]
     grads_b: list[np.ndarray] = [None] * n_layers  # type: ignore[list-item]
@@ -127,15 +176,18 @@ def backward(arch: MlpArchitecture, params: np.ndarray, cache: ForwardCache,
     w_out, _ = layers[-1]
     grads_w[-1] = tensor.matmul(h_prev.T, dz[:, None])
     grads_b[-1] = np.array([np.sum(dz)])
-    dh = tensor.matmul(dz[:, None], w_out.T)  # (b, fan_in)
 
     for li in range(n_layers - 2, -1, -1):
-        dz_l = dh * tensor.relu_grad(cache.pre_acts[li])
+        dh_out = bufs[li][2]
+        if li == n_layers - 2:
+            # the outer product dz w_out^T, broadcast rather than a k=1 gemm
+            dh = np.multiply(dz[:, None], w_out[:, 0], out=dh_out)
+        else:
+            dh = tensor.matmul(dz_l, layers[li + 1][0].T, out=dh_out)
+        dz_l = np.multiply(dh, tensor.relu_grad(cache.pre_acts[li]), out=dh)
         h_in = cache.hidden[li - 1] if li > 0 else cache.inputs
         grads_w[li] = tensor.matmul(h_in.T, dz_l)
         grads_b[li] = np.sum(dz_l, axis=0)
-        if li > 0:
-            dh = tensor.matmul(dz_l, layers[li][0].T)
 
     parts = []
     for gw, gb in zip(grads_w, grads_b):

@@ -24,7 +24,7 @@ from . import checkpoint as ckpt
 from .data import BatchPlan, Dataset, batches
 from .errors import EmptyGroupError, NumericError, ParameterError, ShapeError
 from .losses import FAIRNESS_METRICS, bce, fairness_loss, squared_cosine
-from .model import ForwardCache, MlpArchitecture, backward, forward, init_params
+from .model import MlpArchitecture, Workspace, backward, forward, init_params
 
 logger = logging.getLogger(__name__)
 
@@ -158,20 +158,16 @@ class BatchGradients:
 
 
 def _task_gradient(arch: MlpArchitecture, theta: np.ndarray, x: np.ndarray,
-                   y: np.ndarray, s: np.ndarray, metric: str, penalty: float
-                   ) -> tuple[np.ndarray, float, float | None, ForwardCache]:
-    """Gradient of bce + penalty * fairness_gap at theta, the loss parts, and
-    the forward cache.
+                   y: np.ndarray, s: np.ndarray, metric: str, penalty: float,
+                   workspace: Workspace | None = None
+                   ) -> tuple[np.ndarray, float, float | None]:
+    """Gradient of bce + penalty * fairness_gap at theta and the loss parts.
 
     A batch lacking a group cell the metric needs contributes no fairness
-    term; its fairness loss comes back as None. batch_gradients holds the
-    cache until it returns: freeing the (batch, hidden) activations before
-    the routed and regularizer gradients are allocated lets those small
-    vectors split the freed block, and glibc malloc then trims and re-faults
-    the heap every batch (about 94k instead of 61k minor page faults per
-    8-epoch run on 6000 rows).
+    term; its fairness loss comes back as None. The workspace, if given,
+    holds the forward and backward activations (see fairline.model).
     """
-    pred, cache = forward(arch, theta, x)
+    pred, cache = forward(arch, theta, x, workspace=workspace)
     ce = bce(pred, y)
     dpred = ce.grad_pred.copy()
     loss_fair: float | None = None
@@ -181,18 +177,19 @@ def _task_gradient(arch: MlpArchitecture, theta: np.ndarray, x: np.ndarray,
         dpred += penalty * fl.grad_pred
     except EmptyGroupError:
         pass
-    return backward(arch, theta, cache, dpred), ce.value, loss_fair, cache
+    return backward(arch, theta, cache, dpred, workspace=workspace), ce.value, loss_fair
 
 
 def batch_gradients(arch: MlpArchitecture, w_acc: np.ndarray, w_fair: np.ndarray,
                     alpha: float, x: np.ndarray, y: np.ndarray, s: np.ndarray,
-                    config: TrainConfig) -> BatchGradients:
+                    config: TrainConfig, workspace: Workspace | None = None
+                    ) -> BatchGradients:
     """One batch of the subspace objective: loss parts, theta-gradient,
     routed endpoint gradients, and the directly-added regularizer gradients."""
     theta = interpolate(w_acc, w_fair, alpha)
-    # _cache stays referenced until return; _task_gradient says why
-    g_theta, loss_ce, loss_fair, _cache = _task_gradient(
-        arch, theta, x, y, s, config.fairness_metric, config.fairness_weight * alpha)
+    g_theta, loss_ce, loss_fair = _task_gradient(
+        arch, theta, x, y, s, config.fairness_metric, config.fairness_weight * alpha,
+        workspace=workspace)
     g_acc_task = (1.0 - alpha) * g_theta
     g_fair_task = alpha * g_theta
     reg = squared_cosine(w_acc, w_fair)
@@ -208,7 +205,9 @@ def _train_loop(train: Dataset, config: TrainConfig, arch: MlpArchitecture | Non
     """The epoch/batch loop shared by the subspace and the fixed trainer.
 
     One weight vector per seed, initialized from it, each with its own Adam
-    state. step(arch, weights, x, y, s) returns (bg, grads, probe_args):
+    state, and one model Workspace for the run's batch size that every batch
+    reuses. step(arch, weights, x, y, s, workspace) returns
+    (bg, grads, probe_args):
     bg is the batch's gradient record (loss_ce, loss_fair, fairness_skipped,
     plus loss_reg for the endpoint pair), grads holds one gradient per weight
     vector, and probe_args follow (epoch, batch_index) in the probe call.
@@ -224,6 +223,7 @@ def _train_loop(train: Dataset, config: TrainConfig, arch: MlpArchitecture | Non
     adams = [AdamState.zeros(arch.param_count) for _ in seeds]
     shuffle_seed = config.seed if config.shuffle_seed is None else config.shuffle_seed
     plan = BatchPlan(config.batch_size, shuffle_seed)
+    workspace = Workspace(arch, min(config.batch_size, train.n))
 
     total_batches = 0
     skipped_batches = 0
@@ -236,7 +236,8 @@ def _train_loop(train: Dataset, config: TrainConfig, arch: MlpArchitecture | Non
         reg_last = None
         for bi, idx in enumerate(batches(train, plan, epoch)):
             bg, grads, probe_args = step(arch, weights, train.features[idx],
-                                         train.labels[idx], train.sensitive[idx])
+                                         train.labels[idx], train.sensitive[idx],
+                                         workspace)
             reg_last = getattr(bg, "loss_reg", None)
             losses = [v for v in (bg.loss_ce, bg.loss_fair, reg_last) if v is not None]
             if not all(np.isfinite(v) for v in losses):
@@ -287,10 +288,11 @@ def train_subspace(train: Dataset, config: TrainConfig,
     """
     alpha_rng = np.random.default_rng([config.seed, *_ALPHA_STREAM])
 
-    def step(arch, weights, x, y, s):
+    def step(arch, weights, x, y, s, workspace):
         alpha = (config.fixed_alpha if config.fixed_alpha is not None
                  else float(alpha_rng.uniform()))
-        bg = batch_gradients(arch, weights[0], weights[1], alpha, x, y, s, config)
+        bg = batch_gradients(arch, weights[0], weights[1], alpha, x, y, s, config,
+                             workspace=workspace)
         return bg, (bg.g_acc, bg.g_fair), (alpha, bg)
 
     arch, (w_acc, w_fair), meta, wall_time_s = _train_loop(

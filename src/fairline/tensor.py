@@ -1,6 +1,7 @@
 """Dense float64 array primitives used by the model, the losses and the
 metrics: a shape-checked matmul, the sigmoid and ReLU activations with their
-derivatives, and a masked mean.
+derivatives, and a masked mean. matmul and relu take an optional out= buffer
+so the training step can reuse its activation memory.
 
 Conventions: a Matrix is a 2-D float64 ndarray in batch-rows layout (each
 row one sample), a Vector is a 1-D float64 ndarray.
@@ -16,12 +17,13 @@ Matrix = np.ndarray
 Vector = np.ndarray
 
 
-def matmul(a: Matrix, b: Matrix) -> Matrix:
+def matmul(a: Matrix, b: Matrix, out: Matrix | None = None) -> Matrix:
+    """a @ b, written into out when given (out=None allocates)."""
     if a.ndim != 2 or b.ndim != 2:
         raise ShapeError(f"matmul: operands must be 2-D, got {a.ndim}-D and {b.ndim}-D")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dimensions differ, {a.shape} x {b.shape}")
-    return a @ b
+    return np.matmul(a, b, out=out)
 
 
 # Smallest positive double and the largest double below 1: sigmoid output is
@@ -51,13 +53,18 @@ def sigmoid_grad(sig_out):
     return sig_out * (1.0 - sig_out)
 
 
-def relu(t):
-    return np.maximum(t, 0.0)
+def relu(t, out=None):
+    """max(t, 0), written into out when given (out=None allocates)."""
+    return np.maximum(t, 0.0, out=out)
 
 
 def relu_grad(t):
-    """Subgradient of relu; defined as 0 at t == 0."""
-    return (t > 0.0).astype(np.float64)
+    """Subgradient of relu as a boolean mask; defined as 0 at t == 0.
+
+    Multiplying a float64 array by the mask gives the same bits as
+    multiplying it by the mask's float64 0/1 copy.
+    """
+    return t > 0.0
 
 
 def masked_mean(v: Vector, mask: np.ndarray) -> float:

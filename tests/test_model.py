@@ -5,6 +5,7 @@ from fairline.errors import ShapeError
 from fairline.losses import bce
 from fairline.model import (
     MlpArchitecture,
+    Workspace,
     backward,
     forward,
     init_params,
@@ -84,6 +85,12 @@ def test_forward_shape_errors():
         forward(arch, params, np.zeros((3, 5)))
     with pytest.raises(ShapeError):
         forward(arch, params[:-1], np.zeros((3, 4)))
+    # a workspace with too few rows, or built for other hidden widths
+    with pytest.raises(ShapeError):
+        forward(arch, params, np.zeros((9, 4)), workspace=Workspace(arch, 8))
+    with pytest.raises(ShapeError):
+        forward(arch, params, np.zeros((2, 4)),
+                workspace=Workspace(MlpArchitecture(4, (6,)), 8))
 
 
 def test_backward_zero_cotangent():
@@ -130,20 +137,26 @@ def _assert_close(analytic, fd, rel=1e-4, abs_floor=1e-7):
     assert not bad.any(), f"{bad.sum()} coordinates disagree"
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_backward_matches_finite_differences(seed):
+@pytest.mark.parametrize("seed,workspace_rows", [
+    pytest.param(0, None, id="0"),
+    pytest.param(1, None, id="1"),
+    pytest.param(2, None, id="2"),
+    pytest.param(0, 8, id="workspace"),  # 6-row batch in an 8-row workspace
+])
+def test_backward_matches_finite_differences(seed, workspace_rows):
     rng = np.random.default_rng(seed)
     arch = MlpArchitecture(3, (5,))
     params = init_params(arch, seed)
     x = rng.standard_normal((6, 3))
     y = (rng.random(6) < 0.5).astype(np.float64)
+    ws = None if workspace_rows is None else Workspace(arch, workspace_rows)
 
     def loss(p):
         pred, _ = forward(arch, p, x)
         return bce(pred, y).value
 
-    pred, cache = forward(arch, params, x)
-    analytic = backward(arch, params, cache, bce(pred, y).grad_pred)
+    pred, cache = forward(arch, params, x, workspace=ws)
+    analytic = backward(arch, params, cache, bce(pred, y).grad_pred, workspace=ws)
     _assert_close(analytic, _fd_gradient(loss, params))
 
 
@@ -167,3 +180,37 @@ def test_backward_matches_fd_for_composite_loss():
     dpred = bce(pred, y).grad_pred + a * demographic_parity_gap(pred, s).grad_pred
     analytic = backward(arch, params, cache, dpred)
     _assert_close(analytic, _fd_gradient(loss, params))
+
+
+# ------------------------------------------------------------ workspace
+
+@pytest.mark.parametrize("rows", [6, 9])  # a full batch, and a short one
+def test_workspace_bit_identical_to_allocating_path(rows):
+    arch = MlpArchitecture(4, (5, 4))
+    params = init_params(arch, 5)
+    rng = np.random.default_rng(6)
+    ws = Workspace(arch, rows)
+    # an earlier batch leaves stale values in every workspace row
+    forward(arch, params, rng.standard_normal((rows, 4)), workspace=ws)
+    x = rng.standard_normal((6, 4))
+    g = rng.standard_normal(6)
+
+    pred, cache = forward(arch, params, x)
+    grad = backward(arch, params, cache, g)
+    pred_ws, cache_ws = forward(arch, params, x, workspace=ws)
+    grad_ws = backward(arch, params, cache_ws, g, workspace=ws)
+    assert pred_ws.tobytes() == pred.tobytes()
+    assert grad_ws.tobytes() == grad.tobytes()
+
+
+def test_workspace_holds_the_cached_activations():
+    arch = MlpArchitecture(4, (5, 4))
+    params = init_params(arch, 5)
+    x = np.random.default_rng(7).standard_normal((3, 4))
+    ws = Workspace(arch, 8)
+    _, cache = forward(arch, params, x, workspace=ws)
+    for li, (z_buf, h_buf, _) in enumerate(ws.layers):
+        assert np.shares_memory(cache.pre_acts[li], z_buf)
+        assert np.shares_memory(cache.hidden[li], h_buf)
+    grad = backward(arch, params, cache, np.ones(3), workspace=ws)
+    assert not any(np.shares_memory(grad, buf) for bufs in ws.layers for buf in bufs)

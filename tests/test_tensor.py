@@ -27,6 +27,9 @@ def test_matmul_identity():
     i2 = np.eye(2)
     a = np.array([[1.0, 2.0], [3.0, 4.0]])
     assert np.array_equal(tensor.matmul(i2, a), a)
+    out = np.full((2, 2), np.nan)
+    assert tensor.matmul(i2, a, out=out) is out
+    assert np.array_equal(out, a)
 
 
 def test_matmul_hand_product():
@@ -60,6 +63,8 @@ def test_matmul_exact_on_integer_values(m, k, n, seed):
 def test_matmul_shape_error():
     with pytest.raises(ShapeError):
         tensor.matmul(np.zeros((2, 3)), np.zeros((2, 3)))
+    with pytest.raises(ShapeError):
+        tensor.matmul(np.zeros((2, 3)), np.zeros((2, 3)), out=np.zeros((2, 3)))
 
 
 def test_sigmoid_at_zero():
@@ -68,7 +73,17 @@ def test_sigmoid_at_zero():
 
 def test_relu_values():
     assert np.array_equal(tensor.relu(np.array([-3.0, 3.0])), [0.0, 3.0])
+    out = np.full(2, np.nan)
+    assert tensor.relu(np.array([-3.0, 3.0]), out=out) is out
+    assert np.array_equal(out, [0.0, 3.0])
     assert np.array_equal(tensor.relu_grad(np.array([-3.0, 0.0, 3.0])), [0.0, 0.0, 1.0])
+    # the boolean mask multiplies to the same bits as its float64 0/1 copy,
+    # signed zeros and NaN included
+    t = np.array([-3.0, -0.0, 0.0, 2.0, np.inf])
+    d = np.array([-1.5, 2.0, -2.0, -0.25, np.nan])
+    mask = tensor.relu_grad(t)
+    assert mask.dtype == np.bool_
+    assert (d * mask).tobytes() == (d * mask.astype(np.float64)).tobytes()
 
 
 def test_sigmoid_extreme_negative_no_underflow_to_nan():
