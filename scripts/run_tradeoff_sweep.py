@@ -13,6 +13,7 @@ import argparse
 import sys
 
 import fairline as fl
+from fairline.losses import FAIRNESS_METRICS
 
 
 def main() -> int:
@@ -22,7 +23,7 @@ def main() -> int:
     ap.add_argument("--gap", type=float, default=0.4)
     ap.add_argument("--epochs", type=int, default=8)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--metric", choices=("dp", "eo", "eodd"), default="dp")
+    ap.add_argument("--metric", choices=FAIRNESS_METRICS, default="dp")
     ap.add_argument("--out", default=None, help="also write the report CSV here")
     args = ap.parse_args()
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from .data import Dataset
-from .errors import ParameterError, ShapeError
+from .errors import CheckpointError, ParameterError, ShapeError
 from .model import MlpArchitecture, Workspace, forward
 from .subspace import TrainConfig, _task_gradient, _train_loop
 
@@ -110,5 +110,9 @@ def save_fixed_checkpoint(model: FixedModel, path) -> None:
 
 def load_fixed_checkpoint(path) -> FixedModel:
     arch, arrays, meta = ckpt.read_checkpoint(path, ckpt.KIND_SINGLE)
-    fairness_weight = float(meta.get("fixed.fairness_weight", "0.0"))
+    raw = meta.get("fixed.fairness_weight", "0.0")
+    try:
+        fairness_weight = float(raw)
+    except ValueError:
+        raise CheckpointError(f"fixed.fairness_weight is not a number: {raw!r}") from None
     return FixedModel(arch, arrays[0], fairness_weight, meta)

@@ -46,7 +46,7 @@ def _decode_meta(blob: bytes) -> dict[str, str]:
         text = blob.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise CheckpointError(f"metadata block is not UTF-8: {exc}") from None
-    for line in text.splitlines():
+    for line in text.split("\n"):
         if not line:
             continue
         key, sep, value = line.partition("=")

@@ -20,6 +20,7 @@ import sys
 from .data import CsvSchema, load_csv, split, synth_biased
 from .errors import FairlineError, NumericError, ParameterError
 from .evaluation import DEFAULT_ALPHA_GRID, alpha_sweep, compare_to_grid, write_report
+from .losses import FAIRNESS_METRICS
 from .subspace import TrainConfig, load_checkpoint, save_checkpoint, train_subspace
 
 logger = logging.getLogger("fairline")
@@ -61,7 +62,7 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
                    help="penalty strength at the fairness endpoint (the A column)")
     p.add_argument("--diversity-weight", type=float, default=1.0,
                    help="weight of the endpoint-diversity regularizer")
-    p.add_argument("--metric", choices=("dp", "eo", "eodd"), default="dp")
+    p.add_argument("--metric", choices=FAIRNESS_METRICS, default="dp")
     p.add_argument("--seed", type=int, default=_default_seed(),
                    help="training seed (default from YODO_SEED if set)")
 
@@ -249,10 +250,10 @@ def cmd_synth(args) -> int:
 
 
 def _load_split(args):
+    if not 0.0 <= args.test_fraction < 1.0:
+        raise UsageError(f"--test-fraction must be in [0, 1), got {args.test_fraction}")
     ds = load_csv(args.data, _schema_from_args(args))
     if args.test_fraction > 0:
-        if not args.test_fraction < 1:
-            raise UsageError(f"--test-fraction must be in [0, 1), got {args.test_fraction}")
         return split(ds, args.test_fraction, args.seed)
     return ds, None
 
@@ -260,14 +261,14 @@ def _load_split(args):
 def cmd_train(args) -> int:
     if args.fixed_alpha is not None and not 0.0 <= args.fixed_alpha <= 1.0:
         raise UsageError(f"--fixed-alpha must be in [0, 1], got {args.fixed_alpha}")
+    if args.test_out and not args.test_fraction > 0:
+        raise UsageError("--test-out requires --test-fraction > 0")
     train_ds, test_ds = _load_split(args)
     config = _train_config(args, fixed_alpha=args.fixed_alpha)
     model = train_subspace(train_ds, config)
     save_checkpoint(model, args.out)
     logger.info("checkpoint written to %s (%.2fs)", args.out, model.wall_time_s)
     if args.test_out:
-        if test_ds is None:
-            raise UsageError("--test-out requires --test-fraction > 0")
         _write_dataset_csv(test_ds, args.test_out)
         logger.info("held-out split written to %s", args.test_out)
     return 0

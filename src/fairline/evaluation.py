@@ -17,7 +17,6 @@ from .data import Dataset
 from .errors import FrontierRangeError, ParameterError
 from .losses import demographic_parity_gap, equal_opportunity_gap, equalized_odds_gap
 from .subspace import SubspaceModel, TrainConfig, predict, train_subspace
-from .tensor import masked_mean
 
 logger = logging.getLogger(__name__)
 
@@ -54,7 +53,7 @@ def evaluate_predictions(pred: np.ndarray, y: np.ndarray, s: np.ndarray,
     """
     hard = (pred >= threshold).astype(np.float64)
     error_rate = float(np.mean(hard != y))
-    dp_hard = abs(masked_mean(hard, s == 0.0) - masked_mean(hard, s == 1.0))
+    dp_hard = demographic_parity_gap(hard, s).value
     dp_relaxed = demographic_parity_gap(pred, s).value
     eo_relaxed = equal_opportunity_gap(pred, y, s).value
     eodd_relaxed = equalized_odds_gap(pred, y, s).value

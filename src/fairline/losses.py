@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyGroupError, ShapeError
+from .errors import EmptyGroupError, ParameterError, ShapeError
 
 BCE_CLAMP = 1e-12
 NORM_GUARD = 1e-12
@@ -101,7 +101,7 @@ def fairness_loss(metric: str, pred: np.ndarray, y: np.ndarray, s: np.ndarray) -
         return equal_opportunity_gap(pred, y, s)
     if metric == "eodd":
         return equalized_odds_gap(pred, y, s)
-    raise ValueError(f"unknown fairness metric '{metric}', expected one of {FAIRNESS_METRICS}")
+    raise ParameterError(f"unknown fairness metric '{metric}', expected one of {FAIRNESS_METRICS}")
 
 
 def squared_cosine(w1: np.ndarray, w2: np.ndarray) -> LossValue:

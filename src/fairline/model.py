@@ -2,8 +2,11 @@
 
 All trainable weights live in one flat float64 parameter vector with a fixed
 canonical layout: layer 1 weights row-major (fan_in x fan_out), layer 1
-biases, layer 2 weights, ... The forward pass is X @ W + b per layer with
-ReLU on hidden layers and sigmoid on the single output unit.
+biases, layer 2 weights, ... layer_views is the only code that knows this
+layout and the only check that a vector fits the architecture; init_params
+and backward fill the views of one flat vector each. The forward pass is
+X @ W + b per layer with ReLU on hidden layers and sigmoid on the single
+output unit.
 
 forward and backward take an optional Workspace: per-hidden-layer
 (rows, width) buffers that a training run allocates once and reuses for every
@@ -91,17 +94,17 @@ def _layer_buffers(arch: MlpArchitecture, workspace: Workspace | None, b: int
     return [tuple(buf[:b] for buf in bufs) for bufs in workspace.layers]
 
 
-def _check_params(arch: MlpArchitecture, params: np.ndarray) -> None:
+def layer_views(arch: MlpArchitecture, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(W, b) views into the flat vector, one pair per layer. No copies.
+
+    The one owner of the canonical layout; raises ShapeError when params is
+    not a flat vector of arch.param_count entries.
+    """
     if params.ndim != 1 or params.shape[0] != arch.param_count:
         raise ShapeError(
             f"parameter vector length {params.shape} does not match "
             f"architecture ({arch.param_count} parameters)"
         )
-
-
-def layer_views(arch: MlpArchitecture, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(W, b) views into the flat vector, one pair per layer. No copies."""
-    _check_params(arch, params)
     out = []
     dims = arch.layer_dims
     pos = 0
@@ -119,22 +122,19 @@ def init_params(arch: MlpArchitecture, seed: int) -> np.ndarray:
     if seed < 0:
         raise ParameterError("seed must be non-negative")
     rng = np.random.default_rng(seed)
-    parts = []
-    dims = arch.layer_dims
-    for fi, fo in zip(dims[:-1], dims[1:]):
-        bound = np.sqrt(6.0 / (fi + fo))
-        parts.append(rng.uniform(-bound, bound, size=fi * fo))
-        parts.append(np.zeros(fo))
-    return np.concatenate(parts)
+    params = np.zeros(arch.param_count)
+    for w, _ in layer_views(arch, params):
+        bound = np.sqrt(6.0 / sum(w.shape))
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+    return params
 
 
 def forward(arch: MlpArchitecture, params: np.ndarray, x: np.ndarray,
             workspace: Workspace | None = None) -> tuple[np.ndarray, ForwardCache]:
     """Batch forward pass; returns predictions in (0, 1) and the cache."""
-    _check_params(arch, params)
+    layers = layer_views(arch, params)
     if x.ndim != 2 or x.shape[1] != arch.input_dim:
         raise ShapeError(f"input shape {x.shape} does not match input_dim={arch.input_dim}")
-    layers = layer_views(arch, params)
     bufs = _layer_buffers(arch, workspace, x.shape[0])
     pre_acts: list[np.ndarray] = []
     hidden: list[np.ndarray] = []
@@ -159,23 +159,23 @@ def backward(arch: MlpArchitecture, params: np.ndarray, cache: ForwardCache,
 
     Returns a new flat vector in the same canonical layout as params.
     """
-    _check_params(arch, params)
+    layers = layer_views(arch, params)
     b = cache.inputs.shape[0]
     if dloss_dpred.shape != (b,):
         raise ShapeError(
             f"dloss_dpred shape {dloss_dpred.shape} does not match batch size {b}"
         )
-    layers = layer_views(arch, params)
     bufs = _layer_buffers(arch, workspace, b)
+    grads = np.empty_like(params)
+    grad_layers = layer_views(arch, grads)
     n_layers = len(layers)
-    grads_w: list[np.ndarray] = [None] * n_layers  # type: ignore[list-item]
-    grads_b: list[np.ndarray] = [None] * n_layers  # type: ignore[list-item]
 
     dz = dloss_dpred * tensor.sigmoid_grad(cache.pred)  # (b,)
     h_prev = cache.hidden[-1] if cache.hidden else cache.inputs
     w_out, _ = layers[-1]
-    grads_w[-1] = tensor.matmul(h_prev.T, dz[:, None])
-    grads_b[-1] = np.array([np.sum(dz)])
+    gw, gb = grad_layers[-1]
+    tensor.matmul(h_prev.T, dz[:, None], out=gw)
+    np.sum(dz, keepdims=True, out=gb)
 
     for li in range(n_layers - 2, -1, -1):
         dh_out = bufs[li][2]
@@ -186,11 +186,7 @@ def backward(arch: MlpArchitecture, params: np.ndarray, cache: ForwardCache,
             dh = tensor.matmul(dz_l, layers[li + 1][0].T, out=dh_out)
         dz_l = np.multiply(dh, tensor.relu_grad(cache.pre_acts[li]), out=dh)
         h_in = cache.hidden[li - 1] if li > 0 else cache.inputs
-        grads_w[li] = tensor.matmul(h_in.T, dz_l)
-        grads_b[li] = np.sum(dz_l, axis=0)
-
-    parts = []
-    for gw, gb in zip(grads_w, grads_b):
-        parts.append(gw.ravel())
-        parts.append(gb)
-    return np.concatenate(parts)
+        gw, gb = grad_layers[li]
+        tensor.matmul(h_in.T, dz_l, out=gw)
+        np.sum(dz_l, axis=0, out=gb)
+    return grads

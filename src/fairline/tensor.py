@@ -1,20 +1,19 @@
-"""Dense float64 array primitives used by the model, the losses and the
-metrics: a shape-checked matmul, the sigmoid and ReLU activations with their
-derivatives, and a masked mean. matmul and relu take an optional out= buffer
-so the training step can reuse its activation memory.
+"""Dense float64 array primitives of the model: a shape-checked matmul and
+the sigmoid and ReLU activations with their derivatives. matmul and relu
+take an optional out= buffer so the training step can reuse its activation
+memory.
 
 Conventions: a Matrix is a 2-D float64 ndarray in batch-rows layout (each
-row one sample), a Vector is a 1-D float64 ndarray.
+row one sample).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import EmptyGroupError, ShapeError
+from .errors import ShapeError
 
 Matrix = np.ndarray
-Vector = np.ndarray
 
 
 def matmul(a: Matrix, b: Matrix, out: Matrix | None = None) -> Matrix:
@@ -36,16 +35,12 @@ _SIG_HI = np.nextafter(1.0, 0.0)
 def sigmoid(t):
     """Numerically stable logistic function, output strictly inside (0, 1).
 
-    Branches on the sign of t so exp() is only ever called on non-positive
-    values; large |t| cannot overflow.
+    exp() is only ever called on -|t| <= 0, so large |t| cannot overflow;
+    the sign of t picks 1 / (1 + e) or e / (1 + e).
     """
     t = np.asarray(t, dtype=np.float64)
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    et = np.exp(t[~pos])
-    out[~pos] = et / (1.0 + et)
-    return np.clip(out, _SIG_LO, _SIG_HI)
+    e = np.exp(-np.abs(t))
+    return np.clip(np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e)), _SIG_LO, _SIG_HI)
 
 
 def sigmoid_grad(sig_out):
@@ -66,12 +61,3 @@ def relu_grad(t):
     """
     return t > 0.0
 
-
-def masked_mean(v: Vector, mask: np.ndarray) -> float:
-    """Mean of the entries of v selected by the boolean mask."""
-    if v.shape != mask.shape:
-        raise ShapeError(f"masked_mean: shape mismatch {v.shape} vs {mask.shape}")
-    n = int(np.count_nonzero(mask))
-    if n == 0:
-        raise EmptyGroupError("masked_mean: mask selects no entries")
-    return float(np.sum(v[mask]) / n)

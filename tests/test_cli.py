@@ -75,6 +75,30 @@ def test_train_test_out_split(synth_csv, tmp_path):
     assert len(test_csv.read_text().splitlines()) == 151  # header + 150 rows
 
 
+def test_train_test_out_without_fraction_fails_before_training(synth_csv, tmp_path, capsys):
+    out = tmp_path / "model.ckpt"
+    code = run(train_args(synth_csv, out, ["--test-out", str(tmp_path / "test.csv")]))
+    assert code == 2
+    assert "--test-out" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_negative_test_fraction_fails_before_loading(tmp_path, capsys):
+    # the data file does not exist: a check that ran after load_csv would exit 3
+    out = tmp_path / "model.ckpt"
+    code = run(train_args(tmp_path / "missing.csv", out, ["--test-fraction", "-0.5"]))
+    assert code == 2
+    assert "--test-fraction" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_unknown_metric_usage_error(synth_csv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(train_args(synth_csv, tmp_path / "m.ckpt", ["--metric", "gini"]))
+    assert exc.value.code == 2
+    assert "'dp', 'eo', 'eodd'" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------ sweep
 
 @pytest.fixture()

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairline.errors import EmptyGroupError, ShapeError
+from fairline.errors import EmptyGroupError, ParameterError, ShapeError
 from fairline.losses import (
+    FAIRNESS_METRICS,
     bce,
     demographic_parity_gap,
     equal_opportunity_gap,
@@ -178,13 +179,19 @@ def test_fairness_metrics_permutation_and_swap_invariant(vals, pyrandom):
     y = np.array([1, 0, 1, 0, 1, 0, 1, 0], dtype=np.float64)
     s = np.array([0, 0, 0, 0, 1, 1, 1, 1], dtype=np.float64)
     perm = np.array(pyrandom.sample(range(8), 8))
-    for metric in ("dp", "eo", "eodd"):
+    for metric in FAIRNESS_METRICS:
         base = fairness_loss(metric, pred, y, s).value
         permuted = fairness_loss(metric, pred[perm], y[perm], s[perm]).value
         swapped = fairness_loss(metric, pred, y, 1.0 - s).value
         assert abs(base - permuted) < 1e-12
         assert abs(base - swapped) < 1e-12
         assert 0.0 <= base <= (2.0 if metric == "eodd" else 1.0)
+
+
+def test_fairness_loss_unknown_metric_is_parameter_error():
+    v = np.array([0.2, 0.8])
+    with pytest.raises(ParameterError, match="gini"):
+        fairness_loss("gini", v, v, np.array([0.0, 1.0]))
 
 
 # -------------------------------------------------- squared cosine

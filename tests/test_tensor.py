@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairline import tensor
-from fairline.errors import EmptyGroupError, ShapeError
+from fairline.errors import ShapeError
 
 
 def naive_matmul(a, b):
@@ -119,13 +119,22 @@ def test_sigmoid_grad_matches_product_form():
     assert np.array_equal(tensor.sigmoid_grad(s), s * (1.0 - s))
 
 
-def test_masked_mean():
-    v = np.array([1.0, 2.0, 3.0, 4.0])
-    mask = np.array([True, False, True, False])
-    assert tensor.masked_mean(v, mask) == 2.0
+def _two_branch_sigmoid(t):
+    """Reference: the masked form, exp() of -t where t >= 0 and of t elsewhere."""
+    t = np.asarray(t, dtype=np.float64)
+    out = np.empty_like(t)
+    pos = t >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    et = np.exp(t[~pos])
+    out[~pos] = et / (1.0 + et)
+    return np.clip(out, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
 
 
-def test_masked_mean_empty_mask_errors():
-    with pytest.raises(EmptyGroupError):
-        tensor.masked_mean(np.array([1.0, 2.0]), np.array([False, False]))
-
+def test_sigmoid_bit_identical_to_two_branch_form():
+    tiny = np.finfo(np.float64).smallest_subnormal
+    edges = np.array([0.0, -0.0, np.inf, -np.inf, 745.0, -745.0, -746.0, 800.0, -800.0,
+                      tiny, -tiny, 1e-310, -1e-310, 2.2e-308, -2.2e-308])
+    sample = np.random.default_rng(20240611).normal(0.0, 40.0, size=100_000)
+    for t in (edges, sample, sample.reshape(400, 250), np.array(-3.5)):
+        assert tensor.sigmoid(t).tobytes() == _two_branch_sigmoid(t).tobytes()
+    assert np.isnan(tensor.sigmoid(np.array([np.nan, -np.nan]))).all()
