@@ -1,0 +1,120 @@
+#!/usr/bin/env python3
+"""Print the sha256 of a fixed set of checkpoints, CSVs and reports.
+
+Run it on two trees and diff the output to check that a change keeps
+checkpoints, CSVs and reports bit-identical. Each line is `name sha256`;
+the compare runs also print their `frontier_gap=` line. Files go to a
+temporary directory that is removed on exit. The tree's own `src/` is
+imported, so no install or PYTHONPATH is needed. About 10 s on 2 cores.
+
+Usage: python scripts/bits.py
+"""
+
+import contextlib
+import hashlib
+import io
+import logging
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+import numpy as np  # noqa: E402
+
+import fairline as fl  # noqa: E402
+from fairline import cli  # noqa: E402
+
+METRICS = ("dp", "eo", "eodd")
+FIXED_WEIGHTS = (0.0, 0.5, 1.0)
+
+
+def _sha(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _skewed_dataset(n=40, n_group1=2) -> fl.Dataset:
+    # Pinned copy of tests/test_subspace.py's set: group 1 has two rows, so
+    # most batches skip the fairness term.
+    rng = np.random.default_rng(0)
+    features = rng.standard_normal((n, 3))
+    labels = (rng.random(n) < 0.5).astype(np.float64)
+    sensitive = np.zeros(n)
+    sensitive[:n_group1] = 1.0
+    return fl.Dataset(features, labels, sensitive, ["x1", "x2", "x3"])
+
+
+def _library_checkpoints(tmp: Path):
+    train = fl.split(fl.synth_biased(1200, 4, 0.5, 0.4, 1.0, seed=3), 0.25, seed=3)[0]
+
+    def config(metric="dp", fixed_alpha=None, shuffle_seed=None):
+        return fl.TrainConfig(epochs=3, batch_size=128, seed=5, fairness_metric=metric,
+                              fixed_alpha=fixed_alpha, shuffle_seed=shuffle_seed)
+
+    def sub(name, ds, cfg, arch=None):
+        path = tmp / "sub.ckpt"
+        fl.save_checkpoint(fl.train_subspace(ds, cfg, arch=arch), path)
+        return name, _sha(path)
+
+    def fixed(name, ds, cfg, weight, arch=None):
+        path = tmp / "fixed.ckpt"
+        fl.save_fixed_checkpoint(fl.train_fixed(ds, cfg, weight, arch=arch), path)
+        return name, _sha(path)
+
+    for m in METRICS:
+        for a in (None, 0.3):
+            for sh in (None, 17):
+                yield sub(f"sub/{m}/a={a}/sh={sh}", train, config(m, a, sh))
+    for m in METRICS:
+        for w in FIXED_WEIGHTS:
+            for sh in (None, 17):
+                yield fixed(f"fixed/{m}/A={w:g}/sh={sh}", train, config(m, None, sh), w)
+    wide = fl.MlpArchitecture(4, (32, 16))
+    yield sub("sub/32x16/dp", train, config(), arch=wide)
+    yield fixed("fixed/32x16/dp/A=0.5", train, config(), 0.5, arch=wide)
+    skewed, skewed_cfg = _skewed_dataset(), fl.TrainConfig(epochs=2, batch_size=4, seed=0)
+    yield sub("skewed/sub", skewed, skewed_cfg)
+    yield fixed("skewed/fixed/A=1", skewed, skewed_cfg, 1.0)
+
+
+def _run_cli(argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main([str(a) for a in argv])
+    if code != 0:
+        raise SystemExit(f"fairline {argv[0]} exited {code}")
+    return out.getvalue()
+
+
+def _cli_outputs(tmp: Path):
+    data = tmp / "data.csv"
+    _run_cli(["synth", "--n", 8000, "--d", 6, "--seed", 0, "--out", data])
+    yield "synth/n=8000", _sha(data)
+    ckpt, test, sweep = tmp / "line.ckpt", tmp / "test.csv", tmp / "sweep.csv"
+    _run_cli(["train", "--data", data, "--out", ckpt, "--epochs", 8, "--seed", 0,
+              "--test-fraction", 0.25, "--test-out", test])
+    _run_cli(["sweep", "--checkpoint", ckpt, "--test", test, "--out", sweep])
+    yield "train/checkpoint", _sha(ckpt)
+    yield "train/test-out", _sha(test)
+    yield "sweep/report", _sha(sweep)
+    for m in ("dp", "eo"):
+        report = tmp / f"compare_{m}.csv"
+        stdout = _run_cli(["compare", "--data", data, "--out", report,
+                           "--epochs", 8, "--seed", 0, "--metric", m])
+        gap = next(ln for ln in stdout.splitlines() if ln.startswith("frontier_gap="))
+        yield f"compare/{m}/report", _sha(report)
+        yield f"compare/{m}", gap
+
+
+def main() -> int:
+    # quiet the per-epoch INFO lines; cli.main's basicConfig is then a no-op
+    logging.basicConfig(stream=sys.stderr, level=logging.WARNING)
+    with tempfile.TemporaryDirectory() as tmp:
+        for source in (_library_checkpoints, _cli_outputs):
+            for name, value in source(Path(tmp)):
+                print(name, value, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

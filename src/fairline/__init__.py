@@ -14,7 +14,7 @@ from .baseline import (
     sweep_fixed,
     train_fixed,
 )
-from .data import BatchPlan, CsvSchema, Dataset, batches, load_csv, split, synth_biased
+from .data import CsvSchema, Dataset, batches, load_csv, split, synth_biased
 from .errors import (
     CheckpointError,
     DataError,

@@ -36,8 +36,11 @@ def _encode_meta(meta: dict[str, str]) -> bytes:
         value = meta[key]
         if "=" in key or "\n" in key or "\n" in value:
             raise ParameterError(f"metadata key/value not encodable: {key!r}")
-        lines.append(f"{key}={value}\n")
-    return "".join(lines).encode("utf-8")
+        try:
+            lines.append(f"{key}={value}\n".encode("utf-8"))
+        except UnicodeEncodeError:
+            raise ParameterError(f"metadata key/value not UTF-8 encodable: {key!r}") from None
+    return b"".join(lines)
 
 
 def _decode_meta(blob: bytes) -> dict[str, str]:

@@ -4,10 +4,12 @@ Logs go to stderr; machine-readable outputs go to files or stdout. Exit
 codes: 0 success; 2 usage error (bad flags, config file or parameter
 values); 4 numeric failure during training; 3 for any other package error
 (data, checkpoint, shape, empty group, frontier range) and for OS errors.
-No package error escapes as a traceback. A config file (flat key=value,
-keys spelled like the long flags without dashes) supplies defaults;
-command-line flags win. YODO_SEED in the environment provides the default
-seed. compare is a thin caller of evaluation.compare_to_grid.
+No package error escapes as a traceback. Flag values are checked before
+the data file is read; TrainConfig owns the training-flag rules. A config
+file (flat key=value, keys spelled like the long flags without dashes)
+supplies defaults; command-line flags win. YODO_SEED in the environment
+provides the default seed. compare is a thin caller of
+evaluation.compare_to_grid.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ import logging
 import os
 import sys
 
-from .data import CsvSchema, load_csv, split, synth_biased
+from .baseline import DEFAULT_FAIRNESS_GRID
+from .data import CsvSchema, load_csv, split, synth_biased, write_csv
 from .errors import FairlineError, NumericError, ParameterError
 from .evaluation import DEFAULT_ALPHA_GRID, alpha_sweep, compare_to_grid, write_report
 from .losses import FAIRNESS_METRICS
@@ -209,9 +212,9 @@ def _train_config(args, fixed_alpha=None) -> TrainConfig:
     )
 
 
-def _parse_grid(raw: str | None, flag: str, lo=None, hi=None) -> list[float]:
+def _parse_grid(raw: str | None, flag: str, default, lo=None, hi=None) -> list[float]:
     if raw is None:
-        return list(DEFAULT_ALPHA_GRID)
+        return list(default)
     try:
         values = [float(tok) for tok in raw.split(",") if tok.strip() != ""]
     except ValueError:
@@ -224,17 +227,6 @@ def _parse_grid(raw: str | None, flag: str, lo=None, hi=None) -> list[float]:
     return values
 
 
-def _write_dataset_csv(ds, path) -> None:
-    lines = [",".join([*ds.feature_names, "label", "group"])]
-    for i in range(ds.n):
-        cells = [repr(float(v)) for v in ds.features[i]]
-        cells.append(str(int(ds.labels[i])))
-        cells.append(str(int(ds.sensitive[i])))
-        lines.append(",".join(cells))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def cmd_synth(args) -> int:
     if not 0.0 <= args.gap <= 1.0:
         raise UsageError(f"--gap must be in [0, 1], got {args.gap}")
@@ -244,7 +236,7 @@ def cmd_synth(args) -> int:
         raise UsageError(f"--noise must be > 0, got {args.noise}")
     ds = synth_biased(args.n, args.d, args.group_fraction, args.gap,
                       args.noise, args.seed)
-    _write_dataset_csv(ds, args.out)
+    write_csv(ds, args.out)
     logger.info("wrote %d rows to %s", ds.n, args.out)
     return 0
 
@@ -259,23 +251,21 @@ def _load_split(args):
 
 
 def cmd_train(args) -> int:
-    if args.fixed_alpha is not None and not 0.0 <= args.fixed_alpha <= 1.0:
-        raise UsageError(f"--fixed-alpha must be in [0, 1], got {args.fixed_alpha}")
+    config = _train_config(args, fixed_alpha=args.fixed_alpha)
     if args.test_out and not args.test_fraction > 0:
         raise UsageError("--test-out requires --test-fraction > 0")
     train_ds, test_ds = _load_split(args)
-    config = _train_config(args, fixed_alpha=args.fixed_alpha)
     model = train_subspace(train_ds, config)
     save_checkpoint(model, args.out)
     logger.info("checkpoint written to %s (%.2fs)", args.out, model.wall_time_s)
     if args.test_out:
-        _write_dataset_csv(test_ds, args.test_out)
+        write_csv(test_ds, args.test_out)
         logger.info("held-out split written to %s", args.test_out)
     return 0
 
 
 def cmd_sweep(args) -> int:
-    grid = _parse_grid(args.grid, "--grid", lo=0.0, hi=1.0)
+    grid = _parse_grid(args.grid, "--grid", DEFAULT_ALPHA_GRID, lo=0.0, hi=1.0)
     model = load_checkpoint(args.checkpoint)
     test = load_csv(args.test, _schema_from_args(args))
     records = alpha_sweep(model, test, grid)
@@ -285,17 +275,19 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    alpha_grid = _parse_grid(args.grid, "--grid", lo=0.0, hi=1.0)
-    fairness_grid = _parse_grid(args.fairness_grid, "--fairness-grid", lo=0.0)
-    train_ds, test_ds = _load_split(args)
-    if test_ds is None:
+    alpha_grid = _parse_grid(args.grid, "--grid", DEFAULT_ALPHA_GRID, lo=0.0, hi=1.0)
+    fairness_grid = _parse_grid(args.fairness_grid, "--fairness-grid",
+                                DEFAULT_FAIRNESS_GRID, lo=0.0)
+    config = _train_config(args)
+    if not args.test_fraction > 0:
         raise UsageError("--test-fraction must be > 0 for compare")
+    train_ds, test_ds = _load_split(args)
     model = None
     if args.checkpoint:
         model = load_checkpoint(args.checkpoint)
         logger.info("loaded subspace checkpoint %s", args.checkpoint)
     line_records, fixed_records, gap, ratio = compare_to_grid(
-        train_ds, test_ds, _train_config(args), alpha_grid, fairness_grid, model=model)
+        train_ds, test_ds, config, alpha_grid, fairness_grid, model=model)
     write_report(line_records + fixed_records, args.out)
     logger.info("report written to %s", args.out)
     print("frontier_gap=" if gap is None else f"frontier_gap={gap:.9g}")

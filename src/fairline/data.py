@@ -1,4 +1,4 @@
-"""Dataset ingestion, synthetic generation, splitting, and batching.
+"""Dataset CSV reading and writing, synthetic data, splitting, and batching.
 
 A Dataset holds a standardized feature matrix plus binary label and binary
 group (sensitive-attribute) vectors. CSV ingestion standardizes to the
@@ -91,20 +91,9 @@ class Dataset:
         )
 
 
-@dataclass(frozen=True)
-class BatchPlan:
-    batch_size: int
-    shuffle_seed: int
-
-    def __post_init__(self):
-        if self.batch_size < 2:
-            raise ParameterError("batch_size must be >= 2")
-        if self.shuffle_seed < 0:
-            raise ParameterError("shuffle_seed must be non-negative")
-
-
-def _standardize_columns(x: np.ndarray, mean: np.ndarray, std: np.ndarray,
-                         mask: np.ndarray) -> np.ndarray:
+def _standardize_columns(x: np.ndarray, ref: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """x with the mask columns standardized by ref's column mean and population stdev."""
+    mean, std = ref.mean(axis=0), ref.std(axis=0)
     scale = np.where(std > STD_GUARD, std, 1.0)
     out = x.copy()
     out[:, mask] = (x[:, mask] - mean[mask]) / scale[mask]
@@ -188,10 +177,19 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
 
     features = np.column_stack(columns)
     mask = np.array(numeric_flags, dtype=bool)
-    features = _standardize_columns(
-        features, features.mean(axis=0), features.std(axis=0), mask
-    )
+    features = _standardize_columns(features, features, mask)
     return Dataset(features, labels, sensitive, names, mask)
+
+
+def write_csv(ds: Dataset, path) -> None:
+    """Write ds as an RFC-4180 CSV that load_csv reads back: a header row,
+    then per row the features as repr floats and label and group as 0/1."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerow([*ds.feature_names, "label", "group"])
+        # Only names can hold a comma, a quote or a line break; numbers never
+        # need quoting, and joining them skips csv's per-cell scan.
+        for row, y, s in zip(ds.features.tolist(), ds.labels.tolist(), ds.sensitive.tolist()):
+            fh.write(",".join(map(repr, row)) + f",{int(y)},{int(s)}\n")
 
 
 def synth_biased(n: int, d: int, group_fraction: float, base_rate_gap: float,
@@ -233,9 +231,7 @@ def synth_biased(n: int, d: int, group_fraction: float, base_rate_gap: float,
         + _GROUP_SHIFT * (sensitive - 0.5)[:, None] * u_group[None, :]
         + noise * rng.standard_normal((n, d))
     )
-    features = _standardize_columns(
-        features, features.mean(axis=0), features.std(axis=0), np.ones(d, dtype=bool)
-    )
+    features = _standardize_columns(features, features, np.ones(d, dtype=bool))
     names = [f"x{i + 1}" for i in range(d)]
     return Dataset(features, labels, sensitive, names)
 
@@ -271,21 +267,23 @@ def split(ds: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Datase
 
     train = ds.take(train_ix)
     test = ds.take(test_ix)
-    mean = train.features.mean(axis=0)
-    std = train.features.std(axis=0)
-    mask = train.standardize_mask
-    train.features = _standardize_columns(train.features, mean, std, mask)
-    test.features = _standardize_columns(test.features, mean, std, mask)
+    ref, mask = train.features, train.standardize_mask
+    train.features = _standardize_columns(ref, ref, mask)
+    test.features = _standardize_columns(test.features, ref, mask)
     return train, test
 
 
-def batches(ds: Dataset, plan: BatchPlan, epoch: int) -> list[np.ndarray]:
+def batches(ds: Dataset, batch_size: int, shuffle_seed: int, epoch: int) -> list[np.ndarray]:
     """Index slices covering every row exactly once, shuffled per epoch.
 
     The permutation is seeded by (shuffle_seed, epoch); the last slice may be
     short but is never dropped.
     """
+    if batch_size < 2:
+        raise ParameterError("batch_size must be >= 2")
+    if shuffle_seed < 0:
+        raise ParameterError("shuffle_seed must be non-negative")
     if epoch < 0:
         raise ParameterError("epoch must be non-negative")
-    perm = np.random.default_rng([plan.shuffle_seed, epoch]).permutation(ds.n)
-    return [perm[i:i + plan.batch_size] for i in range(0, ds.n, plan.batch_size)]
+    perm = np.random.default_rng([shuffle_seed, epoch]).permutation(ds.n)
+    return [perm[i:i + batch_size] for i in range(0, ds.n, batch_size)]

@@ -8,13 +8,14 @@ vector (no batching). Hard metrics threshold at 0.5 unless told otherwise.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from typing import get_args, get_type_hints
 
 import numpy as np
 
 from .baseline import DEFAULT_FAIRNESS_GRID, predict_fixed, sweep_fixed
 from .data import Dataset
-from .errors import FrontierRangeError, ParameterError
+from .errors import CheckpointError, FrontierRangeError, ParameterError
 from .losses import demographic_parity_gap, equal_opportunity_gap, equalized_odds_gap
 from .subspace import SubspaceModel, TrainConfig, predict, train_subspace
 
@@ -24,8 +25,6 @@ DEFAULT_ALPHA_GRID = tuple(k / 20 for k in range(21))
 
 # Report field that measures each training fairness metric.
 _METRIC_FIELD = {"dp": "dp_relaxed", "eo": "eo_relaxed", "eodd": "eodd_relaxed"}
-
-REPORT_HEADER = "alpha,A,error_rate,dp_relaxed,dp_hard,eo_relaxed,eodd_relaxed,wall_time_s,seed"
 
 
 @dataclass(frozen=True)
@@ -42,6 +41,12 @@ class MetricsRecord:
     eodd_relaxed: float
     wall_time_s: float | None = None
     seed: int | None = None
+
+
+# Report column -> MetricsRecord field, in field order.
+_COLUMNS = {"A" if f.name == "fairness_weight" else f.name: f.name
+            for f in fields(MetricsRecord)}
+REPORT_HEADER = ",".join(_COLUMNS)
 
 
 def evaluate_predictions(pred: np.ndarray, y: np.ndarray, s: np.ndarray,
@@ -63,7 +68,10 @@ def evaluate_predictions(pred: np.ndarray, y: np.ndarray, s: np.ndarray,
 
 def _meta_seed(meta: dict[str, str]) -> int | None:
     raw = meta.get("config.seed", "")
-    return int(raw) if raw else None
+    try:
+        return int(raw) if raw else None
+    except ValueError:
+        raise CheckpointError(f"config.seed is not an integer: {raw!r}") from None
 
 
 def alpha_sweep(model: SubspaceModel, test: Dataset,
@@ -165,8 +173,7 @@ def compare_to_grid(train: Dataset, test: Dataset, config: TrainConfig,
         pred = predict_fixed(fm, test.features)
         rec = evaluate_predictions(pred, test.labels, test.sensitive)
         fixed_records.append(replace(
-            rec, fairness_weight=fm.fairness_weight,
-            seed=int(fm.train_meta["config.seed"])))
+            rec, fairness_weight=fm.fairness_weight, seed=_meta_seed(fm.train_meta)))
     fixed_total_s = sum(fm.wall_time_s for fm in fixed_models)
     logger.info("fixed training: %d models, %.3fs total", len(fixed_models),
                 fixed_total_s)
@@ -196,30 +203,32 @@ def write_report(records: list[MetricsRecord], path) -> None:
     digits, missing fields empty. Byte-identical for identical records."""
     lines = [REPORT_HEADER]
     for r in records:
-        lines.append(",".join([
-            _fmt(r.alpha), _fmt(r.fairness_weight), _fmt(r.error_rate),
-            _fmt(r.dp_relaxed), _fmt(r.dp_hard), _fmt(r.eo_relaxed),
-            _fmt(r.eodd_relaxed), _fmt(r.wall_time_s), _fmt(r.seed),
-        ]))
+        lines.append(",".join(_fmt(getattr(r, name)) for name in _COLUMNS.values()))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def read_report(path) -> list[MetricsRecord]:
-    """Parse a report written by write_report."""
+    """Parse a report written by write_report. A wrong cell count, or a cell
+    that does not parse as its field's type or None, raises ParameterError."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln for ln in fh.read().splitlines() if ln]
     if not lines or lines[0] != REPORT_HEADER:
         raise ParameterError(f"{path}: not a report file")
+    types = get_type_hints(MetricsRecord)
     records = []
-    for ln in lines[1:]:
+    for row, ln in enumerate(lines[1:], start=1):
         cells = ln.split(",")
-        f = lambda c: None if c == "" else float(c)
-        records.append(MetricsRecord(
-            alpha=f(cells[0]), fairness_weight=f(cells[1]),
-            error_rate=float(cells[2]), dp_relaxed=float(cells[3]),
-            dp_hard=float(cells[4]), eo_relaxed=float(cells[5]),
-            eodd_relaxed=float(cells[6]), wall_time_s=f(cells[7]),
-            seed=None if cells[8] == "" else int(cells[8]),
-        ))
+        if len(cells) != len(_COLUMNS):
+            raise ParameterError(
+                f"{path}: row {row}: expected {len(_COLUMNS)} cells, got {len(cells)}")
+        values = {}
+        for (column, name), cell in zip(_COLUMNS.items(), cells):
+            kinds = get_args(types[name]) or (types[name],)  # e.g. (int, NoneType)
+            try:
+                values[name] = None if cell == "" and type(None) in kinds else kinds[0](cell)
+            except ValueError:
+                raise ParameterError(
+                    f"{path}: row {row}: cannot parse {column}={cell!r}") from None
+        records.append(MetricsRecord(**values))
     return records

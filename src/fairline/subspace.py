@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import checkpoint as ckpt
-from .data import BatchPlan, Dataset, batches
+from .data import Dataset, batches
 from .errors import EmptyGroupError, NumericError, ParameterError, ShapeError
 from .losses import FAIRNESS_METRICS, bce, fairness_loss, squared_cosine
 from .model import MlpArchitecture, Workspace, backward, forward, init_params
@@ -69,18 +69,16 @@ class TrainConfig:
             raise ParameterError("shuffle_seed must be non-negative")
 
     def meta_snapshot(self) -> dict[str, str]:
-        """Deterministic key=value view of the config for checkpoint metadata."""
-        return {
-            "config.epochs": str(self.epochs),
-            "config.batch_size": str(self.batch_size),
-            "config.learning_rate": repr(self.learning_rate),
-            "config.fairness_weight": repr(self.fairness_weight),
-            "config.diversity_weight": repr(self.diversity_weight),
-            "config.fairness_metric": self.fairness_metric,
-            "config.seed": str(self.seed),
-            "config.fixed_alpha": "" if self.fixed_alpha is None else repr(self.fixed_alpha),
-            "config.shuffle_seed": "" if self.shuffle_seed is None else str(self.shuffle_seed),
-        }
+        """Deterministic key=value view of the config for checkpoint metadata:
+        one config.<field> key per field, floats by repr, None as empty."""
+        return {f"config.{f.name}": _meta_text(getattr(self, f.name))
+                for f in fields(self)}
+
+
+def _meta_text(value) -> str:
+    if value is None:
+        return ""
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 @dataclass
@@ -222,7 +220,6 @@ def _train_loop(train: Dataset, config: TrainConfig, arch: MlpArchitecture | Non
     weights = [init_params(arch, seed) for seed in seeds]
     adams = [AdamState.zeros(arch.param_count) for _ in seeds]
     shuffle_seed = config.seed if config.shuffle_seed is None else config.shuffle_seed
-    plan = BatchPlan(config.batch_size, shuffle_seed)
     workspace = Workspace(arch, min(config.batch_size, train.n))
 
     total_batches = 0
@@ -234,7 +231,7 @@ def _train_loop(train: Dataset, config: TrainConfig, arch: MlpArchitecture | Non
         epoch_batches = 0
         epoch_skips = 0
         reg_last = None
-        for bi, idx in enumerate(batches(train, plan, epoch)):
+        for bi, idx in enumerate(batches(train, config.batch_size, shuffle_seed, epoch)):
             bg, grads, probe_args = step(arch, weights, train.features[idx],
                                          train.labels[idx], train.sensitive[idx],
                                          workspace)

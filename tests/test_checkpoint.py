@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairline.baseline import FixedModel, load_fixed_checkpoint, save_fixed_checkpoint
-from fairline.errors import CheckpointError
+from fairline.errors import CheckpointError, ParameterError
 from fairline.model import MlpArchitecture, init_params
 from fairline.subspace import SubspaceModel, load_checkpoint, save_checkpoint
 
@@ -41,6 +41,15 @@ def test_unparsable_fixed_fairness_weight_is_checkpoint_error(tmp_path):
     path.write_bytes(body + _crc_tail(body))
     with pytest.raises(CheckpointError, match="fixed.fairness_weight"):
         load_fixed_checkpoint(path)
+
+
+@pytest.mark.parametrize("meta", [{"note": "\ud800"}, {"\ud800": "v"}], ids=["value", "key"])
+def test_metadata_not_utf8_encodable_is_parameter_error(tmp_path, meta):
+    model = SubspaceModel(ARCH, init_params(ARCH, 0), init_params(ARCH, 1), meta)
+    path = tmp_path / "m.ckpt"
+    with pytest.raises(ParameterError, match="UTF-8"):
+        save_checkpoint(model, path)
+    assert not path.exists()
 
 
 def _pair_blob(tmp_path_factory) -> bytes:

@@ -1,7 +1,11 @@
+import csv
+
+import numpy as np
 import pytest
 
 from fairline.cli import main
 from fairline.evaluation import read_report
+from fairline.subspace import load_checkpoint, save_checkpoint
 
 
 def run(argv):
@@ -92,6 +96,35 @@ def test_train_negative_test_fraction_fails_before_loading(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "compare"])
+def test_training_flags_checked_before_loading(command, tmp_path, capsys):
+    # the data file does not exist: a check that ran after load_csv would exit 3
+    out = tmp_path / "out"
+    code = run([command, "--data", str(tmp_path / "missing.csv"), "--out", str(out),
+                "--epochs", "0"])
+    assert code == 2
+    assert "epochs" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_test_out_round_trips_quoted_categories(tmp_path):
+    rng = np.random.default_rng(0)
+    data = tmp_path / "data.csv"
+    with open(data, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x", "c", "label", "group"])
+        for i in range(80):
+            writer.writerow([rng.normal(), ["a, b", 'say "hi"', "plain"][i % 3],
+                             int(rng.random() < 0.5), i % 2])
+    ckpt, test_csv, report = tmp_path / "m.ckpt", tmp_path / "test.csv", tmp_path / "r.csv"
+    assert run(["train", "--data", str(data), "--out", str(ckpt), "--epochs", "1",
+                "--batch-size", "16", "--test-fraction", "0.25",
+                "--test-out", str(test_csv)]) == 0
+    assert run(["sweep", "--checkpoint", str(ckpt), "--test", str(test_csv),
+                "--out", str(report)]) == 0
+    assert len(read_report(report)) == 21
+
+
 def test_train_unknown_metric_usage_error(synth_csv, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run(train_args(synth_csv, tmp_path / "m.ckpt", ["--metric", "gini"]))
@@ -147,6 +180,19 @@ def test_sweep_feature_width_mismatch_is_data_error(checkpoint, tmp_path, capsys
     err = capsys.readouterr().err
     assert code == 3
     assert "error:" in err
+    assert "Traceback" not in err
+
+
+def test_sweep_non_integer_seed_metadata_is_checkpoint_error(checkpoint, synth_csv,
+                                                             tmp_path, capsys):
+    model = load_checkpoint(checkpoint)
+    model.train_meta["config.seed"] = "x"
+    save_checkpoint(model, checkpoint)
+    code = run(["sweep", "--checkpoint", str(checkpoint), "--test", str(synth_csv),
+                "--out", str(tmp_path / "r.csv")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "error: config.seed" in err
     assert "Traceback" not in err
 
 

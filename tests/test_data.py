@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairline.data import (
-    BatchPlan,
     CsvSchema,
     Dataset,
     batches,
@@ -201,15 +200,14 @@ def test_split_parameter_errors():
 
 def test_batches_sizes():
     ds = synth_biased(40, 2, 0.5, 0.2, 1.0, seed=0).take(np.arange(10))
-    got = batches(ds, BatchPlan(4, shuffle_seed=0), epoch=0)
+    got = batches(ds, 4, shuffle_seed=0, epoch=0)
     assert [len(b) for b in got] == [4, 4, 2]
 
 
 def test_batches_epochs_differ_but_cover():
     ds = synth_biased(60, 2, 0.5, 0.2, 1.0, seed=0)
-    plan = BatchPlan(16, shuffle_seed=3)
-    e0 = np.concatenate(batches(ds, plan, 0))
-    e1 = np.concatenate(batches(ds, plan, 1))
+    e0 = np.concatenate(batches(ds, 16, 3, 0))
+    e1 = np.concatenate(batches(ds, 16, 3, 1))
     assert not np.array_equal(e0, e1)
     assert np.array_equal(np.sort(e0), np.arange(ds.n))
     assert np.array_equal(np.sort(e1), np.arange(ds.n))
@@ -217,16 +215,15 @@ def test_batches_epochs_differ_but_cover():
 
 def test_batches_deterministic():
     ds = synth_biased(60, 2, 0.5, 0.2, 1.0, seed=0)
-    plan = BatchPlan(16, shuffle_seed=3)
     assert all(np.array_equal(a, b)
-               for a, b in zip(batches(ds, plan, 4), batches(ds, plan, 4)))
+               for a, b in zip(batches(ds, 16, 3, 4), batches(ds, 16, 3, 4)))
 
 
-def test_batch_plan_validation():
-    with pytest.raises(ParameterError):
-        BatchPlan(1, shuffle_seed=0)
-    with pytest.raises(ParameterError):
-        BatchPlan(4, shuffle_seed=-1)
+def test_batches_argument_validation():
+    ds = synth_biased(40, 2, 0.5, 0.2, 1.0, seed=0)
+    for batch_size, shuffle_seed, epoch in ((1, 0, 0), (4, -1, 0), (4, 0, -1)):
+        with pytest.raises(ParameterError):
+            batches(ds, batch_size, shuffle_seed, epoch)
 
 
 @settings(max_examples=30, deadline=None)
@@ -234,7 +231,7 @@ def test_batch_plan_validation():
        seed=st.integers(0, 1000), epoch=st.integers(0, 5))
 def test_batches_cover_every_index_once(n, batch, seed, epoch):
     ds = synth_biased(max(n, 40), 2, 0.5, 0.2, 1.0, seed=0).take(np.arange(n))
-    got = batches(ds, BatchPlan(batch, shuffle_seed=seed), epoch)
+    got = batches(ds, batch, seed, epoch)
     assert np.array_equal(np.sort(np.concatenate(got)), np.arange(n))
 
 

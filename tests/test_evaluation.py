@@ -7,6 +7,7 @@ from fairline.data import synth_biased
 from fairline.errors import EmptyGroupError, FrontierRangeError, ParameterError
 from fairline.evaluation import (
     DEFAULT_ALPHA_GRID,
+    REPORT_HEADER,
     MetricsRecord,
     alpha_sweep,
     evaluate_predictions,
@@ -256,3 +257,15 @@ def test_report_empty_fields(tmp_path):
     assert row[0] == ""  # alpha missing for a fixed-training record
     assert row[1] == "0.4"
     assert row[7] == "" and row[8] == ""
+
+
+@pytest.mark.parametrize("row, match", [
+    ("0.5,,0.1,0.2,0.3,0.4,0.5,", "expected 9 cells, got 8"),
+    ("0.5,,0.1,0.2,0.3,0.4,0.5,,x", "seed"),
+    ("0.5,,,0.2,0.3,0.4,0.5,,", "error_rate"),
+], ids=["short-row", "unparsable-seed", "empty-error-rate"])
+def test_read_report_bad_row_is_parameter_error(tmp_path, row, match):
+    path = tmp_path / "r.csv"
+    path.write_text(REPORT_HEADER + "\n" + row + "\n")
+    with pytest.raises(ParameterError, match=match):
+        read_report(path)

@@ -74,6 +74,27 @@ def test_train_config_validation(kwargs):
         TrainConfig(**base)
 
 
+def test_meta_snapshot_pinned():
+    # every checkpoint carries these keys: a new config field changes them all
+    assert TrainConfig(epochs=1).meta_snapshot() == {
+        "config.epochs": "1", "config.batch_size": "512",
+        "config.learning_rate": "0.001", "config.fairness_weight": "1.0",
+        "config.diversity_weight": "1.0", "config.fairness_metric": "dp",
+        "config.seed": "0", "config.fixed_alpha": "", "config.shuffle_seed": "",
+    }
+    cfg = TrainConfig(epochs=3, batch_size=128, learning_rate=0.1 + 0.2,
+                      fairness_weight=0.5, diversity_weight=2.0,
+                      fairness_metric="eodd", seed=5, fixed_alpha=0.3,
+                      shuffle_seed=17)
+    assert cfg.meta_snapshot() == {
+        "config.epochs": "3", "config.batch_size": "128",
+        "config.learning_rate": "0.30000000000000004",
+        "config.fairness_weight": "0.5", "config.diversity_weight": "2.0",
+        "config.fairness_metric": "eodd", "config.seed": "5",
+        "config.fixed_alpha": "0.3", "config.shuffle_seed": "17",
+    }
+
+
 # ------------------------------------------------- gradient routing
 
 def test_routing_factors_applied_exactly():
