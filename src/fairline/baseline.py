@@ -25,6 +25,18 @@ from .subspace import TrainConfig, _task_gradient, _train_loop
 DEFAULT_FAIRNESS_GRID = tuple(k / 20 for k in range(21))
 
 
+def check_fairness_grid(grid, param: str = "fairness_grid") -> list[float]:
+    """The fairness-grid rule: non-empty, every value finite and >= 0; returns
+    floats. param names the values in the error."""
+    grid = [float(a) for a in grid]
+    if not grid:
+        raise ParameterError("must be non-empty", param=param)
+    for a in grid:
+        if not (np.isfinite(a) and a >= 0):
+            raise ParameterError(f"value {a} must be >= 0 and finite", param=param)
+    return grid
+
+
 @dataclass
 class FixedModel:
     arch: MlpArchitecture
@@ -65,8 +77,7 @@ def train_fixed(train: Dataset, config: TrainConfig, fairness_weight: float,
     from config.seed. probe, if given, is called as probe(epoch, batch_index,
     bg) with the FixedBatchGradients of every batch before the update.
     """
-    if not (np.isfinite(fairness_weight) and fairness_weight >= 0):
-        raise ParameterError("fairness_weight must be >= 0 and finite")
+    check_fairness_grid([fairness_weight], param="fairness_weight")
 
     def step(arch, weights, x, y, s, workspace):
         bg = fixed_batch_gradients(arch, weights[0], x, y, s, fairness_weight,
@@ -88,9 +99,7 @@ def sweep_fixed(train: Dataset, config: TrainConfig,
 
     Results are ordered by grid index.
     """
-    grid = list(grid)
-    if not grid:
-        raise ParameterError("fairness-weight grid must be non-empty")
+    grid = check_fairness_grid(grid)
     models = []
     for i, a in enumerate(grid):
         cfg = replace(config, seed=config.seed + i)

@@ -1,15 +1,16 @@
 """Command-line interface: synth, train, sweep, compare.
 
 Logs go to stderr; machine-readable outputs go to files or stdout. Exit
-codes: 0 success; 2 usage error (bad flags, config file or parameter
-values); 4 numeric failure during training; 3 for any other package error
-(data, checkpoint, shape, empty group, frontier range) and for OS errors.
-No package error escapes as a traceback. Flag values are checked before
-the data file is read; TrainConfig owns the training-flag rules. A config
-file (flat key=value, keys spelled like the long flags without dashes)
-supplies defaults; command-line flags win. YODO_SEED in the environment
-provides the default seed. compare is a thin caller of
-evaluation.compare_to_grid.
+codes: 0 success; 2 usage error (bad flags, config file, YODO_SEED or
+parameter values); 4 numeric failure during training; 3 for any other
+package error (data, checkpoint, shape, empty group, frontier range) and for
+OS errors. No package error escapes as a traceback. The library owns every
+parameter rule: each command passes its flag values to those checks before
+the data file is read, and main names the flag of a ParameterError's
+parameter. A config file (key=value lines, keys spelled like the long flags
+without dashes, booleans 1/true/yes or 0/false/no) is read as flags ahead of
+the command line's own, so explicit flags win. YODO_SEED supplies the
+default seed. compare is a thin caller of evaluation.compare_to_grid.
 """
 
 from __future__ import annotations
@@ -18,11 +19,13 @@ import argparse
 import logging
 import os
 import sys
+from dataclasses import fields
 
-from .baseline import DEFAULT_FAIRNESS_GRID
-from .data import CsvSchema, load_csv, split, synth_biased, write_csv
+from .baseline import DEFAULT_FAIRNESS_GRID, check_fairness_grid
+from .data import CsvSchema, check_test_fraction, load_csv, split, synth_biased, write_csv
 from .errors import FairlineError, NumericError, ParameterError
-from .evaluation import DEFAULT_ALPHA_GRID, alpha_sweep, compare_to_grid, write_report
+from .evaluation import (
+    DEFAULT_ALPHA_GRID, alpha_sweep, check_alpha_grid, compare_to_grid, write_report)
 from .losses import FAIRNESS_METRICS
 from .subspace import TrainConfig, load_checkpoint, save_checkpoint, train_subspace
 
@@ -32,9 +35,13 @@ USAGE_ERROR = 2
 DATA_ERROR = 3
 NUMERIC_ERROR = 4
 
+# Library parameter names whose flag is not "--" + the name with "-" for "_".
+_PARAM_FLAGS = {"base_rate_gap": "--gap", "fairness_metric": "--metric",
+                "alpha_grid": "--grid", "fairness_grid": "--fairness-grid"}
 
-class UsageError(Exception):
-    pass
+
+def _flag_for(param: str) -> str:
+    return _PARAM_FLAGS.get(param, "--" + param.replace("_", "-"))
 
 
 def _default_seed() -> int:
@@ -42,17 +49,36 @@ def _default_seed() -> int:
     try:
         return int(raw) if raw else 0
     except ValueError:
-        return 0
+        raise ParameterError(f"YODO_SEED must be an integer, got {raw!r}") from None
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose flags map each long flag, without dashes, to its action."""
+
+    def __init__(self, *args, **kwargs):
+        self.flags: dict[str, argparse.Action] = {}
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.flags.update((opt[2:], action) for opt in action.option_strings
+                          if opt.startswith("--"))
+        return action
+
+
+def floats(raw: str) -> list[float]:
+    """The argparse type of a comma-separated grid flag."""
+    return [float(tok) for tok in raw.split(",") if tok.strip() != ""]
 
 
 def _add_schema_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--label-column", default="label", help="name of the label column")
     p.add_argument("--sensitive-column", default="group",
                    help="name of the sensitive-attribute column")
-    p.add_argument("--positive-label", default="1",
-                   help="raw cell value mapped to label 1")
-    p.add_argument("--positive-sensitive", default="1",
-                   help="raw cell value mapped to group 1")
+    p.add_argument("--positive-label", dest="positive_label_value", default="1",
+                   metavar="VALUE", help="raw cell value mapped to label 1")
+    p.add_argument("--positive-sensitive", dest="positive_sensitive_value", default="1",
+                   metavar="VALUE", help="raw cell value mapped to group 1")
     p.add_argument("--include-sensitive", action="store_true",
                    help="also include the sensitive attribute as a feature")
 
@@ -65,13 +91,14 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
                    help="penalty strength at the fairness endpoint (the A column)")
     p.add_argument("--diversity-weight", type=float, default=1.0,
                    help="weight of the endpoint-diversity regularizer")
-    p.add_argument("--metric", choices=FAIRNESS_METRICS, default="dp")
+    p.add_argument("--metric", dest="fairness_metric", choices=FAIRNESS_METRICS, default="dp")
     p.add_argument("--seed", type=int, default=_default_seed(),
                    help="training seed (default from YODO_SEED if set)")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Parser]]:
+    """The fairline parser and its subcommand parsers by command name."""
+    parser = _Parser(
         prog="fairline",
         description="Train one network with an accuracy endpoint and a fairness "
                     "endpoint; pick the trade-off at inference time.",
@@ -80,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     kw = dict(formatter_class=argparse.ArgumentDefaultsHelpFormatter)
 
     p = sub.add_parser("synth", help="generate a biased synthetic CSV", **kw)
-    p.add_argument("--config", default=None, help="key=value defaults file")
+    p.set_defaults(run=cmd_synth)
     p.add_argument("--n", type=int, default=4000, help="number of rows")
     p.add_argument("--d", type=int, default=6, help="number of features")
     p.add_argument("--group-fraction", type=float, default=0.5,
@@ -92,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output CSV path")
 
     p = sub.add_parser("train", help="train a subspace model and save a checkpoint", **kw)
-    p.add_argument("--config", default=None, help="key=value defaults file")
+    p.set_defaults(run=cmd_train)
     p.add_argument("--data", required=True, help="training CSV path")
     p.add_argument("--out", required=True, help="checkpoint output path")
     p.add_argument("--fixed-alpha", type=float, default=None,
@@ -105,11 +132,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_schema_flags(p)
 
     p = sub.add_parser("sweep", help="evaluate a checkpoint over a grid of alphas", **kw)
-    p.add_argument("--config", default=None, help="key=value defaults file")
+    p.set_defaults(run=cmd_sweep)
     p.add_argument("--checkpoint", required=True, help="subspace checkpoint path")
     p.add_argument("--test", required=True, help="test CSV path")
     p.add_argument("--out", required=True, help="report CSV path")
-    p.add_argument("--grid", default=None,
+    p.add_argument("--grid", type=floats, default=None,
                    help="comma-separated alphas in [0,1] (default: 0,0.05,...,1)")
     _add_schema_flags(p)
 
@@ -117,123 +144,71 @@ def build_parser() -> argparse.ArgumentParser:
         "compare",
         help="train subspace + fixed-penalty grid, report both frontiers, "
              "the frontier gap, and the wall-time ratio", **kw)
-    p.add_argument("--config", default=None, help="key=value defaults file")
+    p.set_defaults(run=cmd_compare)
     p.add_argument("--data", required=True, help="CSV path (split internally)")
     p.add_argument("--out", required=True, help="combined report CSV path")
     p.add_argument("--checkpoint", default=None,
                    help="reuse this subspace checkpoint instead of training "
                         "(the wall-time ratio then covers only fixed runs)")
     p.add_argument("--test-fraction", type=float, default=0.25)
-    p.add_argument("--grid", default=None,
+    p.add_argument("--grid", type=floats, default=None,
                    help="comma-separated alphas (default: 0,0.05,...,1)")
-    p.add_argument("--fairness-grid", default=None,
+    p.add_argument("--fairness-grid", type=floats, default=None,
                    help="comma-separated penalty strengths "
                         "(default: 0,0.05,...,1)")
     _add_train_flags(p)
     _add_schema_flags(p)
-    return parser
+    for p in sub.choices.values():
+        p.add_argument("--config", default=None, help="key=value defaults file")
+    return parser, sub.choices
 
 
-def _parse_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
+def _config_flags(path: str, command: str, flags: dict[str, argparse.Action]) -> list[str]:
+    """The config file's key=value lines as command-line flags for command."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, sep, value = line.partition("=")
-                if not sep:
-                    raise UsageError(f"{path}:{line_no}: expected key=value, got {line!r}")
-                values[key.strip()] = value.strip()
+            lines = [line.strip() for line in fh]
     except OSError as exc:
-        raise UsageError(f"cannot read config file: {exc}") from None
-    return values
+        raise ParameterError(f"cannot read config file: {exc}") from None
+    tokens = []
+    for line_no, line in enumerate(lines, start=1):
+        if not line or line.startswith("#"):
+            continue
+        key, sep, raw = (part.strip() for part in line.partition("="))
+        action = None if key in ("config", "help") else flags.get(key)
+        if not sep:
+            raise ParameterError(f"{path}:{line_no}: expected key=value, got {line!r}")
+        if action is None:
+            raise ParameterError(f"unknown config key '{key}' for command '{command}'")
+        if action.nargs != 0:
+            tokens.append(f"--{key}={raw}")
+        elif raw.lower() in ("1", "true", "yes"):
+            tokens.append(f"--{key}")
+        elif raw.lower() not in ("0", "false", "no"):
+            raise ParameterError(f"config key '{key}': expected 1/true/yes or 0/false/no, "
+                                 f"got {raw!r}")
+    return tokens
 
 
-def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> None:
-    """Install config-file values as subcommand defaults so explicit flags win."""
-    if not argv:
-        return
-    command = argv[0]
-    path = None
-    for i, tok in enumerate(argv):
-        if tok == "--config" and i + 1 < len(argv):
-            path = argv[i + 1]
-        elif tok.startswith("--config="):
-            path = tok.split("=", 1)[1]
-    if path is None:
-        return
-    subparsers = next(
-        a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    sub = subparsers.choices.get(command)
-    if sub is None:
-        return  # let argparse produce its own usage error
-    actions = {}
-    for action in sub._actions:
-        for opt in action.option_strings:
-            if opt.startswith("--"):
-                actions[opt[2:]] = action
-    defaults = {}
-    for key, raw in _parse_config_file(path).items():
-        action = actions.get(key)
-        if action is None or key in ("config", "help"):
-            raise UsageError(f"unknown config key '{key}' for command '{command}'")
-        if isinstance(action, argparse._StoreTrueAction):
-            defaults[action.dest] = raw.lower() in ("1", "true", "yes")
-        elif action.type is not None:
-            try:
-                defaults[action.dest] = action.type(raw)
-            except ValueError:
-                raise UsageError(f"config key '{key}': cannot parse {raw!r}") from None
-        else:
-            defaults[action.dest] = raw
-        if action.choices is not None and defaults[action.dest] not in action.choices:
-            raise UsageError(f"config key '{key}': {raw!r} not in {action.choices}")
-    sub.set_defaults(**defaults)
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse argv; a --config file's values go in as flags right after the
+    command, so the explicit flags that follow them win."""
+    parser, commands = build_parser()
+    config = argparse.ArgumentParser(prog="fairline", add_help=False)
+    config.add_argument("--config")
+    path = config.parse_known_args(argv)[0].config
+    if path is not None and argv[0] in commands:
+        argv = [argv[0], *_config_flags(path, argv[0], commands[argv[0]].flags), *argv[1:]]
+    return parser.parse_args(argv)
 
 
-def _schema_from_args(args) -> CsvSchema:
-    return CsvSchema(
-        label_column=args.label_column,
-        sensitive_column=args.sensitive_column,
-        positive_label_value=args.positive_label,
-        positive_sensitive_value=args.positive_sensitive,
-        include_sensitive=args.include_sensitive,
-    )
-
-
-def _train_config(args, fixed_alpha=None) -> TrainConfig:
-    return TrainConfig(
-        epochs=args.epochs, batch_size=args.batch_size,
-        learning_rate=args.learning_rate, fairness_weight=args.fairness_weight,
-        diversity_weight=args.diversity_weight, fairness_metric=args.metric,
-        seed=args.seed, fixed_alpha=fixed_alpha,
-    )
-
-
-def _parse_grid(raw: str | None, flag: str, default, lo=None, hi=None) -> list[float]:
-    if raw is None:
-        return list(default)
-    try:
-        values = [float(tok) for tok in raw.split(",") if tok.strip() != ""]
-    except ValueError:
-        raise UsageError(f"{flag}: expected comma-separated numbers, got {raw!r}") from None
-    if not values:
-        raise UsageError(f"{flag}: empty grid")
-    for v in values:
-        if lo is not None and v < lo or hi is not None and v > hi:
-            raise UsageError(f"{flag}: value {v} outside [{lo}, {hi}]")
-    return values
+def _from_args(cls, args):
+    """cls built from the flags whose dests are its field names; a field with
+    no flag on this command keeps its default."""
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)})
 
 
 def cmd_synth(args) -> int:
-    if not 0.0 <= args.gap <= 1.0:
-        raise UsageError(f"--gap must be in [0, 1], got {args.gap}")
-    if not 0.0 < args.group_fraction < 1.0:
-        raise UsageError(f"--group-fraction must be in (0, 1), got {args.group_fraction}")
-    if args.noise <= 0:
-        raise UsageError(f"--noise must be > 0, got {args.noise}")
     ds = synth_biased(args.n, args.d, args.group_fraction, args.gap,
                       args.noise, args.seed)
     write_csv(ds, args.out)
@@ -241,20 +216,15 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _load_split(args):
-    if not 0.0 <= args.test_fraction < 1.0:
-        raise UsageError(f"--test-fraction must be in [0, 1), got {args.test_fraction}")
-    ds = load_csv(args.data, _schema_from_args(args))
-    if args.test_fraction > 0:
-        return split(ds, args.test_fraction, args.seed)
-    return ds, None
-
-
 def cmd_train(args) -> int:
-    config = _train_config(args, fixed_alpha=args.fixed_alpha)
-    if args.test_out and not args.test_fraction > 0:
-        raise UsageError("--test-out requires --test-fraction > 0")
-    train_ds, test_ds = _load_split(args)
+    config = _from_args(TrainConfig, args)
+    if args.test_fraction:
+        check_test_fraction(args.test_fraction)
+    elif args.test_out:
+        raise ParameterError("--test-out requires --test-fraction > 0")
+    ds = load_csv(args.data, _from_args(CsvSchema, args))
+    train_ds, test_ds = (split(ds, args.test_fraction, args.seed) if args.test_fraction
+                         else (ds, None))
     model = train_subspace(train_ds, config)
     save_checkpoint(model, args.out)
     logger.info("checkpoint written to %s (%.2fs)", args.out, model.wall_time_s)
@@ -265,9 +235,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    grid = _parse_grid(args.grid, "--grid", DEFAULT_ALPHA_GRID, lo=0.0, hi=1.0)
+    grid = check_alpha_grid(DEFAULT_ALPHA_GRID if args.grid is None else args.grid)
     model = load_checkpoint(args.checkpoint)
-    test = load_csv(args.test, _schema_from_args(args))
+    test = load_csv(args.test, _from_args(CsvSchema, args))
     records = alpha_sweep(model, test, grid)
     write_report(records, args.out)
     logger.info("%d records written to %s", len(records), args.out)
@@ -275,13 +245,13 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    alpha_grid = _parse_grid(args.grid, "--grid", DEFAULT_ALPHA_GRID, lo=0.0, hi=1.0)
-    fairness_grid = _parse_grid(args.fairness_grid, "--fairness-grid",
-                                DEFAULT_FAIRNESS_GRID, lo=0.0)
-    config = _train_config(args)
-    if not args.test_fraction > 0:
-        raise UsageError("--test-fraction must be > 0 for compare")
-    train_ds, test_ds = _load_split(args)
+    alpha_grid = check_alpha_grid(DEFAULT_ALPHA_GRID if args.grid is None else args.grid)
+    fairness_grid = check_fairness_grid(
+        DEFAULT_FAIRNESS_GRID if args.fairness_grid is None else args.fairness_grid)
+    config = _from_args(TrainConfig, args)
+    check_test_fraction(args.test_fraction)
+    train_ds, test_ds = split(load_csv(args.data, _from_args(CsvSchema, args)),
+                              args.test_fraction, args.seed)
     model = None
     if args.checkpoint:
         model = load_checkpoint(args.checkpoint)
@@ -296,7 +266,7 @@ def cmd_compare(args) -> int:
 
 
 def _exit_code(exc: Exception) -> int:
-    if isinstance(exc, (UsageError, ParameterError)):
+    if isinstance(exc, ParameterError):
         return USAGE_ERROR
     if isinstance(exc, NumericError):
         return NUMERIC_ERROR
@@ -307,18 +277,12 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     logging.basicConfig(stream=sys.stderr, level=logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
     try:
-        _apply_config_file(parser, argv)
-        args = parser.parse_args(argv)
-        handler = {
-            "synth": cmd_synth,
-            "train": cmd_train,
-            "sweep": cmd_sweep,
-            "compare": cmd_compare,
-        }[args.command]
-        return handler(args)
-    except (UsageError, FairlineError, OSError) as exc:
+        args = parse_args(argv)
+        return args.run(args)
+    except (FairlineError, OSError) as exc:
+        if isinstance(exc, ParameterError) and exc.param is not None:
+            exc = ParameterError(exc.rule, param=_flag_for(exc.param))
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code(exc)
 

@@ -204,17 +204,17 @@ def synth_biased(n: int, d: int, group_fraction: float, base_rate_gap: float,
     features.
     """
     if n < 40:
-        raise ParameterError("n must be >= 40")
+        raise ParameterError("must be >= 40", param="n")
     if d < 2:
-        raise ParameterError("d must be >= 2")
+        raise ParameterError("must be >= 2", param="d")
     if not 0.0 < group_fraction < 1.0:
-        raise ParameterError("group_fraction must be in (0, 1)")
+        raise ParameterError("must be in (0, 1)", param="group_fraction")
     if not 0.0 <= base_rate_gap <= 1.0:
-        raise ParameterError("base_rate_gap must be in [0, 1]")
+        raise ParameterError("must be in [0, 1]", param="base_rate_gap")
     if not noise > 0.0:
-        raise ParameterError("noise must be > 0")
+        raise ParameterError("must be > 0", param="noise")
     if seed < 0:
-        raise ParameterError("seed must be non-negative")
+        raise ParameterError("must be non-negative", param="seed")
 
     rng = np.random.default_rng(seed)
     sensitive = (rng.random(n) < group_fraction).astype(np.float64)
@@ -236,6 +236,12 @@ def synth_biased(n: int, d: int, group_fraction: float, base_rate_gap: float,
     return Dataset(features, labels, sensitive, names)
 
 
+def check_test_fraction(test_fraction: float) -> None:
+    """split's rule for test_fraction: strictly between 0 and 1."""
+    if not 0.0 < test_fraction < 1.0:
+        raise ParameterError("must be in (0, 1)", param="test_fraction")
+
+
 def split(ds: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
     """Disjoint, exhaustive train/test split, re-standardized on train stats.
 
@@ -243,10 +249,9 @@ def split(ds: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Datase
     group. Standardization statistics come from the training partition only
     and are applied to both (one-hot columns excluded).
     """
-    if not 0.0 < test_fraction < 1.0:
-        raise ParameterError("test_fraction must be in (0, 1)")
+    check_test_fraction(test_fraction)
     if seed < 0:
-        raise ParameterError("seed must be non-negative")
+        raise ParameterError("must be non-negative", param="seed")
     n = ds.n
     n_test = int(round(n * test_fraction))
     n_test = min(max(n_test, 1), n - 1)
@@ -280,10 +285,10 @@ def batches(ds: Dataset, batch_size: int, shuffle_seed: int, epoch: int) -> list
     short but is never dropped.
     """
     if batch_size < 2:
-        raise ParameterError("batch_size must be >= 2")
+        raise ParameterError("must be >= 2", param="batch_size")
     if shuffle_seed < 0:
-        raise ParameterError("shuffle_seed must be non-negative")
+        raise ParameterError("must be non-negative", param="shuffle_seed")
     if epoch < 0:
-        raise ParameterError("epoch must be non-negative")
+        raise ParameterError("must be non-negative", param="epoch")
     perm = np.random.default_rng([shuffle_seed, epoch]).permutation(ds.n)
     return [perm[i:i + batch_size] for i in range(0, ds.n, batch_size)]

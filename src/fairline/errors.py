@@ -10,7 +10,12 @@ class ShapeError(FairlineError):
 
 
 class ParameterError(FairlineError):
-    """A configuration value or argument is outside its allowed range."""
+    """A configuration value or argument is outside its allowed range; param,
+    when set, names the parameter and the message reads "<param> <rule>"."""
+
+    def __init__(self, rule: str, param: str | None = None):
+        super().__init__(rule if param is None else f"{param} {rule}")
+        self.param, self.rule = param, rule
 
 
 class EmptyGroupError(FairlineError):

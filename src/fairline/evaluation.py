@@ -13,7 +13,7 @@ from typing import get_args, get_type_hints
 
 import numpy as np
 
-from .baseline import DEFAULT_FAIRNESS_GRID, predict_fixed, sweep_fixed
+from .baseline import DEFAULT_FAIRNESS_GRID, check_fairness_grid, predict_fixed, sweep_fixed
 from .data import Dataset
 from .errors import CheckpointError, FrontierRangeError, ParameterError
 from .losses import demographic_parity_gap, equal_opportunity_gap, equalized_odds_gap
@@ -22,6 +22,18 @@ from .subspace import SubspaceModel, TrainConfig, predict, train_subspace
 logger = logging.getLogger(__name__)
 
 DEFAULT_ALPHA_GRID = tuple(k / 20 for k in range(21))
+
+
+def check_alpha_grid(grid) -> list[float]:
+    """The alpha-grid rule: non-empty, every alpha in [0, 1]; returns floats."""
+    grid = [float(a) for a in grid]
+    if not grid:
+        raise ParameterError("must be non-empty", param="alpha_grid")
+    for a in grid:
+        if not 0.0 <= a <= 1.0:
+            raise ParameterError(f"value {a} must be in [0, 1]", param="alpha_grid")
+    return grid
+
 
 # Report field that measures each training fairness metric.
 _METRIC_FIELD = {"dp": "dp_relaxed", "eo": "eo_relaxed", "eodd": "eodd_relaxed"}
@@ -77,10 +89,7 @@ def _meta_seed(meta: dict[str, str]) -> int | None:
 def alpha_sweep(model: SubspaceModel, test: Dataset,
                 grid=DEFAULT_ALPHA_GRID) -> list[MetricsRecord]:
     """Evaluate the single checkpoint at every grid alpha on identical data."""
-    grid = [float(a) for a in grid]
-    for a in grid:
-        if not 0.0 <= a <= 1.0:
-            raise ParameterError(f"alpha grid value {a} outside [0, 1]")
+    grid = check_alpha_grid(grid)
     seed = _meta_seed(model.train_meta)
     records = []
     for a in grid:
@@ -162,6 +171,8 @@ def compare_to_grid(train: Dataset, test: Dataset, config: TrainConfig,
     - ratio is the line's wall time over the mean fixed-run wall time, or
       None when the model carries no wall time (loaded from a checkpoint).
     """
+    alpha_grid = check_alpha_grid(alpha_grid)
+    fairness_grid = check_fairness_grid(fairness_grid)
     if model is None:
         model = train_subspace(train, config)
         logger.info("subspace training: %.3fs", model.wall_time_s)

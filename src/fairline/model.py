@@ -120,7 +120,7 @@ def layer_views(arch: MlpArchitecture, params: np.ndarray) -> list[tuple[np.ndar
 def init_params(arch: MlpArchitecture, seed: int) -> np.ndarray:
     """Glorot-uniform weights (+-sqrt(6 / (fan_in + fan_out))), zero biases."""
     if seed < 0:
-        raise ParameterError("seed must be non-negative")
+        raise ParameterError("must be non-negative", param="seed")
     rng = np.random.default_rng(seed)
     params = np.zeros(arch.param_count)
     for w, _ in layer_views(arch, params):

@@ -49,24 +49,24 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.epochs < 1:
-            raise ParameterError("epochs must be >= 1")
+            raise ParameterError("must be >= 1", param="epochs")
         if self.batch_size < 2:
-            raise ParameterError("batch_size must be >= 2")
+            raise ParameterError("must be >= 2", param="batch_size")
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ParameterError("learning_rate must be positive and finite")
+            raise ParameterError("must be positive and finite", param="learning_rate")
         for name in ("fairness_weight", "diversity_weight"):
             v = getattr(self, name)
             if not (np.isfinite(v) and v >= 0):
-                raise ParameterError(f"{name} must be >= 0 and finite")
+                raise ParameterError("must be >= 0 and finite", param=name)
         if self.fairness_metric not in FAIRNESS_METRICS:
-            raise ParameterError(
-                f"fairness_metric must be one of {FAIRNESS_METRICS}")
+            raise ParameterError(f"must be one of {FAIRNESS_METRICS}",
+                                 param="fairness_metric")
         if self.seed < 0:
-            raise ParameterError("seed must be non-negative")
+            raise ParameterError("must be non-negative", param="seed")
         if self.fixed_alpha is not None and not 0.0 <= self.fixed_alpha <= 1.0:
-            raise ParameterError("fixed_alpha must be in [0, 1]")
+            raise ParameterError("must be in [0, 1]", param="fixed_alpha")
         if self.shuffle_seed is not None and self.shuffle_seed < 0:
-            raise ParameterError("shuffle_seed must be non-negative")
+            raise ParameterError("must be non-negative", param="shuffle_seed")
 
     def meta_snapshot(self) -> dict[str, str]:
         """Deterministic key=value view of the config for checkpoint metadata:
@@ -134,7 +134,7 @@ def interpolate(w1: np.ndarray, w2: np.ndarray, alpha: float) -> np.ndarray:
     if w1.shape != w2.shape:
         raise ShapeError(f"interpolate: length mismatch {w1.shape} vs {w2.shape}")
     if not 0.0 <= alpha <= 1.0:
-        raise ParameterError(f"alpha must be in [0, 1], got {alpha}")
+        raise ParameterError(f"must be in [0, 1], got {alpha}", param="alpha")
     if alpha <= 0.5:
         return w1 + alpha * (w2 - w1)
     return w2 + (1.0 - alpha) * (w1 - w2)

@@ -6,6 +6,7 @@ import pytest
 
 from fairline.baseline import (
     DEFAULT_FAIRNESS_GRID,
+    check_fairness_grid,
     load_fixed_checkpoint,
     predict_fixed,
     save_fixed_checkpoint,
@@ -64,6 +65,22 @@ def test_train_fixed_rejects_bad_weight():
     cfg = TrainConfig(epochs=1, seed=0)
     with pytest.raises(ParameterError):
         train_fixed(train, cfg, -0.5, arch=ARCH)
+
+
+@pytest.mark.parametrize("grid", [[], [float("nan")], [0.0, float("inf")], [-0.5]],
+                         ids=["empty", "nan", "inf", "negative"])
+def test_fairness_grid_rule_runs_before_any_training(grid):
+    with pytest.raises(ParameterError) as exc:
+        check_fairness_grid(grid)
+    assert exc.value.param == "fairness_grid"
+    # no dataset: a check that ran after the first model's training would not
+    # raise ParameterError
+    with pytest.raises(ParameterError):
+        sweep_fixed(None, TrainConfig(epochs=1, seed=0), grid, arch=ARCH)
+    if grid:
+        with pytest.raises(ParameterError) as exc:
+            train_fixed(None, TrainConfig(epochs=1, seed=0), grid[-1], arch=ARCH)
+        assert exc.value.param == "fairness_weight"
 
 
 def test_default_grid_has_21_points():

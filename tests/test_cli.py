@@ -3,7 +3,8 @@ import csv
 import numpy as np
 import pytest
 
-from fairline.cli import main
+from fairline import cli
+from fairline.cli import main, parse_args
 from fairline.evaluation import read_report
 from fairline.subspace import load_checkpoint, save_checkpoint
 
@@ -42,6 +43,14 @@ def test_synth_invalid_gap_names_flag(tmp_path, capsys):
                 "--out", str(tmp_path / "x.csv")])
     assert code == 2
     assert "--gap" in capsys.readouterr().err
+
+
+def test_synth_rule_without_cli_copy_names_flag(tmp_path, capsys):
+    # only synth_biased checks n; the CLI names the flag in its error
+    out = tmp_path / "x.csv"
+    assert run(["synth", "--n", "10", "--out", str(out)]) == 2
+    assert "error: --n must be >= 40" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ------------------------------------------------------------ train
@@ -93,6 +102,32 @@ def test_train_negative_test_fraction_fails_before_loading(tmp_path, capsys):
     code = run(train_args(tmp_path / "missing.csv", out, ["--test-fraction", "-0.5"]))
     assert code == 2
     assert "--test-fraction" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_fixed_alpha_names_flag_before_loading(tmp_path, capsys):
+    out = tmp_path / "model.ckpt"
+    code = run(train_args(tmp_path / "missing.csv", out, ["--fixed-alpha", "1.5"]))
+    assert code == 2
+    assert "error: --fixed-alpha must be in [0, 1]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["compare", "--fairness-grid", "0,inf"], "--fairness-grid"),
+    (["compare", "--fairness-grid", "0,nan"], "--fairness-grid"),
+    (["compare", "--grid", "nan"], "--grid"),
+    (["compare", "--grid", ","], "--grid"),
+    (["sweep", "--grid", "2"], "--grid"),
+], ids=["fairness-inf", "fairness-nan", "alpha-nan", "alpha-empty", "sweep-alpha-2"])
+def test_grid_values_checked_before_any_file_is_read(argv, flag, tmp_path, capsys):
+    # every input file is missing: a check that ran after a load would exit 3
+    missing = str(tmp_path / "missing")
+    files = (["--checkpoint", missing, "--test", missing] if argv[0] == "sweep"
+             else ["--data", missing])
+    out = tmp_path / "out.csv"
+    assert run([*argv, *files, "--out", str(out)]) == 2
+    assert f"error: {flag} " in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -285,6 +320,65 @@ def test_config_file_unknown_key_rejected(tmp_path, capsys):
     code = run(["synth", "--config", str(cfg), "--out", str(tmp_path / "d.csv")])
     assert code == 2
     assert "frobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw, expected", [
+    ("1", True), ("TRUE", True), ("Yes", True), ("0", False), ("False", False), ("NO", False),
+])
+def test_config_file_boolean_spellings(raw, expected, tmp_path):
+    cfg = tmp_path / "sweep.conf"
+    cfg.write_text(f"include-sensitive={raw}\n")
+    args = parse_args(["sweep", "--config", str(cfg), "--checkpoint", "c", "--test", "t",
+                       "--out", "o"])
+    assert args.include_sensitive is expected
+
+
+def test_config_file_bad_boolean_names_key(tmp_path, capsys):
+    cfg = tmp_path / "sweep.conf"
+    cfg.write_text("include-sensitive=maybe\n")
+    missing = str(tmp_path / "missing")
+    code = run(["sweep", "--config", str(cfg), "--checkpoint", missing, "--test", missing,
+                "--out", str(tmp_path / "r.csv")])
+    assert code == 2
+    assert "include-sensitive" in capsys.readouterr().err
+
+
+def _flag_cases():
+    _, commands = cli.build_parser()
+    return [pytest.param(command, key, id=f"{command}-{key}")
+            for command, parser in commands.items()
+            for key in parser.flags if key not in ("config", "help")]
+
+
+@pytest.mark.parametrize("command, key", _flag_cases())
+def test_config_file_key_parses_like_its_flag(command, key, tmp_path, monkeypatch):
+    monkeypatch.delenv("YODO_SEED", raising=False)
+    parser = cli.build_parser()[1][command]
+    action = parser.flags[key]
+    if action.nargs == 0:
+        raw, tokens = "true", [f"--{key}"]
+    else:
+        raw = (action.choices[-1] if action.choices
+               else {int: "7", float: "0.3", cli.floats: "0,0.5"}.get(action.type, "v.csv"))
+        tokens = [f"--{key}", raw]
+    # the other required flags go on the command line in both runs
+    base = [tok for other, a in parser.flags.items() if a.required and other != key
+            for tok in (f"--{other}", "r.csv")]
+    cfg = tmp_path / "c.conf"
+    cfg.write_text(f"{key}={raw}\n")
+    from_file = vars(parse_args([command, "--config", str(cfg), *base]))
+    from_flags = vars(parse_args([command, *base, *tokens]))
+    assert from_file.pop("config") == str(cfg) and from_flags.pop("config") is None
+    assert from_file == from_flags
+    assert from_flags[action.dest] != action.default  # the value was really set
+
+
+def test_seed_env_var_not_an_integer_is_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("YODO_SEED", "abc")
+    out = tmp_path / "a.csv"
+    assert run(["synth", "--n", "100", "--out", str(out)]) == 2
+    assert "error: YODO_SEED" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_seed_env_var_default(tmp_path, monkeypatch):

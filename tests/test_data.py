@@ -136,8 +136,9 @@ def test_synth_swapped_encoding_mirrors_gap():
 def test_synth_parameter_errors(kwargs):
     base = dict(n=100, d=3, group_fraction=0.5, base_rate_gap=0.2, noise=1.0, seed=0)
     base.update(kwargs)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError) as exc:
         synth_biased(**base)
+    assert exc.value.param == next(iter(kwargs))  # the name the CLI maps to a flag
 
 
 def test_split_sizes():
@@ -193,8 +194,8 @@ def test_split_single_group_partition_fails_after_retries():
 
 def test_split_parameter_errors():
     ds = synth_biased(100, 3, 0.5, 0.2, 1.0, seed=0)
-    for frac in (0.0, 1.0, -0.5):
-        with pytest.raises(ParameterError):
+    for frac in (0.0, 1.0, -0.5, float("nan")):
+        with pytest.raises(ParameterError, match="test_fraction"):
             split(ds, frac, seed=0)
 
 

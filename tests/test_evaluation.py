@@ -10,6 +10,8 @@ from fairline.evaluation import (
     REPORT_HEADER,
     MetricsRecord,
     alpha_sweep,
+    check_alpha_grid,
+    compare_to_grid,
     evaluate_predictions,
     frontier_gap,
     pareto_frontier,
@@ -115,6 +117,27 @@ def test_alpha_sweep_rejects_out_of_range():
     model, ds = _sweep_fixture()
     with pytest.raises(ParameterError):
         alpha_sweep(model, ds, [0.0, 1.2])
+
+
+@pytest.mark.parametrize("grid", [[], [float("nan")], [0.5, float("inf")], [-0.1]],
+                         ids=["empty", "nan", "inf", "negative"])
+def test_alpha_grid_rule(grid):
+    with pytest.raises(ParameterError) as exc:
+        check_alpha_grid(grid)
+    assert exc.value.param == "alpha_grid"
+    model, ds = _sweep_fixture()
+    with pytest.raises(ParameterError):
+        alpha_sweep(model, ds, grid)
+    assert check_alpha_grid((0, 1)) == [0.0, 1.0]
+
+
+@pytest.mark.parametrize("grids", [dict(alpha_grid=[float("nan")]),
+                                   dict(fairness_grid=[0.0, float("inf")])],
+                         ids=["alpha-nan", "fairness-inf"])
+def test_compare_to_grid_checks_grids_before_training(grids):
+    # no datasets: training the line first would fail with another error
+    with pytest.raises(ParameterError):
+        compare_to_grid(None, None, TrainConfig(epochs=1), **grids)
 
 
 # ---------------------------------------------------------- pareto

@@ -70,8 +70,9 @@ def test_interpolate_range_check():
 def test_train_config_validation(kwargs):
     base = dict(epochs=1)
     base.update(kwargs)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError) as exc:
         TrainConfig(**base)
+    assert exc.value.param == next(iter(kwargs))  # the name the CLI maps to a flag
 
 
 def test_meta_snapshot_pinned():
