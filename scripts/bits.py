@@ -11,6 +11,7 @@ Usage: python scripts/bits.py
 """
 
 import contextlib
+import csv
 import hashlib
 import io
 import logging
@@ -86,6 +87,18 @@ def _run_cli(argv) -> str:
     return out.getvalue()
 
 
+def _categorical_csv(path: Path, n=2000):
+    # a numeric column and a categorical one whose first category holds a comma
+    rng = np.random.default_rng(11)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x", "c", "label", "group"])
+        for i in range(n):
+            c = int(rng.integers(3))
+            writer.writerow([repr(float(rng.normal() + c)), ("a, b", "plain", "z")[c],
+                             int(rng.random() < 0.3 + 0.2 * c), i % 2])
+
+
 def _cli_outputs(tmp: Path):
     data = tmp / "data.csv"
     _run_cli(["synth", "--n", 8000, "--d", 6, "--seed", 0, "--out", data])
@@ -97,6 +110,14 @@ def _cli_outputs(tmp: Path):
     yield "train/checkpoint", _sha(ckpt)
     yield "train/test-out", _sha(test)
     yield "sweep/report", _sha(sweep)
+    cat = tmp / "cat.csv"
+    _categorical_csv(cat)
+    _run_cli(["train", "--data", cat, "--out", ckpt, "--epochs", 4, "--seed", 0,
+              "--test-fraction", 0.25, "--test-out", test])
+    _run_cli(["sweep", "--checkpoint", ckpt, "--test", test, "--out", sweep])
+    yield "categorical/train/checkpoint", _sha(ckpt)
+    yield "categorical/train/test-out", _sha(test)
+    yield "categorical/sweep/report", _sha(sweep)
     for m in ("dp", "eo"):
         report = tmp / f"compare_{m}.csv"
         stdout = _run_cli(["compare", "--data", data, "--out", report,

@@ -14,7 +14,7 @@ from .baseline import (
     sweep_fixed,
     train_fixed,
 )
-from .data import CsvSchema, Dataset, batches, load_csv, split, synth_biased
+from .data import CsvSchema, Dataset, FeatureTransform, batches, load_csv, split, synth_biased
 from .errors import (
     CheckpointError,
     DataError,

@@ -10,7 +10,9 @@ the data file is read, and main names the flag of a ParameterError's
 parameter. A config file (key=value lines, keys spelled like the long flags
 without dashes, booleans 1/true/yes or 0/false/no) is read as flags ahead of
 the command line's own, so explicit flags win. YODO_SEED supplies the
-default seed. compare is a thin caller of evaluation.compare_to_grid.
+default seed. sweep encodes its CSV with the feature transform the
+checkpoint recorded at training; compare is a thin caller of
+evaluation.compare_to_grid on the split it makes itself.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ import sys
 from dataclasses import fields
 
 from .baseline import DEFAULT_FAIRNESS_GRID, check_fairness_grid
-from .data import CsvSchema, check_test_fraction, load_csv, split, synth_biased, write_csv
+from .data import (
+    CsvSchema, FeatureTransform, check_test_fraction, load_csv, split, synth_biased, write_csv)
 from .errors import FairlineError, NumericError, ParameterError
 from .evaluation import (
     DEFAULT_ALPHA_GRID, alpha_sweep, check_alpha_grid, compare_to_grid, write_report)
@@ -79,8 +82,6 @@ def _add_schema_flags(p: argparse.ArgumentParser) -> None:
                    metavar="VALUE", help="raw cell value mapped to label 1")
     p.add_argument("--positive-sensitive", dest="positive_sensitive_value", default="1",
                    metavar="VALUE", help="raw cell value mapped to group 1")
-    p.add_argument("--include-sensitive", action="store_true",
-                   help="also include the sensitive attribute as a feature")
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
@@ -91,9 +92,13 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
                    help="penalty strength at the fairness endpoint (the A column)")
     p.add_argument("--diversity-weight", type=float, default=1.0,
                    help="weight of the endpoint-diversity regularizer")
-    p.add_argument("--metric", dest="fairness_metric", choices=FAIRNESS_METRICS, default="dp")
+    p.add_argument("--metric", dest="fairness_metric", default="dp",
+                   help=f"fairness metric: {', '.join(FAIRNESS_METRICS)}")
     p.add_argument("--seed", type=int, default=_default_seed(),
                    help="training seed (default from YODO_SEED if set)")
+    p.add_argument("--include-sensitive", action="store_true",
+                   help="also include the sensitive attribute as a feature "
+                        "(the checkpoint's feature transform records it)")
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Parser]]:
@@ -127,14 +132,15 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Parser]]:
     p.add_argument("--test-fraction", type=float, default=0.0,
                    help="hold out this fraction of rows (0 trains on everything)")
     p.add_argument("--test-out", default=None,
-                   help="write the held-out split to this CSV")
+                   help="write the held-out rows, unstandardized, to this CSV")
     _add_train_flags(p)
     _add_schema_flags(p)
 
     p = sub.add_parser("sweep", help="evaluate a checkpoint over a grid of alphas", **kw)
     p.set_defaults(run=cmd_sweep)
     p.add_argument("--checkpoint", required=True, help="subspace checkpoint path")
-    p.add_argument("--test", required=True, help="test CSV path")
+    p.add_argument("--test", required=True,
+                   help="test CSV path, encoded by the checkpoint's feature transform")
     p.add_argument("--out", required=True, help="report CSV path")
     p.add_argument("--grid", type=floats, default=None,
                    help="comma-separated alphas in [0,1] (default: 0,0.05,...,1)")
@@ -237,7 +243,11 @@ def cmd_train(args) -> int:
 def cmd_sweep(args) -> int:
     grid = check_alpha_grid(DEFAULT_ALPHA_GRID if args.grid is None else args.grid)
     model = load_checkpoint(args.checkpoint)
-    test = load_csv(args.test, _from_args(CsvSchema, args))
+    transform = FeatureTransform.from_meta(model.train_meta, model.arch.input_dim)
+    if transform is None:
+        logger.warning("%s holds no feature transform; fitting one on %s",
+                       args.checkpoint, args.test)
+    test = load_csv(args.test, _from_args(CsvSchema, args), transform)
     records = alpha_sweep(model, test, grid)
     write_report(records, args.out)
     logger.info("%d records written to %s", len(records), args.out)

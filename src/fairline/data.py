@@ -1,20 +1,32 @@
-"""Dataset CSV reading and writing, synthetic data, splitting, and batching.
+"""Dataset CSV reading and writing, the feature encoding, synthetic data,
+splitting, and batching.
 
-A Dataset holds a standardized feature matrix plus binary label and binary
-group (sensitive-attribute) vectors. CSV ingestion standardizes to the
-statistics of the loaded file; split() re-standardizes both partitions with
-training-split statistics, so the training partition always has exact
-per-column mean 0 / stdev 1 (one-hot indicator columns stay 0/1).
+A Dataset holds its raw encoded feature matrix, the model-ready features
+derived from it, binary label and group (sensitive-attribute) vectors, and
+the FeatureTransform that maps raw to features. FeatureTransform is the one
+owner of the feature encoding: which source columns are features, which are
+numeric and which one-hot (over a sorted vocabulary), whether the group is a
+feature too, and one mean and scale per encoded column. load_csv encodes a
+CSV through a given transform, or through one fitted on the file. split
+refits the statistics on the training rows' raw values and applies them to
+both parts, so the training partition has exact per-column mean 0 / stdev 1
+(one-hot and group columns stay 0/1). Training records the transform in the
+checkpoint, and serving loads a CSV through it, so served rows get the
+training encoding. write_csv writes the raw rows back, one-hot blocks as
+their category, so its output reads back to the same raw matrix.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+import io
+import json
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import (
+    CheckpointError,
     ParameterError,
     RowParseError,
     SchemaError,
@@ -46,15 +58,212 @@ class CsvSchema:
     include_sensitive: bool = False
 
 
+@dataclass(frozen=True, eq=False)
+class FeatureTransform:
+    """The feature encoding: source columns -> raw matrix -> features.
+
+    columns are the source feature columns in file order. vocab holds, per
+    column, None for a numeric column (one encoded column) or the sorted
+    categories of a one-hot column (one encoded column each). With
+    include_sensitive the 0/1 group is one more encoded column, last. mean
+    and scale hold one value per encoded column; one-hot and group columns
+    have mean 0 and scale 1, so apply is (raw - mean) / scale throughout.
+    """
+
+    columns: tuple[str, ...]
+    vocab: tuple[tuple[str, ...] | None, ...]
+    include_sensitive: bool
+    mean: np.ndarray
+    scale: np.ndarray
+
+    META_KEY = "transform"  # the checkpoint metadata key that holds the JSON form
+
+    @classmethod
+    def _unfitted(cls, columns, vocab, include_sensitive: bool) -> "FeatureTransform":
+        width = sum(1 if v is None else len(v) for v in vocab) + int(include_sensitive)
+        return cls(tuple(columns), tuple(vocab), include_sensitive,
+                   np.zeros(width), np.ones(width))
+
+    @classmethod
+    def numeric(cls, columns) -> "FeatureTransform":
+        """Every column numeric, with identity statistics."""
+        return cls._unfitted(columns, [None] * len(columns), False)
+
+    @classmethod
+    def infer(cls, header: list[str], rows: list[list[str]],
+              schema: CsvSchema) -> "FeatureTransform":
+        """The encoding of rows (cells in header order), with identity
+        statistics: every column but the label and sensitive ones, numeric
+        where every cell parses as a float, else one-hot over its sorted
+        distinct values; the group is a feature as the schema says."""
+        columns, vocab = [], []
+        for i, name in enumerate(header):
+            if name in (schema.label_column, schema.sensitive_column):
+                continue
+            cells = [r[i] for r in rows]
+            try:
+                for cell in cells:
+                    float(cell)
+                vocab.append(None)
+            except ValueError:
+                vocab.append(tuple(sorted(set(cells))))
+            columns.append(name)
+        if not columns and not schema.include_sensitive:
+            raise SchemaError("no feature columns besides label/sensitive")
+        return cls._unfitted(columns, vocab, schema.include_sensitive)
+
+    @property
+    def width(self) -> int:
+        """Number of encoded columns."""
+        return self.mean.shape[0]
+
+    def feature_names(self, sensitive_column: str) -> list[str]:
+        """One name per encoded column: a numeric column's own name,
+        "<column>=<category>" in a one-hot block, then the group column's."""
+        names = []
+        for name, cats in zip(self.columns, self.vocab):
+            names += [name] if cats is None else [f"{name}={c}" for c in cats]
+        return names + [sensitive_column] * self.include_sensitive
+
+    def _numeric(self) -> np.ndarray:
+        mask = [flag for cats in self.vocab
+                for flag in ([True] if cats is None else [False] * len(cats))]
+        return np.array(mask + [False] * self.include_sensitive, dtype=bool)
+
+    def encode(self, header: list[str], rows: list[list[str]], lines: list[int],
+               sensitive: np.ndarray) -> np.ndarray:
+        """The (len(rows), width) raw matrix of rows, cells in header order,
+        lines[k] being row k's file line. A column the transform names must
+        be in the header (SchemaError); a cell of a numeric column must be a
+        finite number and one of a one-hot column in its vocabulary
+        (RowParseError with the line). Other header columns are ignored."""
+        n = len(rows)
+        blocks = []
+        for name, cats in zip(self.columns, self.vocab):
+            if name not in header:
+                raise SchemaError(f"feature column '{name}' not found in header {header}")
+            i = header.index(name)
+            cells = [r[i] for r in rows]
+            if cats is None:
+                blocks.append(_numbers(name, cells, lines)[:, None])
+                continue
+            index = {c: k for k, c in enumerate(cats)}
+            codes = [index.get(c, -1) for c in cells]
+            if -1 in codes:
+                k = codes.index(-1)
+                raise RowParseError(lines[k], f"unknown category '{cells[k]}' in column '{name}'")
+            block = np.zeros((n, len(cats)))
+            block[np.arange(n), codes] = 1.0
+            blocks.append(block)
+        if self.include_sensitive:
+            blocks.append(sensitive[:, None])
+        return np.hstack(blocks)
+
+    def fit(self, raw: np.ndarray) -> "FeatureTransform":
+        """This encoding with raw's statistics: each numeric column's mean and
+        population stdev (a stdev <= STD_GUARD counts as 1, so a constant
+        column maps to 0); one-hot and group columns keep mean 0, scale 1."""
+        mean, std = raw.mean(axis=0), raw.std(axis=0)
+        numeric = self._numeric()
+        return replace(self, mean=np.where(numeric, mean, 0.0),
+                       scale=np.where(numeric & (std > STD_GUARD), std, 1.0))
+
+    def apply(self, raw: np.ndarray) -> np.ndarray:
+        """The model-ready features of a raw matrix."""
+        return (raw - self.mean) / self.scale
+
+    def decode(self, raw: np.ndarray, category_text) -> list[list[str]]:
+        """Per source column, each row's cell text: a number as its repr, a
+        one-hot block as category_text(category), called once per category."""
+        cols, j = [], 0
+        for cats in self.vocab:
+            if cats is None:
+                cols.append(list(map(repr, raw[:, j].tolist())))
+                j += 1
+                continue
+            text = [category_text(c) for c in cats]
+            cols.append([text[k] for k in raw[:, j:j + len(cats)].argmax(axis=1).tolist()])
+            j += len(cats)
+        return cols
+
+    def to_meta(self) -> dict[str, str]:
+        """The checkpoint metadata entry that from_meta reads back exactly:
+        JSON, whose floats are repr floats."""
+        columns = [{"name": name, "categories": None if cats is None else list(cats)}
+                   for name, cats in zip(self.columns, self.vocab)]
+        return {self.META_KEY: json.dumps({
+            "columns": columns, "include_sensitive": self.include_sensitive,
+            "mean": self.mean.tolist(), "scale": self.scale.tolist()})}
+
+    @classmethod
+    def from_meta(cls, meta: dict[str, str], input_dim: int) -> "FeatureTransform | None":
+        """The transform in checkpoint metadata, or None when there is none.
+        A malformed value, or one whose width is not input_dim, raises
+        CheckpointError."""
+        text = meta.get(cls.META_KEY)
+        if text is None:
+            return None
+        try:
+            obj = json.loads(text)
+            columns = [c["name"] for c in obj["columns"]]
+            vocab = [c["categories"] for c in obj["columns"]]
+            include_sensitive = obj["include_sensitive"]
+            mean = np.array(obj["mean"], dtype=np.float64)
+            scale = np.array(obj["scale"], dtype=np.float64)
+            ok = (all(isinstance(name, str) for name in columns)
+                  and all(cats is None or (isinstance(cats, list) and cats
+                                           and all(isinstance(c, str) for c in cats)
+                                           and cats == sorted(set(cats)))
+                          for cats in vocab)
+                  and isinstance(include_sensitive, bool))
+        except (ValueError, TypeError, KeyError, RecursionError) as exc:
+            raise CheckpointError(f"malformed feature transform: {exc}") from None
+        if not ok:
+            raise CheckpointError("malformed feature transform: bad column list")
+        transform = cls._unfitted(columns, [None if c is None else tuple(c) for c in vocab],
+                                  include_sensitive)
+        if not (mean.shape == scale.shape == (transform.width,)
+                and np.all(np.isfinite(mean)) and np.all(np.isfinite(scale) & (scale > 0))):
+            raise CheckpointError("malformed feature transform: bad mean or scale")
+        if transform.width != input_dim:
+            raise CheckpointError(f"feature transform has {transform.width} columns, "
+                                  f"the network {input_dim} inputs")
+        return replace(transform, mean=mean, scale=scale)
+
+
+def _numbers(name: str, cells: list[str], lines: list[int]) -> np.ndarray:
+    """A numeric column's cells as floats; a cell that is not a finite number
+    raises RowParseError with its line."""
+    try:
+        values = np.array([float(c) for c in cells])
+    except ValueError:  # a served file's cell that is not a number at all
+        values = np.array([_float_or_nan(c) for c in cells])
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        k = int(bad[0])
+        raise RowParseError(lines[k], f"'{cells[k]}' in numeric column '{name}' is not "
+                                      "a finite number")
+    return values
+
+
+def _float_or_nan(cell: str) -> float:
+    try:
+        return float(cell)
+    except ValueError:
+        return np.nan
+
+
 @dataclass
 class Dataset:
-    features: np.ndarray  # (n, d) float64
+    features: np.ndarray  # (n, d) float64, transform.apply(raw)
     labels: np.ndarray  # (n,) float64, entries 0.0 or 1.0
     sensitive: np.ndarray  # (n,) float64, entries 0.0 or 1.0
     feature_names: list[str]
-    # True for columns that standardization applies to (numeric-origin);
-    # one-hot indicator columns are left as 0/1.
-    standardize_mask: np.ndarray = field(default=None)  # type: ignore[assignment]
+    # The encoding that maps raw, the (n, d) encoded matrix before
+    # standardization, to features. By default the features are their own
+    # raw matrix: numeric columns named by feature_names, identity statistics.
+    transform: FeatureTransform = None  # type: ignore[assignment]
+    raw: np.ndarray = None  # type: ignore[assignment]
 
     def __post_init__(self):
         if self.features.ndim != 2:
@@ -64,11 +273,15 @@ class Dataset:
             raise ShapeError("labels/sensitive length must match feature rows")
         if len(self.feature_names) != self.features.shape[1]:
             raise ShapeError("feature_names length must match feature columns")
+        if self.raw is None:
+            self.raw = self.features
+        if self.transform is None:
+            self.transform = FeatureTransform.numeric(self.feature_names)
+        if self.raw.shape != self.features.shape or self.transform.width != self.dim:
+            raise ShapeError("raw matrix and transform width must match the features")
         for name, v in (("labels", self.labels), ("sensitive", self.sensitive)):
             if not np.all((v == 0.0) | (v == 1.0)):
                 raise ValidationError(f"{name} must contain only 0/1 values")
-        if self.standardize_mask is None:
-            self.standardize_mask = np.ones(self.features.shape[1], dtype=bool)
         if not (np.any(self.sensitive == 0.0) and np.any(self.sensitive == 1.0)):
             raise ValidationError("dataset must contain both sensitive groups")
 
@@ -82,32 +295,20 @@ class Dataset:
 
     def take(self, idx: np.ndarray) -> "Dataset":
         """Row subset, without re-standardization."""
-        return Dataset(
-            self.features[idx],
-            self.labels[idx],
-            self.sensitive[idx],
-            list(self.feature_names),
-            self.standardize_mask.copy(),
-        )
+        return Dataset(self.features[idx], self.labels[idx], self.sensitive[idx],
+                       list(self.feature_names), self.transform, self.raw[idx])
 
 
-def _standardize_columns(x: np.ndarray, ref: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """x with the mask columns standardized by ref's column mean and population stdev."""
-    mean, std = ref.mean(axis=0), ref.std(axis=0)
-    scale = np.where(std > STD_GUARD, std, 1.0)
-    out = x.copy()
-    out[:, mask] = (x[:, mask] - mean[mask]) / scale[mask]
-    return out
-
-
-def load_csv(path, schema: CsvSchema) -> Dataset:
+def load_csv(path, schema: CsvSchema, transform: FeatureTransform | None = None) -> Dataset:
     """Load an RFC-4180 CSV with a header row into a Dataset.
 
-    Columns other than the label/sensitive columns become features: a column
-    where every cell parses as a float is numeric (standardized to the
-    statistics of this file); anything else is one-hot encoded in sorted
-    category order. Cells are stripped of surrounding whitespace; empty cells
-    are rejected with their line number.
+    The label and sensitive columns are binarized against the schema's
+    positive values. The other columns are encoded by transform; with none,
+    by FeatureTransform.infer with statistics fitted on this file. A given
+    transform also decides whether the group is a feature, and a column it
+    does not name is ignored. Cells are stripped of surrounding whitespace;
+    a ragged row, an empty cell, a non-finite number and an unknown category
+    raise RowParseError with the file line on which the row ends.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -116,20 +317,25 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
         except StopIteration:
             raise SchemaError(f"{path}: empty file, header row required") from None
         header = [h.strip() for h in header]
+        if len(set(header)) != len(header):
+            raise SchemaError(f"duplicate column names in header {header}")
         for col in (schema.label_column, schema.sensitive_column):
             if col not in header:
                 raise SchemaError(f"column '{col}' not found in header {header}")
         rows: list[list[str]] = []
-        for line_no, row in enumerate(reader, start=2):
+        lines: list[int] = []
+        for row in reader:
             if not row:
                 continue
             if len(row) != len(header):
-                raise RowParseError(line_no, f"expected {len(header)} cells, got {len(row)}")
+                raise RowParseError(reader.line_num,
+                                    f"expected {len(header)} cells, got {len(row)}")
             cells = [c.strip() for c in row]
             for col_name, cell in zip(header, cells):
                 if cell == "":
-                    raise RowParseError(line_no, f"missing value in column '{col_name}'")
+                    raise RowParseError(reader.line_num, f"missing value in column '{col_name}'")
             rows.append(cells)
+            lines.append(reader.line_num)
     if not rows:
         raise ValidationError(f"{path}: no data rows")
 
@@ -145,51 +351,38 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
         raise ValidationError(
             f"sensitive column '{schema.sensitive_column}' has a single group"
         )
+    fit = transform is None
+    if fit:
+        transform = FeatureTransform.infer(header, rows, schema)
+    raw = transform.encode(header, rows, lines, sensitive)
+    if fit:
+        transform = transform.fit(raw)
+    return Dataset(transform.apply(raw), labels, sensitive,
+                   transform.feature_names(schema.sensitive_column), transform, raw)
 
-    feature_cols = [i for i in range(len(header)) if i not in (label_ix, sens_ix)]
-    columns: list[np.ndarray] = []
-    names: list[str] = []
-    numeric_flags: list[bool] = []
-    for i in feature_cols:
-        raw = [r[i] for r in rows]
-        try:
-            values = [float(c) for c in raw]
-            for row_ix, v in enumerate(values):
-                if not np.isfinite(v):
-                    raise RowParseError(
-                        row_ix + 2,
-                        f"non-finite numeric value '{raw[row_ix]}' in column "
-                        f"'{header[i]}'")
-            columns.append(np.array(values))
-            names.append(header[i])
-            numeric_flags.append(True)
-        except ValueError:
-            for value in sorted(set(raw)):
-                columns.append(np.array([1.0 if c == value else 0.0 for c in raw]))
-                names.append(f"{header[i]}={value}")
-                numeric_flags.append(False)
-    if schema.include_sensitive:
-        columns.append(sensitive.copy())
-        names.append(schema.sensitive_column)
-        numeric_flags.append(False)
-    if not columns:
-        raise SchemaError(f"{path}: no feature columns besides label/sensitive")
 
-    features = np.column_stack(columns)
-    mask = np.array(numeric_flags, dtype=bool)
-    features = _standardize_columns(features, features, mask)
-    return Dataset(features, labels, sensitive, names, mask)
+def _csv_cell(text: str) -> str:
+    """text as one RFC-4180 cell, quoted only if it must be."""
+    buf = io.StringIO()
+    # csv quotes a cell that holds a character of the line terminator, so
+    # "\r\n" makes it quote a lone "\r" as well as "\n".
+    csv.writer(buf, lineterminator="\r\n").writerow([text])
+    return buf.getvalue()[:-2]
 
 
 def write_csv(ds: Dataset, path) -> None:
-    """Write ds as an RFC-4180 CSV that load_csv reads back: a header row,
-    then per row the features as repr floats and label and group as 0/1."""
+    """Write ds's raw rows as an RFC-4180 CSV that load_csv reads back to the
+    same raw matrix: a header row of the source feature columns, label and
+    group, then per row the numbers as repr floats, each one-hot block as its
+    category, and label and group as 0/1."""
+    cols = ds.transform.decode(ds.raw, _csv_cell)
+    cols += [["1" if v else "0" for v in col.tolist()] for col in (ds.labels, ds.sensitive)]
+    header = [*ds.transform.columns, "label", "group"]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerow([*ds.feature_names, "label", "group"])
-        # Only names can hold a comma, a quote or a line break; numbers never
-        # need quoting, and joining them skips csv's per-cell scan.
-        for row, y, s in zip(ds.features.tolist(), ds.labels.tolist(), ds.sensitive.tolist()):
-            fh.write(",".join(map(repr, row)) + f",{int(y)},{int(s)}\n")
+        # Only names and categories can need quoting, and _csv_cell quotes
+        # each once; joining the cells skips csv's per-cell scan.
+        fh.write(",".join(map(_csv_cell, header)) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*cols))
 
 
 def synth_biased(n: int, d: int, group_fraction: float, base_rate_gap: float,
@@ -201,7 +394,8 @@ def synth_biased(n: int, d: int, group_fraction: float, base_rate_gap: float,
     group 1's is ~base_rate_gap. Features are Gaussian clusters shifted along
     one fixed direction by label and another by group, then standardized, so a
     linear model separates labels while group membership leaks into the
-    features.
+    features. The standardized matrix is the Dataset's raw data, so
+    write_csv writes it as is.
     """
     if n < 40:
         raise ParameterError("must be >= 40", param="n")
@@ -231,8 +425,8 @@ def synth_biased(n: int, d: int, group_fraction: float, base_rate_gap: float,
         + _GROUP_SHIFT * (sensitive - 0.5)[:, None] * u_group[None, :]
         + noise * rng.standard_normal((n, d))
     )
-    features = _standardize_columns(features, features, np.ones(d, dtype=bool))
     names = [f"x{i + 1}" for i in range(d)]
+    features = FeatureTransform.numeric(names).fit(features).apply(features)
     return Dataset(features, labels, sensitive, names)
 
 
@@ -243,11 +437,11 @@ def check_test_fraction(test_fraction: float) -> None:
 
 
 def split(ds: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
-    """Disjoint, exhaustive train/test split, re-standardized on train stats.
+    """Disjoint, exhaustive train/test split, standardized on train stats.
 
     Reshuffles up to 10 extra times if a partition would lose a sensitive
-    group. Standardization statistics come from the training partition only
-    and are applied to both (one-hot columns excluded).
+    group. ds's transform keeps its columns and vocabularies; its statistics
+    are refitted on the training rows' raw values and applied to both parts.
     """
     check_test_fraction(test_fraction)
     if seed < 0:
@@ -270,11 +464,11 @@ def split(ds: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Datase
     else:
         raise ValidationError("split: could not retain both groups in both partitions")
 
-    train = ds.take(train_ix)
-    test = ds.take(test_ix)
-    ref, mask = train.features, train.standardize_mask
-    train.features = _standardize_columns(ref, ref, mask)
-    test.features = _standardize_columns(test.features, ref, mask)
+    raw_train, raw_test = ds.raw[train_ix], ds.raw[test_ix]
+    transform = ds.transform.fit(raw_train)
+    train, test = (Dataset(transform.apply(raw), ds.labels[ix], ds.sensitive[ix],
+                           list(ds.feature_names), transform, raw)
+                   for ix, raw in ((train_ix, raw_train), (test_ix, raw_test)))
     return train, test
 
 

@@ -210,7 +210,8 @@ def _train_loop(train: Dataset, config: TrainConfig, arch: MlpArchitecture | Non
     plus loss_reg for the endpoint pair), grads holds one gradient per weight
     vector, and probe_args follow (epoch, batch_index) in the probe call.
     Returns the architecture, the trained weights, the metadata shared by
-    both checkpoint kinds, and the wall time.
+    both checkpoint kinds (the config, train's feature transform and the
+    batch counters), and the wall time.
     """
     t0 = time.perf_counter()
     if arch is None:
@@ -262,6 +263,7 @@ def _train_loop(train: Dataset, config: TrainConfig, arch: MlpArchitecture | Non
         )
 
     meta = config.meta_snapshot()
+    meta.update(train.transform.to_meta())
     meta.update({
         "epochs_completed": str(config.epochs),
         "batches_total": str(total_batches),

@@ -1,12 +1,17 @@
 import csv
+import json
+import logging
 
 import numpy as np
 import pytest
 
 from fairline import cli
 from fairline.cli import main, parse_args
-from fairline.evaluation import read_report
-from fairline.subspace import load_checkpoint, save_checkpoint
+from fairline.data import CsvSchema, FeatureTransform, load_csv, split
+from fairline.evaluation import alpha_sweep, read_report, write_report
+from fairline.subspace import TrainConfig, load_checkpoint, save_checkpoint, train_subspace
+
+SCHEMA = CsvSchema(label_column="label", sensitive_column="group")
 
 
 def run(argv):
@@ -161,9 +166,8 @@ def test_test_out_round_trips_quoted_categories(tmp_path):
 
 
 def test_train_unknown_metric_usage_error(synth_csv, tmp_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        run(train_args(synth_csv, tmp_path / "m.ckpt", ["--metric", "gini"]))
-    assert exc.value.code == 2
+    # TrainConfig owns the rule; the CLI only names the flag
+    assert run(train_args(synth_csv, tmp_path / "m.ckpt", ["--metric", "gini"])) == 2
     assert "'dp', 'eo', 'eodd'" in capsys.readouterr().err
 
 
@@ -206,7 +210,7 @@ def test_sweep_missing_checkpoint_is_data_error(synth_csv, tmp_path):
 
 
 def test_sweep_feature_width_mismatch_is_data_error(checkpoint, tmp_path, capsys):
-    # the checkpoint was trained on 6 features; this CSV has 4
+    # the checkpoint was trained on x1..x6; this CSV has x1..x4
     narrow = tmp_path / "narrow.csv"
     assert run(["synth", "--n", "100", "--d", "4", "--out", str(narrow)]) == 0
     capsys.readouterr()
@@ -214,7 +218,7 @@ def test_sweep_feature_width_mismatch_is_data_error(checkpoint, tmp_path, capsys
                 "--out", str(tmp_path / "r.csv")])
     err = capsys.readouterr().err
     assert code == 3
-    assert "error:" in err
+    assert "error: feature column 'x5' not found" in err
     assert "Traceback" not in err
 
 
@@ -228,6 +232,130 @@ def test_sweep_non_integer_seed_metadata_is_checkpoint_error(checkpoint, synth_c
     err = capsys.readouterr().err
     assert code == 3
     assert "error: config.seed" in err
+    assert "Traceback" not in err
+
+
+# ------------------------------------- feature transform, train to serve
+
+def categorical_csv(path, n=240, categories=("a, b", "plain", "z")):
+    rng = np.random.default_rng(0)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x", "c", "label", "group"])
+        for i in range(n):
+            k = i % len(categories)
+            writer.writerow([rng.normal() + k, categories[k], int(rng.random() < 0.3 + 0.2 * k),
+                             i % 2])
+    return path
+
+
+@pytest.mark.parametrize("kind", ["numeric", "categorical", "categorical-sensitive"])
+def test_test_out_sweep_matches_library_sweep(kind, synth_csv, tmp_path):
+    data = synth_csv if kind == "numeric" else categorical_csv(tmp_path / "cat.csv")
+    include_sensitive = kind.endswith("sensitive")
+    ckpt, test_csv, report = tmp_path / "m.ckpt", tmp_path / "test.csv", tmp_path / "r.csv"
+    assert run(train_args(data, ckpt, ["--test-fraction", "0.25", "--test-out", str(test_csv),
+                                       *["--include-sensitive"] * include_sensitive])) == 0
+    # sweep has no --include-sensitive: the checkpoint's transform decides
+    assert run(["sweep", "--checkpoint", str(ckpt), "--test", str(test_csv),
+                "--out", str(report)]) == 0
+    schema = CsvSchema("label", "group", include_sensitive=include_sensitive)
+    train, test = split(load_csv(data, schema), 0.25, seed=3)
+    model = train_subspace(train, TrainConfig(epochs=2, batch_size=64, seed=3))
+    served = load_checkpoint(ckpt)
+    assert model.w_acc.tobytes() == served.w_acc.tobytes()
+    assert model.w_fair.tobytes() == served.w_fair.tobytes()
+    library = tmp_path / "library.csv"
+    write_report(alpha_sweep(model, test), library)
+    assert report.read_bytes() == library.read_bytes()
+
+
+@pytest.fixture()
+def categorical_checkpoint(tmp_path):
+    ckpt = tmp_path / "cat.ckpt"
+    assert run(train_args(categorical_csv(tmp_path / "cat.csv"), ckpt)) == 0
+    return ckpt
+
+
+def test_sweep_csv_lacking_a_training_category(categorical_checkpoint, tmp_path):
+    served = categorical_csv(tmp_path / "served.csv", n=60, categories=("a, b", "plain"))
+    report = tmp_path / "r.csv"
+    assert run(["sweep", "--checkpoint", str(categorical_checkpoint), "--test", str(served),
+                "--out", str(report)]) == 0
+    model = load_checkpoint(categorical_checkpoint)
+    test = load_csv(served, SCHEMA, FeatureTransform.from_meta(model.train_meta, 4))
+    assert test.feature_names == ["x", "c=a, b", "c=plain", "c=z"]
+    assert not test.raw[:, 3].any()
+    assert len(read_report(report)) == 21
+
+
+def test_sweep_unknown_category_names_column_and_value(categorical_checkpoint, tmp_path,
+                                                       capsys):
+    served = categorical_csv(tmp_path / "served.csv", n=60, categories=("a, b", "plain", "q"))
+    code = run(["sweep", "--checkpoint", str(categorical_checkpoint), "--test", str(served),
+                "--out", str(tmp_path / "r.csv")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "error: line 4: unknown category 'q' in column 'c'" in err
+    assert "Traceback" not in err
+
+
+def test_sweep_checkpoint_without_transform_fits_on_served_file(checkpoint, tmp_path, caplog):
+    # the checkpoint format before the transform key: the served CSV is fitted
+    # on itself, as load_csv does with no transform
+    model = load_checkpoint(checkpoint)
+    del model.train_meta[FeatureTransform.META_KEY]
+    save_checkpoint(model, checkpoint)
+    served = tmp_path / "served.csv"
+    assert run(["synth", "--n", "200", "--seed", "5", "--out", str(served)]) == 0
+    report = tmp_path / "r.csv"
+    caplog.clear()
+    with caplog.at_level(logging.WARNING):
+        assert run(["sweep", "--checkpoint", str(checkpoint), "--test", str(served),
+                    "--out", str(report)]) == 0
+    warnings = [r for r in caplog.records if r.levelno >= logging.WARNING]
+    assert len(warnings) == 1 and "no feature transform" in warnings[0].getMessage()
+    expected = tmp_path / "expected.csv"
+    write_report(alpha_sweep(model, load_csv(served, SCHEMA)), expected)
+    assert report.read_bytes() == expected.read_bytes()
+
+
+def _transform_json(**changes):
+    obj = {"columns": [{"name": "x", "categories": None},
+                       {"name": "c", "categories": ["a, b", "plain", "z"]}],
+           "include_sensitive": False, "mean": [0.5, 0.0, 0.0, 0.0],
+           "scale": [2.0, 1.0, 1.0, 1.0]}
+    obj.update(changes)
+    return json.dumps(obj)
+
+
+@pytest.mark.parametrize("value", [
+    "not json", "[]", "{}", _transform_json(columns="x"),
+    _transform_json(columns=[{"name": "x", "categories": "abc"}]),
+    _transform_json(columns=[{"name": "x", "categories": ["b", "a"]}]),
+    _transform_json(columns=[{"name": 1, "categories": None}]),
+    _transform_json(include_sensitive="no"),
+    _transform_json(mean=[0.5, 0.0, 0.0]),
+    _transform_json(mean=[float("nan"), 0.0, 0.0, 0.0]),
+    _transform_json(scale=[0.0, 1.0, 1.0, 1.0]),
+    _transform_json(scale="wide"),
+    "[" * 100000,
+    # well formed, but 5 columns wide for a 4-input network
+    _transform_json(include_sensitive=True, mean=[0.5] + [0.0] * 4, scale=[1.0] * 5),
+], ids=["not-json", "list", "empty", "columns-str", "categories-str", "unsorted",
+        "name-int", "flag-str", "short-mean", "nan-mean", "zero-scale", "scale-str",
+        "deep-nesting", "width-mismatch"])
+def test_sweep_bad_transform_is_checkpoint_error(value, categorical_checkpoint, tmp_path,
+                                                 capsys):
+    model = load_checkpoint(categorical_checkpoint)
+    model.train_meta[FeatureTransform.META_KEY] = value
+    save_checkpoint(model, categorical_checkpoint)
+    served = categorical_csv(tmp_path / "served.csv", n=60)
+    code = run(["sweep", "--checkpoint", str(categorical_checkpoint), "--test", str(served),
+                "--out", str(tmp_path / "r.csv")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "error: " in err and "feature transform" in err
     assert "Traceback" not in err
 
 
@@ -326,21 +454,21 @@ def test_config_file_unknown_key_rejected(tmp_path, capsys):
     ("1", True), ("TRUE", True), ("Yes", True), ("0", False), ("False", False), ("NO", False),
 ])
 def test_config_file_boolean_spellings(raw, expected, tmp_path):
-    cfg = tmp_path / "sweep.conf"
+    cfg = tmp_path / "train.conf"
     cfg.write_text(f"include-sensitive={raw}\n")
-    args = parse_args(["sweep", "--config", str(cfg), "--checkpoint", "c", "--test", "t",
-                       "--out", "o"])
+    args = parse_args(["train", "--config", str(cfg), "--data", "d", "--out", "o"])
     assert args.include_sensitive is expected
 
 
 def test_config_file_bad_boolean_names_key(tmp_path, capsys):
-    cfg = tmp_path / "sweep.conf"
+    cfg = tmp_path / "train.conf"
     cfg.write_text("include-sensitive=maybe\n")
-    missing = str(tmp_path / "missing")
-    code = run(["sweep", "--config", str(cfg), "--checkpoint", missing, "--test", missing,
-                "--out", str(tmp_path / "r.csv")])
+    out = tmp_path / "m.ckpt"
+    code = run(["train", "--config", str(cfg), "--data", str(tmp_path / "missing"),
+                "--out", str(out)])
     assert code == 2
     assert "include-sensitive" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _flag_cases():

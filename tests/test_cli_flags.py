@@ -49,8 +49,10 @@ def test_grid_and_split_parameters_map_to_their_flags():
 
 
 def test_every_schema_field_is_a_flag_dest():
+    # sweep takes include_sensitive from the checkpoint's feature transform
+    skip = {"sweep": {"include_sensitive"}}
     dests = {command: {a.dest for a in COMMANDS[command].flags.values()}
              for command in ("train", "sweep", "compare")}
     missing = [(command, f.name) for command in dests for f in fields(CsvSchema)
-               if f.name not in dests[command]]
+               if f.name not in dests[command] and f.name not in skip.get(command, ())]
     assert missing == []

@@ -1,3 +1,8 @@
+import csv
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,12 +11,15 @@ from hypothesis import strategies as st
 from fairline.data import (
     CsvSchema,
     Dataset,
+    FeatureTransform,
     batches,
     load_csv,
     split,
     synth_biased,
+    write_csv,
 )
 from fairline.errors import (
+    CheckpointError,
     ParameterError,
     RowParseError,
     SchemaError,
@@ -40,7 +48,10 @@ def test_load_csv_one_hot_encoding(tmp_path):
     ds = load_csv(p, SCHEMA)
     assert ds.feature_names == ["c=a", "c=b"]
     assert np.array_equal(ds.features, [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
-    assert not ds.standardize_mask.any()
+    # one-hot columns are left as 0/1: mean 0 and scale 1 in the transform
+    assert ds.transform.vocab == (("a", "b"),)
+    assert ds.transform.mean.tolist() == [0.0, 0.0]
+    assert ds.transform.scale.tolist() == [1.0, 1.0]
 
 
 def test_load_csv_missing_column(tmp_path):
@@ -76,6 +87,21 @@ def test_load_csv_non_finite_numeric_rejected(tmp_path):
         load_csv(p2, SCHEMA)
 
 
+@pytest.mark.parametrize("bad_row, message", [
+    ("3,y,,1", "missing value in column 'label'"),
+    ("3,y,1", "expected 4 cells, got 3"),
+    ("inf,y,1,0", "'inf' in numeric column 'a' is not a finite number"),
+], ids=["missing-cell", "ragged-row", "non-finite"])
+@pytest.mark.parametrize("layout, line", [
+    ("a,c,label,group\n\n\n1,x,1,0\n2,y,0,1\n", 6),
+    ('a,c,label,group\n1,"x\nz",1,0\n2,y,0,1\n', 5),
+], ids=["blank-lines", "quoted-line-break"])
+def test_row_errors_name_the_file_line(tmp_path, layout, line, bad_row, message):
+    p = write(tmp_path, layout + bad_row + "\n")
+    with pytest.raises(RowParseError, match=f"^line {line}: {message}$"):
+        load_csv(p, SCHEMA)
+
+
 def test_load_csv_rfc4180_quoting(tmp_path):
     p = write(tmp_path, 'c,label,group\n"x, with comma",1,0\nplain,0,1\n')
     ds = load_csv(p, SCHEMA)
@@ -95,6 +121,67 @@ def test_load_csv_include_sensitive_flag(tmp_path):
                       CsvSchema("label", "group", include_sensitive=True))
     assert base.dim + 1 == with_s.dim
     assert np.array_equal(with_s.features[:, -1], with_s.sensitive)
+
+
+_CATEGORY = st.text(alphabet='ab ,"\n\r', min_size=1, max_size=5).filter(
+    lambda s: s == s.strip())
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(2, 25), n_numeric=st.integers(0, 2),
+       n_categorical=st.integers(0, 2))
+def test_write_csv_reads_back_the_same_raw_matrix(data, n, n_numeric, n_categorical):
+    columns = [f"n{i}" for i in range(n_numeric)] + [f"c{i}" for i in range(n_categorical)]
+    if not columns:
+        columns = ["n0"]
+    columns = data.draw(st.permutations(columns))
+    number = st.floats(-1e6, 1e6, allow_nan=False)
+    cells = [[data.draw(number if name[0] == "n" else _CATEGORY) for name in columns]
+             for _ in range(n)]
+    with tempfile.TemporaryDirectory() as tmp:
+        source, written = Path(tmp) / "source.csv", Path(tmp) / "written.csv"
+        with open(source, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow([*columns, "label", "group"])
+            writer.writerows([*row, i % 3 == 0, i % 2] for i, row in enumerate(cells))
+        ds = load_csv(source, CsvSchema("label", "group", positive_label_value="True"))
+        write_csv(ds, written)
+        for transform in (ds.transform, None):
+            back = load_csv(written, SCHEMA, transform)
+            assert back.raw.tobytes() == ds.raw.tobytes()
+            assert back.feature_names == ds.feature_names
+            assert np.array_equal(back.labels, ds.labels)
+            assert np.array_equal(back.sensitive, ds.sensitive)
+            assert back.transform.to_meta() == ds.transform.to_meta()
+
+
+def test_transform_meta_round_trips_exactly(tmp_path):
+    text = "x,c,label,group\n0.1,b,1,0\n0.7,a,0,1\n1e-300,b,1,1\n"
+    ds = load_csv(write(tmp_path, text), CsvSchema("label", "group", include_sensitive=True))
+    back = FeatureTransform.from_meta(ds.transform.to_meta(), ds.dim)
+    assert (back.columns, back.vocab, back.include_sensitive) == (
+        ("x", "c"), (None, ("a", "b")), True)
+    assert back.mean.tobytes() == ds.transform.mean.tobytes()
+    assert back.scale.tobytes() == ds.transform.scale.tobytes()
+    assert FeatureTransform.from_meta({}, ds.dim) is None
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.integers() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(["columns", "name", "categories", "include_sensitive", "mean",
+                         "scale"]), inner, max_size=6),
+    max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=_JSON, input_dim=st.integers(1, 4))
+def test_transform_from_meta_raises_only_checkpoint_error(value, input_dim):
+    try:
+        transform = FeatureTransform.from_meta({"transform": json.dumps(value)}, input_dim)
+    except CheckpointError:
+        return
+    assert transform.width == input_dim
 
 
 def test_synth_deterministic():
@@ -124,7 +211,7 @@ def test_synth_gap_near_target():
 def test_synth_swapped_encoding_mirrors_gap():
     ds = synth_biased(10000, 4, 0.5, 0.4, 1.0, seed=3)
     flipped = Dataset(ds.features, ds.labels, 1.0 - ds.sensitive,
-                      ds.feature_names, ds.standardize_mask)
+                      ds.feature_names, ds.transform, ds.raw)
     assert abs(_rate_gap(ds) + _rate_gap(flipped)) < 1e-12
 
 
@@ -148,18 +235,17 @@ def test_split_sizes():
 
 
 def test_split_disjoint_exhaustive():
-    # a row-id column exempt from standardization survives the split intact,
-    # so the partition can be checked index by index
+    # a row-id column survives the split intact in the raw matrix, so the
+    # partition can be checked index by index
     n = 100
     rng = np.random.default_rng(0)
     features = np.column_stack([np.arange(n, dtype=np.float64),
                                 rng.standard_normal(n)])
     ds = Dataset(features, (rng.random(n) < 0.5).astype(np.float64),
-                 (rng.random(n) < 0.5).astype(np.float64), ["row_id", "x"],
-                 standardize_mask=np.array([False, True]))
+                 (rng.random(n) < 0.5).astype(np.float64), ["row_id", "x"])
     train, test = split(ds, 0.3, seed=1)
-    train_ids = set(train.features[:, 0])
-    test_ids = set(test.features[:, 0])
+    train_ids = set(train.raw[:, 0])
+    test_ids = set(test.raw[:, 0])
     assert len(train_ids) == train.n and len(test_ids) == test.n
     assert train_ids.isdisjoint(test_ids)
     assert train_ids | test_ids == set(range(n))
