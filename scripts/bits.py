@@ -99,6 +99,20 @@ def _categorical_csv(path: Path, n=2000):
                              int(rng.random() < 0.3 + 0.2 * c), i % 2])
 
 
+def _schema_csv(path: Path, n=2000):
+    # a non-default schema: label income, positive value ">50K, high" (with a
+    # comma), sensitive column sex; the features include one named label
+    rng = np.random.default_rng(13)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["label", "c", "income", "sex"])
+        for i in range(n):
+            c = int(rng.integers(3))
+            writer.writerow([repr(float(rng.normal() + c)), ("a, b", "plain", "z")[c],
+                             ">50K, high" if rng.random() < 0.3 + 0.2 * c else "<=50K",
+                             "FM"[i % 2]])
+
+
 def _cli_outputs(tmp: Path):
     data = tmp / "data.csv"
     _run_cli(["synth", "--n", 8000, "--d", 6, "--seed", 0, "--out", data])
@@ -118,6 +132,16 @@ def _cli_outputs(tmp: Path):
     yield "categorical/train/checkpoint", _sha(ckpt)
     yield "categorical/train/test-out", _sha(test)
     yield "categorical/sweep/report", _sha(sweep)
+    income = tmp / "income.csv"
+    _schema_csv(income)
+    _run_cli(["train", "--data", income, "--out", ckpt, "--epochs", 4, "--seed", 0,
+              "--label-column", "income", "--positive-label", ">50K, high",
+              "--sensitive-column", "sex", "--positive-sensitive", "F",
+              "--test-fraction", 0.25, "--test-out", test])
+    _run_cli(["sweep", "--checkpoint", ckpt, "--test", test, "--out", sweep])
+    yield "schema/train/checkpoint", _sha(ckpt)
+    yield "schema/train/test-out", _sha(test)
+    yield "schema/sweep/report", _sha(sweep)
     for m in ("dp", "eo"):
         report = tmp / f"compare_{m}.csv"
         stdout = _run_cli(["compare", "--data", data, "--out", report,

@@ -119,9 +119,10 @@ def save_fixed_checkpoint(model: FixedModel, path) -> None:
 
 def load_fixed_checkpoint(path) -> FixedModel:
     arch, arrays, meta = ckpt.read_checkpoint(path, ckpt.KIND_SINGLE)
-    raw = meta.get("fixed.fairness_weight", "0.0")
+    raw = meta.get("fixed.fairness_weight")
     try:
-        fairness_weight = float(raw)
-    except ValueError:
-        raise CheckpointError(f"fixed.fairness_weight is not a number: {raw!r}") from None
+        (fairness_weight,) = check_fairness_grid([float(raw)], param="fixed.fairness_weight")
+    except (TypeError, ValueError, ParameterError):
+        raise CheckpointError("fixed.fairness_weight is not a finite number >= 0: "
+                              f"{raw!r}") from None
     return FixedModel(arch, arrays[0], fairness_weight, meta)

@@ -10,8 +10,10 @@ the data file is read, and main names the flag of a ParameterError's
 parameter. A config file (key=value lines, keys spelled like the long flags
 without dashes, booleans 1/true/yes or 0/false/no) is read as flags ahead of
 the command line's own, so explicit flags win. YODO_SEED supplies the
-default seed. sweep encodes its CSV with the feature transform the
-checkpoint recorded at training; compare is a thin caller of
+default seed. train and compare read their CSV by the schema flags; sweep
+has none, and reads its CSV by the feature transform the checkpoint recorded
+at training, schema included, so a train --test-out file and the raw
+training file both sweep as trained. compare is a thin caller of
 evaluation.compare_to_grid on the split it makes itself.
 """
 
@@ -75,13 +77,17 @@ def floats(raw: str) -> list[float]:
 
 
 def _add_schema_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--label-column", default="label", help="name of the label column")
-    p.add_argument("--sensitive-column", default="group",
+    default = CsvSchema()
+    p.add_argument("--label-column", default=default.label_column,
+                   help="name of the label column")
+    p.add_argument("--sensitive-column", default=default.sensitive_column,
                    help="name of the sensitive-attribute column")
-    p.add_argument("--positive-label", dest="positive_label_value", default="1",
-                   metavar="VALUE", help="raw cell value mapped to label 1")
-    p.add_argument("--positive-sensitive", dest="positive_sensitive_value", default="1",
-                   metavar="VALUE", help="raw cell value mapped to group 1")
+    p.add_argument("--positive-label", dest="positive_label_value",
+                   default=default.positive_label_value, metavar="VALUE",
+                   help="raw cell value mapped to label 1")
+    p.add_argument("--positive-sensitive", dest="positive_sensitive_value",
+                   default=default.positive_sensitive_value, metavar="VALUE",
+                   help="raw cell value mapped to group 1")
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
@@ -132,7 +138,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Parser]]:
     p.add_argument("--test-fraction", type=float, default=0.0,
                    help="hold out this fraction of rows (0 trains on everything)")
     p.add_argument("--test-out", default=None,
-                   help="write the held-out rows, unstandardized, to this CSV")
+                   help="write the held-out rows, unstandardized and in the "
+                        "training schema, to this CSV")
     _add_train_flags(p)
     _add_schema_flags(p)
 
@@ -140,11 +147,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Parser]]:
     p.set_defaults(run=cmd_sweep)
     p.add_argument("--checkpoint", required=True, help="subspace checkpoint path")
     p.add_argument("--test", required=True,
-                   help="test CSV path, encoded by the checkpoint's feature transform")
+                   help="test CSV path, read by the checkpoint's schema and feature "
+                        "transform")
     p.add_argument("--out", required=True, help="report CSV path")
     p.add_argument("--grid", type=floats, default=None,
                    help="comma-separated alphas in [0,1] (default: 0,0.05,...,1)")
-    _add_schema_flags(p)
 
     p = sub.add_parser(
         "compare",
@@ -247,7 +254,7 @@ def cmd_sweep(args) -> int:
     if transform is None:
         logger.warning("%s holds no feature transform; fitting one on %s",
                        args.checkpoint, args.test)
-    test = load_csv(args.test, _from_args(CsvSchema, args), transform)
+    test = load_csv(args.test, CsvSchema() if transform is None else transform)
     records = alpha_sweep(model, test, grid)
     write_report(records, args.out)
     logger.info("%d records written to %s", len(records), args.out)

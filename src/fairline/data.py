@@ -4,16 +4,18 @@ splitting, and batching.
 A Dataset holds its raw encoded feature matrix, the model-ready features
 derived from it, binary label and group (sensitive-attribute) vectors, and
 the FeatureTransform that maps raw to features. FeatureTransform is the one
-owner of the feature encoding: which source columns are features, which are
-numeric and which one-hot (over a sorted vocabulary), whether the group is a
-feature too, and one mean and scale per encoded column. load_csv encodes a
-CSV through a given transform, or through one fitted on the file. split
-refits the statistics on the training rows' raw values and applies them to
-both parts, so the training partition has exact per-column mean 0 / stdev 1
-(one-hot and group columns stay 0/1). Training records the transform in the
-checkpoint, and serving loads a CSV through it, so served rows get the
-training encoding. write_csv writes the raw rows back, one-hot blocks as
-their category, so its output reads back to the same raw matrix.
+owner of how a CSV is read: its CsvSchema (the label and sensitive columns,
+the cell values that count as 1, whether the group is a feature too), which
+source columns are features, which are numeric and which one-hot (over a
+sorted vocabulary), and one mean and scale per encoded column. load_csv
+reads a CSV through a given transform, or through one fitted on the file
+under a given schema. split refits the statistics on the training rows' raw
+values and applies them to both parts, so the training partition has exact
+per-column mean 0 / stdev 1 (one-hot and group columns stay 0/1). Training
+records the transform in the checkpoint, and serving loads a CSV through it,
+so served rows get the training schema and encoding. write_csv writes the
+raw rows back in the transform's schema, one-hot blocks as their category,
+so its output reads back through the transform to the same raw matrix.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -48,11 +50,12 @@ _GROUP_SHIFT = 2.5
 
 @dataclass(frozen=True)
 class CsvSchema:
-    """Which columns carry the label / sensitive attribute and which raw
-    values map to 1."""
+    """Which columns carry the label / sensitive attribute, which raw values
+    map to 1, and whether the group is a feature too. CsvSchema() is the
+    default schema: columns label and group, 1 for 1."""
 
-    label_column: str
-    sensitive_column: str
+    label_column: str = "label"
+    sensitive_column: str = "group"
     positive_label_value: str = "1"
     positive_sensitive_value: str = "1"
     include_sensitive: bool = False
@@ -62,32 +65,34 @@ class CsvSchema:
 class FeatureTransform:
     """The feature encoding: source columns -> raw matrix -> features.
 
+    schema says which columns are the label and the group and how they read.
     columns are the source feature columns in file order. vocab holds, per
     column, None for a numeric column (one encoded column) or the sorted
     categories of a one-hot column (one encoded column each). With
-    include_sensitive the 0/1 group is one more encoded column, last. mean
-    and scale hold one value per encoded column; one-hot and group columns
-    have mean 0 and scale 1, so apply is (raw - mean) / scale throughout.
+    schema.include_sensitive the 0/1 group is one more encoded column, last.
+    mean and scale hold one value per encoded column; one-hot and group
+    columns have mean 0 and scale 1, so apply is (raw - mean) / scale
+    throughout.
     """
 
     columns: tuple[str, ...]
     vocab: tuple[tuple[str, ...] | None, ...]
-    include_sensitive: bool
+    schema: CsvSchema
     mean: np.ndarray
     scale: np.ndarray
 
     META_KEY = "transform"  # the checkpoint metadata key that holds the JSON form
 
     @classmethod
-    def _unfitted(cls, columns, vocab, include_sensitive: bool) -> "FeatureTransform":
-        width = sum(1 if v is None else len(v) for v in vocab) + int(include_sensitive)
-        return cls(tuple(columns), tuple(vocab), include_sensitive,
-                   np.zeros(width), np.ones(width))
+    def _unfitted(cls, columns, vocab, schema: CsvSchema) -> "FeatureTransform":
+        width = sum(1 if v is None else len(v) for v in vocab) + int(schema.include_sensitive)
+        return cls(tuple(columns), tuple(vocab), schema, np.zeros(width), np.ones(width))
 
     @classmethod
     def numeric(cls, columns) -> "FeatureTransform":
-        """Every column numeric, with identity statistics."""
-        return cls._unfitted(columns, [None] * len(columns), False)
+        """Every column numeric under the default schema, with identity
+        statistics."""
+        return cls._unfitted(columns, [None] * len(columns), CsvSchema())
 
     @classmethod
     def infer(cls, header: list[str], rows: list[list[str]],
@@ -110,25 +115,25 @@ class FeatureTransform:
             columns.append(name)
         if not columns and not schema.include_sensitive:
             raise SchemaError("no feature columns besides label/sensitive")
-        return cls._unfitted(columns, vocab, schema.include_sensitive)
+        return cls._unfitted(columns, vocab, schema)
 
     @property
     def width(self) -> int:
         """Number of encoded columns."""
         return self.mean.shape[0]
 
-    def feature_names(self, sensitive_column: str) -> list[str]:
+    def feature_names(self) -> list[str]:
         """One name per encoded column: a numeric column's own name,
         "<column>=<category>" in a one-hot block, then the group column's."""
         names = []
         for name, cats in zip(self.columns, self.vocab):
             names += [name] if cats is None else [f"{name}={c}" for c in cats]
-        return names + [sensitive_column] * self.include_sensitive
+        return names + [self.schema.sensitive_column] * self.schema.include_sensitive
 
     def _numeric(self) -> np.ndarray:
         mask = [flag for cats in self.vocab
                 for flag in ([True] if cats is None else [False] * len(cats))]
-        return np.array(mask + [False] * self.include_sensitive, dtype=bool)
+        return np.array(mask + [False] * self.schema.include_sensitive, dtype=bool)
 
     def encode(self, header: list[str], rows: list[list[str]], lines: list[int],
                sensitive: np.ndarray) -> np.ndarray:
@@ -155,7 +160,7 @@ class FeatureTransform:
             block = np.zeros((n, len(cats)))
             block[np.arange(n), codes] = 1.0
             blocks.append(block)
-        if self.include_sensitive:
+        if self.schema.include_sensitive:
             blocks.append(sensitive[:, None])
         return np.hstack(blocks)
 
@@ -188,18 +193,20 @@ class FeatureTransform:
 
     def to_meta(self) -> dict[str, str]:
         """The checkpoint metadata entry that from_meta reads back exactly:
-        JSON, whose floats are repr floats."""
+        JSON, whose floats are repr floats, with one key per schema field."""
         columns = [{"name": name, "categories": None if cats is None else list(cats)}
                    for name, cats in zip(self.columns, self.vocab)]
         return {self.META_KEY: json.dumps({
-            "columns": columns, "include_sensitive": self.include_sensitive,
+            "columns": columns, **asdict(self.schema),
             "mean": self.mean.tolist(), "scale": self.scale.tolist()})}
 
     @classmethod
     def from_meta(cls, meta: dict[str, str], input_dim: int) -> "FeatureTransform | None":
         """The transform in checkpoint metadata, or None when there is none.
-        A malformed value, or one whose width is not input_dim, raises
-        CheckpointError."""
+        A schema field the JSON lacks takes the default schema's value, which
+        is how a transform recorded before the schema was reads. A malformed
+        value, a feature column named twice or like the label or sensitive
+        column, or a width that is not input_dim raises CheckpointError."""
         text = meta.get(cls.META_KEY)
         if text is None:
             return None
@@ -207,7 +214,7 @@ class FeatureTransform:
             obj = json.loads(text)
             columns = [c["name"] for c in obj["columns"]]
             vocab = [c["categories"] for c in obj["columns"]]
-            include_sensitive = obj["include_sensitive"]
+            schema = {f.name: obj.get(f.name, f.default) for f in fields(CsvSchema)}
             mean = np.array(obj["mean"], dtype=np.float64)
             scale = np.array(obj["scale"], dtype=np.float64)
             ok = (all(isinstance(name, str) for name in columns)
@@ -215,13 +222,19 @@ class FeatureTransform:
                                            and all(isinstance(c, str) for c in cats)
                                            and cats == sorted(set(cats)))
                           for cats in vocab)
-                  and isinstance(include_sensitive, bool))
+                  and all(isinstance(schema[f.name], type(f.default))
+                          for f in fields(CsvSchema)))
         except (ValueError, TypeError, KeyError, RecursionError) as exc:
             raise CheckpointError(f"malformed feature transform: {exc}") from None
         if not ok:
-            raise CheckpointError("malformed feature transform: bad column list")
+            raise CheckpointError("malformed feature transform: bad column list or schema")
+        schema = CsvSchema(**schema)
+        if (len(set(columns)) != len(columns)
+                or {schema.label_column, schema.sensitive_column} & set(columns)):
+            raise CheckpointError("malformed feature transform: a feature column is named "
+                                  "twice or like the label or sensitive column")
         transform = cls._unfitted(columns, [None if c is None else tuple(c) for c in vocab],
-                                  include_sensitive)
+                                  schema)
         if not (mean.shape == scale.shape == (transform.width,)
                 and np.all(np.isfinite(mean)) and np.all(np.isfinite(scale) & (scale > 0))):
             raise CheckpointError("malformed feature transform: bad mean or scale")
@@ -261,7 +274,8 @@ class Dataset:
     feature_names: list[str]
     # The encoding that maps raw, the (n, d) encoded matrix before
     # standardization, to features. By default the features are their own
-    # raw matrix: numeric columns named by feature_names, identity statistics.
+    # raw matrix: numeric columns named by feature_names, identity statistics,
+    # the default schema.
     transform: FeatureTransform = None  # type: ignore[assignment]
     raw: np.ndarray = None  # type: ignore[assignment]
 
@@ -299,17 +313,20 @@ class Dataset:
                        list(self.feature_names), self.transform, self.raw[idx])
 
 
-def load_csv(path, schema: CsvSchema, transform: FeatureTransform | None = None) -> Dataset:
+def load_csv(path, schema_or_transform: CsvSchema | FeatureTransform) -> Dataset:
     """Load an RFC-4180 CSV with a header row into a Dataset.
 
-    The label and sensitive columns are binarized against the schema's
-    positive values. The other columns are encoded by transform; with none,
-    by FeatureTransform.infer with statistics fitted on this file. A given
-    transform also decides whether the group is a feature, and a column it
-    does not name is ignored. Cells are stripped of surrounding whitespace;
-    a ragged row, an empty cell, a non-finite number and an unknown category
-    raise RowParseError with the file line on which the row ends.
+    schema_or_transform is a CsvSchema, to fit a transform on this file
+    (FeatureTransform.infer, then its statistics), or a FeatureTransform, to
+    read the file through it and its schema; a column the transform does not
+    name is then ignored. The label and sensitive columns are binarized
+    against the schema's positive values. Cells are stripped of surrounding
+    whitespace; a ragged row, an empty cell, a non-finite number and an
+    unknown category raise RowParseError with the file line on which the
+    row ends.
     """
+    fit = isinstance(schema_or_transform, CsvSchema)
+    schema = schema_or_transform if fit else schema_or_transform.schema
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -351,14 +368,12 @@ def load_csv(path, schema: CsvSchema, transform: FeatureTransform | None = None)
         raise ValidationError(
             f"sensitive column '{schema.sensitive_column}' has a single group"
         )
-    fit = transform is None
-    if fit:
-        transform = FeatureTransform.infer(header, rows, schema)
+    transform = FeatureTransform.infer(header, rows, schema) if fit else schema_or_transform
     raw = transform.encode(header, rows, lines, sensitive)
     if fit:
         transform = transform.fit(raw)
-    return Dataset(transform.apply(raw), labels, sensitive,
-                   transform.feature_names(schema.sensitive_column), transform, raw)
+    return Dataset(transform.apply(raw), labels, sensitive, transform.feature_names(),
+                   transform, raw)
 
 
 def _csv_cell(text: str) -> str:
@@ -371,16 +386,23 @@ def _csv_cell(text: str) -> str:
 
 
 def write_csv(ds: Dataset, path) -> None:
-    """Write ds's raw rows as an RFC-4180 CSV that load_csv reads back to the
-    same raw matrix: a header row of the source feature columns, label and
-    group, then per row the numbers as repr floats, each one-hot block as its
-    category, and label and group as 0/1."""
+    """Write ds's raw rows as an RFC-4180 CSV that load_csv reads back
+    through ds.transform to the same raw matrix: a header row of the source
+    feature columns and the schema's label and sensitive columns, then per
+    row the numbers as repr floats, each one-hot block as its category, and
+    label and group as the schema's positive value for 1 and, for 0, "0"
+    (or "1" when the positive value is "0")."""
+    schema = ds.transform.schema
     cols = ds.transform.decode(ds.raw, _csv_cell)
-    cols += [["1" if v else "0" for v in col.tolist()] for col in (ds.labels, ds.sensitive)]
-    header = [*ds.transform.columns, "label", "group"]
+    for col, positive in ((ds.labels, schema.positive_label_value),
+                          (ds.sensitive, schema.positive_sensitive_value)):
+        one, zero = _csv_cell(positive), "1" if positive == "0" else "0"
+        cols.append([one if v else zero for v in col.tolist()])
+    header = [*ds.transform.columns, schema.label_column, schema.sensitive_column]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        # Only names and categories can need quoting, and _csv_cell quotes
-        # each once; joining the cells skips csv's per-cell scan.
+        # Only names, categories and positive values can need quoting, and
+        # _csv_cell quotes each once; joining the cells skips csv's per-cell
+        # scan.
         fh.write(",".join(map(_csv_cell, header)) + "\n")
         fh.writelines(",".join(row) + "\n" for row in zip(*cols))
 

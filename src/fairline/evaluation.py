@@ -2,7 +2,7 @@
 line-versus-grid comparison.
 
 Relaxed metrics are computed in one global pass over the full prediction
-vector (no batching). Hard metrics threshold at 0.5 unless told otherwise.
+vector (no batching). Hard metrics threshold at HARD_THRESHOLD, inclusive.
 """
 
 from __future__ import annotations
@@ -22,6 +22,9 @@ from .subspace import SubspaceModel, TrainConfig, predict, train_subspace
 logger = logging.getLogger(__name__)
 
 DEFAULT_ALPHA_GRID = tuple(k / 20 for k in range(21))
+
+# A prediction at or above this counts as positive in the hard metrics.
+HARD_THRESHOLD = 0.5
 
 
 def check_alpha_grid(grid) -> list[float]:
@@ -61,14 +64,14 @@ _COLUMNS = {"A" if f.name == "fairness_weight" else f.name: f.name
 REPORT_HEADER = ",".join(_COLUMNS)
 
 
-def evaluate_predictions(pred: np.ndarray, y: np.ndarray, s: np.ndarray,
-                         threshold: float = 0.5) -> MetricsRecord:
-    """Error rate plus the hard and relaxed group-gap metrics.
+def evaluate_predictions(pred: np.ndarray, y: np.ndarray, s: np.ndarray) -> MetricsRecord:
+    """Error rate plus the hard (thresholded at HARD_THRESHOLD) and relaxed
+    group-gap metrics.
 
     Raises EmptyGroupError when a group (or group/label cell needed by the
     EO/Eodd metrics) has no samples.
     """
-    hard = (pred >= threshold).astype(np.float64)
+    hard = (pred >= HARD_THRESHOLD).astype(np.float64)
     error_rate = float(np.mean(hard != y))
     dp_hard = demographic_parity_gap(hard, s).value
     dp_relaxed = demographic_parity_gap(pred, s).value

@@ -43,6 +43,19 @@ def test_unparsable_fixed_fairness_weight_is_checkpoint_error(tmp_path):
         load_fixed_checkpoint(path)
 
 
+@pytest.mark.parametrize("line", [b"", b"fixed.fairness_weight=nan\n",
+                                  b"fixed.fairness_weight=-2\n", b"fixed.fairness_weight=inf\n"],
+                         ids=["missing", "nan", "negative", "inf"])
+def test_fixed_fairness_weight_outside_the_grid_rule_is_checkpoint_error(tmp_path, line):
+    # baseline.check_fairness_grid's rule; a missing key is not the ERM anchor
+    path = tmp_path / "f.ckpt"
+    save_fixed_checkpoint(FixedModel(ARCH, init_params(ARCH, 0), 0.5, META), path)
+    body = path.read_bytes()[:-4].replace(b"fixed.fairness_weight=0.5\n", line)
+    path.write_bytes(body + _crc_tail(body))
+    with pytest.raises(CheckpointError, match="fixed.fairness_weight"):
+        load_fixed_checkpoint(path)
+
+
 @pytest.mark.parametrize("meta", [{"note": "\ud800"}, {"\ud800": "v"}], ids=["value", "key"])
 def test_metadata_not_utf8_encodable_is_parameter_error(tmp_path, meta):
     model = SubspaceModel(ARCH, init_params(ARCH, 0), init_params(ARCH, 1), meta)

@@ -1,17 +1,18 @@
 import csv
 import json
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fairline import cli
 from fairline.cli import main, parse_args
-from fairline.data import CsvSchema, FeatureTransform, load_csv, split
+from fairline.data import CsvSchema, FeatureTransform, load_csv, split, write_csv
 from fairline.evaluation import alpha_sweep, read_report, write_report
 from fairline.subspace import TrainConfig, load_checkpoint, save_checkpoint, train_subspace
 
-SCHEMA = CsvSchema(label_column="label", sensitive_column="group")
+SCHEMA = CsvSchema()
 
 
 def run(argv):
@@ -249,17 +250,47 @@ def categorical_csv(path, n=240, categories=("a, b", "plain", "z")):
     return path
 
 
-@pytest.mark.parametrize("kind", ["numeric", "categorical", "categorical-sensitive"])
+# A schema whose label and sensitive columns are not label and group, and
+# whose positive label holds a comma; schema_csv writes a file in it, by
+# default with feature columns named label and group.
+INCOME = CsvSchema("income", "sex", positive_label_value=">50K, high",
+                   positive_sensitive_value="F")
+
+
+def schema_flags(schema):
+    return ["--label-column", schema.label_column,
+            "--sensitive-column", schema.sensitive_column,
+            "--positive-label", schema.positive_label_value,
+            "--positive-sensitive", schema.positive_sensitive_value,
+            *["--include-sensitive"] * schema.include_sensitive]
+
+
+def schema_csv(path, n=240, features=("label", "group")):
+    rng = np.random.default_rng(1)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([features[0], "income", features[1], "sex"])
+        for i in range(n):
+            k = i % 3
+            income = ">50K, high" if rng.random() < 0.3 + 0.2 * k else "<=50K"
+            writer.writerow([rng.normal() + k, income, ("a, b", "plain", "z")[k], "FM"[i % 2]])
+    return path
+
+
+@pytest.mark.parametrize("kind", ["numeric", "categorical", "categorical-sensitive",
+                                  "non-default-schema"])
 def test_test_out_sweep_matches_library_sweep(kind, synth_csv, tmp_path):
-    data = synth_csv if kind == "numeric" else categorical_csv(tmp_path / "cat.csv")
-    include_sensitive = kind.endswith("sensitive")
+    if kind == "non-default-schema":
+        data, schema = schema_csv(tmp_path / "income.csv"), INCOME
+    else:
+        data = synth_csv if kind == "numeric" else categorical_csv(tmp_path / "cat.csv")
+        schema = CsvSchema(include_sensitive=kind.endswith("sensitive"))
     ckpt, test_csv, report = tmp_path / "m.ckpt", tmp_path / "test.csv", tmp_path / "r.csv"
     assert run(train_args(data, ckpt, ["--test-fraction", "0.25", "--test-out", str(test_csv),
-                                       *["--include-sensitive"] * include_sensitive])) == 0
-    # sweep has no --include-sensitive: the checkpoint's transform decides
+                                       *schema_flags(schema)])) == 0
+    # sweep has no schema flags: the checkpoint's transform decides
     assert run(["sweep", "--checkpoint", str(ckpt), "--test", str(test_csv),
                 "--out", str(report)]) == 0
-    schema = CsvSchema("label", "group", include_sensitive=include_sensitive)
     train, test = split(load_csv(data, schema), 0.25, seed=3)
     model = train_subspace(train, TrainConfig(epochs=2, batch_size=64, seed=3))
     served = load_checkpoint(ckpt)
@@ -283,7 +314,7 @@ def test_sweep_csv_lacking_a_training_category(categorical_checkpoint, tmp_path)
     assert run(["sweep", "--checkpoint", str(categorical_checkpoint), "--test", str(served),
                 "--out", str(report)]) == 0
     model = load_checkpoint(categorical_checkpoint)
-    test = load_csv(served, SCHEMA, FeatureTransform.from_meta(model.train_meta, 4))
+    test = load_csv(served, FeatureTransform.from_meta(model.train_meta, 4))
     assert test.feature_names == ["x", "c=a, b", "c=plain", "c=z"]
     assert not test.raw[:, 3].any()
     assert len(read_report(report)) == 21
@@ -320,6 +351,45 @@ def test_sweep_checkpoint_without_transform_fits_on_served_file(checkpoint, tmp_
     assert report.read_bytes() == expected.read_bytes()
 
 
+def test_sweep_raw_training_file_needs_no_schema_flags(tmp_path):
+    data = schema_csv(tmp_path / "income.csv")
+    ckpt, report = tmp_path / "m.ckpt", tmp_path / "r.csv"
+    assert run(train_args(data, ckpt, schema_flags(INCOME))) == 0
+    assert run(["sweep", "--checkpoint", str(ckpt), "--test", str(data),
+                "--out", str(report)]) == 0
+    ds = load_csv(data, INCOME)
+    library = tmp_path / "library.csv"
+    write_report(alpha_sweep(train_subspace(ds, TrainConfig(epochs=2, batch_size=64, seed=3)),
+                             ds), library)
+    assert report.read_bytes() == library.read_bytes()
+
+
+def test_sweep_transform_without_schema_reads_the_default_schema(tmp_path):
+    # the transform format before the schema was recorded: no schema keys but
+    # include_sensitive, and a --test-out file that wrote label,group as 0/1
+    data = schema_csv(tmp_path / "income.csv", features=("x", "c"))
+    ckpt, report = tmp_path / "m.ckpt", tmp_path / "r.csv"
+    schema = replace(INCOME, include_sensitive=True)
+    assert run(train_args(data, ckpt, ["--test-fraction", "0.25", *schema_flags(schema)])) == 0
+    model = load_checkpoint(ckpt)
+    obj = json.loads(model.train_meta[FeatureTransform.META_KEY])
+    for key in ("label_column", "sensitive_column", "positive_label_value",
+                "positive_sensitive_value"):
+        del obj[key]
+    model.train_meta[FeatureTransform.META_KEY] = json.dumps(obj)
+    save_checkpoint(model, ckpt)
+    _, test = split(load_csv(data, schema), 0.25, seed=3)
+    legacy = replace(test.transform, schema=CsvSchema(include_sensitive=True))
+    test_csv = tmp_path / "test.csv"
+    write_csv(replace(test, transform=legacy), test_csv)
+    assert test_csv.read_text().splitlines()[0] == "x,c,label,group"
+    assert run(["sweep", "--checkpoint", str(ckpt), "--test", str(test_csv),
+                "--out", str(report)]) == 0
+    library = tmp_path / "library.csv"
+    write_report(alpha_sweep(model, test), library)
+    assert report.read_bytes() == library.read_bytes()
+
+
 def _transform_json(**changes):
     obj = {"columns": [{"name": "x", "categories": None},
                        {"name": "c", "categories": ["a, b", "plain", "z"]}],
@@ -342,9 +412,16 @@ def _transform_json(**changes):
     "[" * 100000,
     # well formed, but 5 columns wide for a 4-input network
     _transform_json(include_sensitive=True, mean=[0.5] + [0.0] * 4, scale=[1.0] * 5),
+    _transform_json(label_column=1),
+    _transform_json(positive_sensitive_value=None),
+    _transform_json(label_column="x"),
+    _transform_json(sensitive_column="c"),
+    _transform_json(columns=[{"name": "x", "categories": None},
+                             {"name": "x", "categories": ["a, b", "plain", "z"]}]),
 ], ids=["not-json", "list", "empty", "columns-str", "categories-str", "unsorted",
         "name-int", "flag-str", "short-mean", "nan-mean", "zero-scale", "scale-str",
-        "deep-nesting", "width-mismatch"])
+        "deep-nesting", "width-mismatch", "label-column-int", "positive-sensitive-null",
+        "feature-named-like-label", "feature-named-like-sensitive", "duplicate-feature"])
 def test_sweep_bad_transform_is_checkpoint_error(value, categorical_checkpoint, tmp_path,
                                                  capsys):
     model = load_checkpoint(categorical_checkpoint)
@@ -448,6 +525,16 @@ def test_config_file_unknown_key_rejected(tmp_path, capsys):
     code = run(["synth", "--config", str(cfg), "--out", str(tmp_path / "d.csv")])
     assert code == 2
     assert "frobs" in capsys.readouterr().err
+
+
+def test_sweep_config_schema_key_is_unknown(tmp_path, capsys):
+    # sweep reads its CSV by the checkpoint's schema, so it takes no schema key
+    cfg = tmp_path / "sweep.conf"
+    cfg.write_text("label-column=income\n")
+    code = run(["sweep", "--config", str(cfg), "--checkpoint", "m.ckpt", "--test", "t.csv",
+                "--out", str(tmp_path / "r.csv")])
+    assert code == 2
+    assert "unknown config key 'label-column' for command 'sweep'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("raw, expected", [

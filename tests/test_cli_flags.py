@@ -49,10 +49,15 @@ def test_grid_and_split_parameters_map_to_their_flags():
 
 
 def test_every_schema_field_is_a_flag_dest():
-    # sweep takes include_sensitive from the checkpoint's feature transform
-    skip = {"sweep": {"include_sensitive"}}
+    # sweep reads its CSV by the schema the checkpoint recorded, so it has none
+    schema = {f.name for f in fields(CsvSchema)}
     dests = {command: {a.dest for a in COMMANDS[command].flags.values()}
              for command in ("train", "sweep", "compare")}
-    missing = [(command, f.name) for command in dests for f in fields(CsvSchema)
-               if f.name not in dests[command] and f.name not in skip.get(command, ())]
-    assert missing == []
+    assert schema - dests["train"] == schema - dests["compare"] == set()
+    assert schema & dests["sweep"] == set()
+
+
+def test_schema_flag_defaults_are_the_default_schema():
+    for command in ("train", "compare"):
+        args = cli.parse_args([command, "--data", "d.csv", "--out", "o"])
+        assert cli._from_args(CsvSchema, args) == CsvSchema()

@@ -26,7 +26,7 @@ from fairline.errors import (
     ValidationError,
 )
 
-SCHEMA = CsvSchema(label_column="label", sensitive_column="group")
+SCHEMA = CsvSchema()
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -138,16 +138,25 @@ def test_write_csv_reads_back_the_same_raw_matrix(data, n, n_numeric, n_categori
     number = st.floats(-1e6, 1e6, allow_nan=False)
     cells = [[data.draw(number if name[0] == "n" else _CATEGORY) for name in columns]
              for _ in range(n)]
+    # any schema: names that need quoting, positive values that do or are
+    # "0"; "n" is the source file's negative cell, which no positive value is
+    positive = _CATEGORY | st.sampled_from(["0", "1"])
+    schema = CsvSchema(data.draw(st.sampled_from(["label", "y, true", 'a "b"'])),
+                       data.draw(st.sampled_from(["group", "sex"])),
+                       data.draw(positive), data.draw(positive), data.draw(st.booleans()))
     with tempfile.TemporaryDirectory() as tmp:
         source, written = Path(tmp) / "source.csv", Path(tmp) / "written.csv"
         with open(source, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow([*columns, "label", "group"])
-            writer.writerows([*row, i % 3 == 0, i % 2] for i, row in enumerate(cells))
-        ds = load_csv(source, CsvSchema("label", "group", positive_label_value="True"))
+            writer.writerow([*columns, schema.label_column, schema.sensitive_column])
+            writer.writerows([*row, schema.positive_label_value if i % 3 == 0 else "n",
+                              schema.positive_sensitive_value if i % 2 else "n"]
+                             for i, row in enumerate(cells))
+        ds = load_csv(source, schema)
         write_csv(ds, written)
-        for transform in (ds.transform, None):
-            back = load_csv(written, SCHEMA, transform)
+        # read back by the transform, and refitted under its schema
+        for encoding in (ds.transform, ds.transform.schema):
+            back = load_csv(written, encoding)
             assert back.raw.tobytes() == ds.raw.tobytes()
             assert back.feature_names == ds.feature_names
             assert np.array_equal(back.labels, ds.labels)
@@ -155,12 +164,20 @@ def test_write_csv_reads_back_the_same_raw_matrix(data, n, n_numeric, n_categori
             assert back.transform.to_meta() == ds.transform.to_meta()
 
 
+def test_write_csv_writes_the_schema(tmp_path):
+    schema = CsvSchema("y", "s, t", positive_label_value="0", positive_sensitive_value="F")
+    ds = load_csv(write(tmp_path, 'x,y,"s, t"\n1,0,F\n2,no,M\n'), schema)
+    write_csv(ds, tmp_path / "out.csv")
+    # a 0 is written as "0", or as "1" when the positive value is "0"
+    assert (tmp_path / "out.csv").read_text() == 'x,y,"s, t"\n1.0,0,F\n2.0,1,0\n'
+
+
 def test_transform_meta_round_trips_exactly(tmp_path):
-    text = "x,c,label,group\n0.1,b,1,0\n0.7,a,0,1\n1e-300,b,1,1\n"
-    ds = load_csv(write(tmp_path, text), CsvSchema("label", "group", include_sensitive=True))
+    text = "x,c,y,s\n0.1,b,yes,M\n0.7,a,no,F\n1e-300,b,yes,F\n"
+    schema = CsvSchema("y", "s", "yes", "F", include_sensitive=True)
+    ds = load_csv(write(tmp_path, text), schema)
     back = FeatureTransform.from_meta(ds.transform.to_meta(), ds.dim)
-    assert (back.columns, back.vocab, back.include_sensitive) == (
-        ("x", "c"), (None, ("a", "b")), True)
+    assert (back.columns, back.vocab, back.schema) == (("x", "c"), (None, ("a", "b")), schema)
     assert back.mean.tobytes() == ds.transform.mean.tobytes()
     assert back.scale.tobytes() == ds.transform.scale.tobytes()
     assert FeatureTransform.from_meta({}, ds.dim) is None
@@ -169,8 +186,9 @@ def test_transform_meta_round_trips_exactly(tmp_path):
 _JSON = st.recursive(
     st.none() | st.booleans() | st.floats() | st.integers() | st.text(max_size=3),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
-        st.sampled_from(["columns", "name", "categories", "include_sensitive", "mean",
-                         "scale"]), inner, max_size=6),
+        st.sampled_from(["columns", "name", "categories", "label_column", "sensitive_column",
+                         "positive_label_value", "positive_sensitive_value",
+                         "include_sensitive", "mean", "scale"]), inner, max_size=8),
     max_leaves=20)
 
 
