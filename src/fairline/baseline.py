@@ -5,12 +5,14 @@ subspace trainer's own epoch/batch loop with a single endpoint: no mixing
 ratio, no diversity regularizer, one Adam state. fairness_weight = 0 is plain
 empirical risk minimization. sweep_fixed trains one independently
 initialized model per grid value, which is the multi-model competitor the
-single subspace run replaces.
+single subspace run replaces; with jobs > 1 it trains them in forked worker
+processes, with bit-identical results in grid order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from numbers import Integral
 
 import numpy as np
 
@@ -19,6 +21,7 @@ from .data import Dataset
 from .errors import CheckpointError, ParameterError, ShapeError
 from .model import MlpArchitecture, Workspace, forward
 from .subspace import TrainConfig, _task_gradient, _train_loop
+from .tensor import limit_blas_threads
 
 # Grid of penalty strengths 0.05 .. 1.00 in steps of 0.05, plus 0 for the
 # empirical-risk-minimization anchor.
@@ -35,6 +38,13 @@ def check_fairness_grid(grid, param: str = "fairness_grid") -> list[float]:
         if not (np.isfinite(a) and a >= 0):
             raise ParameterError(f"value {a} must be >= 0 and finite", param=param)
     return grid
+
+
+def check_jobs(jobs) -> int:
+    """The worker-count rule: an integer >= 1."""
+    if not (isinstance(jobs, Integral) and jobs >= 1):
+        raise ParameterError(f"must be an integer >= 1, got {jobs!r}", param="jobs")
+    return int(jobs)
 
 
 @dataclass
@@ -94,17 +104,46 @@ def train_fixed(train: Dataset, config: TrainConfig, fairness_weight: float,
 
 def sweep_fixed(train: Dataset, config: TrainConfig,
                 grid=DEFAULT_FAIRNESS_GRID,
-                arch: MlpArchitecture | None = None) -> list[FixedModel]:
+                arch: MlpArchitecture | None = None, jobs: int = 1) -> list[FixedModel]:
     """One independently trained model per grid value, seeded base + index.
 
-    Results are ordered by grid index.
+    Results are ordered by grid index. jobs = 1 trains them one after
+    another in this process. jobs > 1 trains them in min(jobs, len(grid))
+    forked worker processes, which inherit train and arch instead of
+    receiving them pickled and run their BLAS on one thread each; each task
+    sends its seeded config and grid value, and each model comes back
+    bit-identical to the in-process run. An error in a worker is raised
+    here, the first in grid order.
     """
     grid = check_fairness_grid(grid)
-    models = []
-    for i, a in enumerate(grid):
-        cfg = replace(config, seed=config.seed + i)
-        models.append(train_fixed(train, cfg, a, arch=arch))
-    return models
+    workers = min(check_jobs(jobs), len(grid))
+    tasks = [(replace(config, seed=config.seed + i), a) for i, a in enumerate(grid)]
+    if workers == 1:
+        return [train_fixed(train, cfg, a, arch=arch) for cfg, a in tasks]
+    # Imported here: the pool machinery adds about 2 MB to every process that
+    # imports fairline, and only a pooled sweep needs it.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_inherit, initargs=(train, arch)) as pool:
+        return list(pool.map(_train_task, tasks))
+
+
+# The training set and architecture of a sweep_fixed worker process.
+_worker_data: tuple[Dataset, MlpArchitecture | None] | None = None
+
+
+def _inherit(train: Dataset, arch: MlpArchitecture | None) -> None:
+    global _worker_data
+    _worker_data = (train, arch)
+    limit_blas_threads(1)
+
+
+def _train_task(task: tuple[TrainConfig, float]) -> FixedModel:
+    train, arch = _worker_data
+    config, fairness_weight = task
+    return train_fixed(train, config, fairness_weight, arch=arch)
 
 
 def predict_fixed(model: FixedModel, x: np.ndarray) -> np.ndarray:

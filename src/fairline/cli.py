@@ -14,7 +14,9 @@ default seed. train and compare read their CSV by the schema flags; sweep
 has none, and reads its CSV by the feature transform the checkpoint recorded
 at training, schema included, so a train --test-out file and the raw
 training file both sweep as trained. compare is a thin caller of
-evaluation.compare_to_grid on the split it makes itself.
+evaluation.compare_to_grid on the split it makes itself; it trains the
+fixed-penalty grid in --jobs worker processes, by default one per usable
+core.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import os
 import sys
 from dataclasses import fields
 
-from .baseline import DEFAULT_FAIRNESS_GRID, check_fairness_grid
+from .baseline import DEFAULT_FAIRNESS_GRID, check_fairness_grid, check_jobs
 from .data import (
     CsvSchema, FeatureTransform, check_test_fraction, load_csv, split, synth_biased, write_csv)
 from .errors import FairlineError, NumericError, ParameterError
@@ -42,7 +44,9 @@ NUMERIC_ERROR = 4
 
 # Library parameter names whose flag is not "--" + the name with "-" for "_".
 _PARAM_FLAGS = {"base_rate_gap": "--gap", "fairness_metric": "--metric",
-                "alpha_grid": "--grid", "fairness_grid": "--fairness-grid"}
+                "alpha_grid": "--grid", "fairness_grid": "--fairness-grid",
+                "positive_label_value": "--positive-label",
+                "positive_sensitive_value": "--positive-sensitive"}
 
 
 def _flag_for(param: str) -> str:
@@ -55,6 +59,13 @@ def _default_seed() -> int:
         return int(raw) if raw else 0
     except ValueError:
         raise ParameterError(f"YODO_SEED must be an integer, got {raw!r}") from None
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -169,6 +180,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Parser]]:
     p.add_argument("--fairness-grid", type=floats, default=None,
                    help="comma-separated penalty strengths "
                         "(default: 0,0.05,...,1)")
+    p.add_argument("--jobs", type=int, default=_usable_cores(),
+                   help="worker processes that train the fixed-penalty grid, "
+                        "capped at the grid size; the default is the number of "
+                        "usable cores")
     _add_train_flags(p)
     _add_schema_flags(p)
     for p in sub.choices.values():
@@ -265,6 +280,7 @@ def cmd_compare(args) -> int:
     alpha_grid = check_alpha_grid(DEFAULT_ALPHA_GRID if args.grid is None else args.grid)
     fairness_grid = check_fairness_grid(
         DEFAULT_FAIRNESS_GRID if args.fairness_grid is None else args.fairness_grid)
+    check_jobs(args.jobs)
     config = _from_args(TrainConfig, args)
     check_test_fraction(args.test_fraction)
     train_ds, test_ds = split(load_csv(args.data, _from_args(CsvSchema, args)),
@@ -274,7 +290,7 @@ def cmd_compare(args) -> int:
         model = load_checkpoint(args.checkpoint)
         logger.info("loaded subspace checkpoint %s", args.checkpoint)
     line_records, fixed_records, gap, ratio = compare_to_grid(
-        train_ds, test_ds, config, alpha_grid, fairness_grid, model=model)
+        train_ds, test_ds, config, alpha_grid, fairness_grid, model=model, jobs=args.jobs)
     write_report(line_records + fixed_records, args.out)
     logger.info("report written to %s", args.out)
     print("frontier_gap=" if gap is None else f"frontier_gap={gap:.9g}")

@@ -52,13 +52,22 @@ _GROUP_SHIFT = 2.5
 class CsvSchema:
     """Which columns carry the label / sensitive attribute, which raw values
     map to 1, and whether the group is a feature too. CsvSchema() is the
-    default schema: columns label and group, 1 for 1."""
+    default schema: columns label and group, 1 for 1. load_csv strips every
+    cell, so a positive value that is empty or has surrounding whitespace,
+    which no cell could match, raises ParameterError."""
 
     label_column: str = "label"
     sensitive_column: str = "group"
     positive_label_value: str = "1"
     positive_sensitive_value: str = "1"
     include_sensitive: bool = False
+
+    def __post_init__(self):
+        for name in ("positive_label_value", "positive_sensitive_value"):
+            value = getattr(self, name)
+            if not value or value != value.strip():
+                raise ParameterError(f"must be non-empty without surrounding whitespace, "
+                                     f"got {value!r}", param=name)
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,11 +233,11 @@ class FeatureTransform:
                           for cats in vocab)
                   and all(isinstance(schema[f.name], type(f.default))
                           for f in fields(CsvSchema)))
-        except (ValueError, TypeError, KeyError, RecursionError) as exc:
+            schema = CsvSchema(**schema) if ok else None
+        except (ValueError, TypeError, KeyError, RecursionError, ParameterError) as exc:
             raise CheckpointError(f"malformed feature transform: {exc}") from None
         if not ok:
             raise CheckpointError("malformed feature transform: bad column list or schema")
-        schema = CsvSchema(**schema)
         if (len(set(columns)) != len(columns)
                 or {schema.label_column, schema.sensitive_column} & set(columns)):
             raise CheckpointError("malformed feature transform: a feature column is named "

@@ -7,14 +7,16 @@ vector (no batching). Hard metrics threshold at HARD_THRESHOLD, inclusive.
 
 from __future__ import annotations
 
+import json
 import logging
 from dataclasses import dataclass, fields, replace
 from typing import get_args, get_type_hints
 
 import numpy as np
 
-from .baseline import DEFAULT_FAIRNESS_GRID, check_fairness_grid, predict_fixed, sweep_fixed
-from .data import Dataset
+from .baseline import (
+    DEFAULT_FAIRNESS_GRID, check_fairness_grid, check_jobs, predict_fixed, sweep_fixed)
+from .data import Dataset, FeatureTransform
 from .errors import CheckpointError, FrontierRangeError, ParameterError
 from .losses import demographic_parity_gap, equal_opportunity_gap, equalized_odds_gap
 from .subspace import SubspaceModel, TrainConfig, predict, train_subspace
@@ -156,16 +158,34 @@ def frontier_gap(f1: list[MetricsRecord], f2: list[MetricsRecord],
     return total / (hi - lo)
 
 
+def _check_transform(model: SubspaceModel, transform: FeatureTransform) -> None:
+    """CheckpointError unless model records transform (compared key by key in
+    its checkpoint form); a model that records none only warns."""
+    recorded = FeatureTransform.from_meta(model.train_meta, model.arch.input_dim)
+    if recorded is None:
+        logger.warning("the model holds no feature transform; serving it on the "
+                       "split's own encoding")
+        return
+    want, got = (json.loads(t.to_meta()[FeatureTransform.META_KEY])
+                 for t in (recorded, transform))
+    for key in want:
+        if want[key] != got.get(key):
+            raise CheckpointError(f"the model's feature transform differs from the "
+                                  f"training split's in '{key}'")
+
+
 def compare_to_grid(train: Dataset, test: Dataset, config: TrainConfig,
                     alpha_grid=DEFAULT_ALPHA_GRID,
                     fairness_grid=DEFAULT_FAIRNESS_GRID,
-                    model: SubspaceModel | None = None):
+                    model: SubspaceModel | None = None, jobs: int = 1):
     """One line against a grid of fixed-penalty models on the same split.
 
     Trains the line on train unless model is given, sweeps it over
     alpha_grid, trains one fixed model per fairness_grid value (sweep_fixed
-    seeding), and evaluates everything on test. Returns
-    (line_records, fixed_records, gap, ratio):
+    with its seeding and jobs), and evaluates everything on test. A
+    given model must record train's feature transform, else CheckpointError
+    names the first key that differs; one that records none is used with a
+    warning. Returns (line_records, fixed_records, gap, ratio):
 
     - fixed_records carry A (fairness_weight) and each model's seed;
     - gap is the frontier gap over all points in the report field of
@@ -173,15 +193,19 @@ def compare_to_grid(train: Dataset, test: Dataset, config: TrainConfig,
       not overlap;
     - ratio is the line's wall time over the mean fixed-run wall time, or
       None when the model carries no wall time (loaded from a checkpoint).
+      Under jobs > 1 the fixed runs time themselves while sharing cores.
     """
     alpha_grid = check_alpha_grid(alpha_grid)
     fairness_grid = check_fairness_grid(fairness_grid)
+    check_jobs(jobs)
     if model is None:
         model = train_subspace(train, config)
         logger.info("subspace training: %.3fs", model.wall_time_s)
+    else:
+        _check_transform(model, train.transform)
     line_records = alpha_sweep(model, test, alpha_grid)
 
-    fixed_models = sweep_fixed(train, config, fairness_grid)
+    fixed_models = sweep_fixed(train, config, fairness_grid, jobs=jobs)
     fixed_records = []
     for fm in fixed_models:
         pred = predict_fixed(fm, test.features)

@@ -88,22 +88,40 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     step: int = 0
+    # Two scratch vectors, so that a step allocates only its result.
+    _scratch: np.ndarray = field(init=False, repr=False, compare=False)
 
     BETA1 = 0.9
     BETA2 = 0.999
     EPS = 1e-8
+
+    def __post_init__(self):
+        self._scratch = np.empty((2, self.m.size))
 
     @classmethod
     def zeros(cls, size: int) -> "AdamState":
         return cls(np.zeros(size), np.zeros(size))
 
     def apply(self, w: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
+        """One Adam step: the updated weights, as a new vector. The moments
+        update in place and every intermediate goes to a scratch vector, in
+        the order of the textbook form m = b1 * m + (1 - b1) * g;
+        v = b2 * v + (1 - b2) * g * g; w - lr * m_hat / (sqrt(v_hat) + eps),
+        so the result is bit-identical to it. Updating w in place too read
+        slower end to end, so the result keeps its own vector."""
         self.step += 1
-        self.m = self.BETA1 * self.m + (1.0 - self.BETA1) * grad
-        self.v = self.BETA2 * self.v + (1.0 - self.BETA2) * grad * grad
-        m_hat = self.m / (1.0 - self.BETA1 ** self.step)
-        v_hat = self.v / (1.0 - self.BETA2 ** self.step)
-        return w - lr * m_hat / (np.sqrt(v_hat) + self.EPS)
+        term, denom = self._scratch
+        self.m *= self.BETA1
+        self.m += np.multiply(1.0 - self.BETA1, grad, out=term)
+        self.v *= self.BETA2
+        np.multiply(1.0 - self.BETA2, grad, out=term)
+        self.v += np.multiply(term, grad, out=term)
+        np.divide(self.v, 1.0 - self.BETA2 ** self.step, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += self.EPS
+        np.divide(self.m, 1.0 - self.BETA1 ** self.step, out=term)
+        np.multiply(lr, term, out=term)
+        return np.subtract(w, np.divide(term, denom, out=term))
 
 
 @dataclass

@@ -1,13 +1,15 @@
 """Dense float64 array primitives of the model: a shape-checked matmul and
 the sigmoid and ReLU activations with their derivatives. matmul and relu
 take an optional out= buffer so the training step can reuse its activation
-memory.
+memory. limit_blas_threads caps the threads matmul's BLAS may use.
 
 Conventions: a Matrix is a 2-D float64 ndarray in batch-rows layout (each
 row one sample).
 """
 
 from __future__ import annotations
+
+import ctypes
 
 import numpy as np
 
@@ -23,6 +25,39 @@ def matmul(a: Matrix, b: Matrix, out: Matrix | None = None) -> Matrix:
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dimensions differ, {a.shape} x {b.shape}")
     return np.matmul(a, b, out=out)
+
+
+# The thread-count setters of OpenBLAS builds: numpy's bundled one, others.
+_BLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                     "openblas_set_num_threads64_", "openblas_set_num_threads")
+
+
+def limit_blas_threads(n: int) -> bool:
+    """Let every OpenBLAS loaded in this process use at most n threads, as a
+    worker process that shares the cores with others should: its BLAS
+    threads would otherwise spin against the other workers'. Returns False,
+    and changes nothing, where no OpenBLAS setter is found (another BLAS, or
+    no /proc/self/maps)."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            # fields: address, perms, offset, dev, inode, then the path
+            paths = {fields[5].strip() for fields in (line.split(maxsplit=5) for line in fh)
+                     if len(fields) == 6 and "openblas" in fields[5]}
+    except OSError:
+        return False
+    done = False
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:  # e.g. a library file deleted since it was loaded
+            continue
+        setter = next((getattr(lib, name) for name in _BLAS_SET_THREADS
+                       if hasattr(lib, name)), None)
+        if setter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setter(n)
+            done = True
+    return done
 
 
 # Smallest positive double and the largest double below 1: sigmoid output is

@@ -194,7 +194,7 @@ def tradeoff_runs():
         model = fl.train_subspace(train, cfg)
         records = fl.alpha_sweep(model, test, ALPHA_GRID)
         t_subspace_total += time.perf_counter() - t0
-        fixed_models = fl.sweep_fixed(train, cfg, FIXED_GRID)
+        fixed_models = fl.sweep_fixed(train, cfg, FIXED_GRID, jobs=2)
         fixed_records = []
         for fm in fixed_models:
             pred = fl.predict_fixed(fm, test.features)

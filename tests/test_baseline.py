@@ -14,7 +14,7 @@ from fairline.baseline import (
     train_fixed,
 )
 from fairline.data import split, synth_biased
-from fairline.errors import CheckpointError, ParameterError
+from fairline.errors import CheckpointError, NumericError, ParameterError
 from fairline.evaluation import evaluate_predictions
 from fairline.model import MlpArchitecture
 from fairline.subspace import TrainConfig, save_checkpoint, train_subspace
@@ -103,6 +103,39 @@ def test_sweep_rejects_empty_grid():
     train, _ = quick_data(n=400)
     with pytest.raises(ParameterError):
         sweep_fixed(train, TrainConfig(epochs=1, seed=0), [], arch=ARCH)
+
+
+def test_sweep_in_worker_processes_matches_in_process():
+    train, _ = quick_data(n=400)
+    cfg = TrainConfig(epochs=2, batch_size=64, seed=7)
+    grid = [0.0, 0.25, 0.5, 1.0]
+    local = sweep_fixed(train, cfg, grid, arch=ARCH)
+    pooled = sweep_fixed(train, cfg, grid, arch=ARCH, jobs=2)
+    assert [m.fairness_weight for m in pooled] == grid
+    for a, b in zip(local, pooled):
+        assert a.weights.tobytes() == b.weights.tobytes()
+        assert a.train_meta == b.train_meta
+        assert a.fairness_weight == b.fairness_weight
+        assert b.wall_time_s > 0
+    # more workers than grid values: one worker per value
+    wide = sweep_fixed(train, cfg, grid[:3], arch=ARCH, jobs=8)
+    assert [m.weights.tobytes() for m in wide] == [m.weights.tobytes() for m in local[:3]]
+
+
+@pytest.mark.parametrize("jobs", [0, 1.5, -1, "2"])
+def test_jobs_rule_runs_before_any_training(jobs):
+    # no dataset: a check that ran after training started would fail otherwise
+    with pytest.raises(ParameterError) as exc:
+        sweep_fixed(None, TrainConfig(epochs=1, seed=0), [0.0, 1.0], arch=ARCH, jobs=jobs)
+    assert exc.value.param == "jobs"
+
+
+def test_worker_divergence_raises_numeric_error():
+    # the same error type as the in-process run, raised in the caller
+    train, _ = quick_data(n=400)
+    cfg = TrainConfig(epochs=3, batch_size=16, seed=0, learning_rate=1e308)
+    with pytest.raises(NumericError):
+        sweep_fixed(train, cfg, [0.0, 1.0], arch=ARCH, jobs=2)
 
 
 def test_sweep_total_time_tracks_per_run_time():

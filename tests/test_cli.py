@@ -1,6 +1,7 @@
 import csv
 import json
 import logging
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -125,7 +126,9 @@ def test_train_fixed_alpha_names_flag_before_loading(tmp_path, capsys):
     (["compare", "--grid", "nan"], "--grid"),
     (["compare", "--grid", ","], "--grid"),
     (["sweep", "--grid", "2"], "--grid"),
-], ids=["fairness-inf", "fairness-nan", "alpha-nan", "alpha-empty", "sweep-alpha-2"])
+    (["compare", "--jobs", "0"], "--jobs"),
+], ids=["fairness-inf", "fairness-nan", "alpha-nan", "alpha-empty", "sweep-alpha-2",
+        "jobs-zero"])
 def test_grid_values_checked_before_any_file_is_read(argv, flag, tmp_path, capsys):
     # every input file is missing: a check that ran after a load would exit 3
     missing = str(tmp_path / "missing")
@@ -145,6 +148,20 @@ def test_training_flags_checked_before_loading(command, tmp_path, capsys):
                 "--epochs", "0"])
     assert code == 2
     assert "epochs" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "compare"])
+@pytest.mark.parametrize("flag", ["--positive-label", "--positive-sensitive"])
+def test_padded_positive_value_is_usage_error(flag, command, tmp_path, capsys):
+    # load_csv strips every cell, so ' yes' would match none; the data file
+    # does not exist, so a check that ran after load_csv would exit 3
+    out = tmp_path / "out"
+    code = run([command, "--data", str(tmp_path / "missing.csv"), "--out", str(out),
+                f"{flag}= yes"])
+    assert code == 2
+    assert f"error: {flag} must be non-empty without surrounding whitespace" in \
+        capsys.readouterr().err
     assert not out.exists()
 
 
@@ -414,6 +431,7 @@ def _transform_json(**changes):
     _transform_json(include_sensitive=True, mean=[0.5] + [0.0] * 4, scale=[1.0] * 5),
     _transform_json(label_column=1),
     _transform_json(positive_sensitive_value=None),
+    _transform_json(positive_label_value=" 1"),
     _transform_json(label_column="x"),
     _transform_json(sensitive_column="c"),
     _transform_json(columns=[{"name": "x", "categories": None},
@@ -421,7 +439,8 @@ def _transform_json(**changes):
 ], ids=["not-json", "list", "empty", "columns-str", "categories-str", "unsorted",
         "name-int", "flag-str", "short-mean", "nan-mean", "zero-scale", "scale-str",
         "deep-nesting", "width-mismatch", "label-column-int", "positive-sensitive-null",
-        "feature-named-like-label", "feature-named-like-sensitive", "duplicate-feature"])
+        "positive-label-padded", "feature-named-like-label", "feature-named-like-sensitive",
+        "duplicate-feature"])
 def test_sweep_bad_transform_is_checkpoint_error(value, categorical_checkpoint, tmp_path,
                                                  capsys):
     model = load_checkpoint(categorical_checkpoint)
@@ -478,13 +497,77 @@ def test_compare_report_file_deterministic(synth_csv, tmp_path):
     assert o1.read_bytes() == o2.read_bytes()
 
 
-def test_compare_can_reuse_checkpoint(synth_csv, checkpoint, tmp_path, capsys):
+@pytest.fixture()
+def compare_checkpoint(synth_csv, tmp_path):
+    # trained on compare_args's split: same file, schema, fraction and seed
+    out = tmp_path / "line.ckpt"
+    assert run(["train", "--data", str(synth_csv), "--out", str(out), "--epochs", "2",
+                "--batch-size", "64", "--seed", "5", "--test-fraction", "0.25"]) == 0
+    return out
+
+
+def test_compare_can_reuse_checkpoint(synth_csv, compare_checkpoint, tmp_path, capsys):
     out = tmp_path / "cmp.csv"
     assert run(compare_args(synth_csv, out,
-                            ["--checkpoint", str(checkpoint),
+                            ["--checkpoint", str(compare_checkpoint),
                              "--grid", "0,1", "--fairness-grid", "1.0"])) == 0
     stdout = capsys.readouterr().out
     assert "wall_time_ratio=\n" in stdout  # no subspace training time to compare
+
+
+@pytest.mark.parametrize("case", ["sensitive-in-checkpoint", "sensitive-in-compare",
+                                  "other-rows"])
+def test_compare_checkpoint_with_other_transform_is_checkpoint_error(
+        case, synth_csv, checkpoint, tmp_path, capsys):
+    ckpt, extra, key = checkpoint, [], "mean"  # trained on every row, seed 3
+    if case != "other-rows":
+        ckpt, key = tmp_path / "line.ckpt", "include_sensitive"
+        flags = ["--test-fraction", "0.25", "--seed", "5"]
+        if case == "sensitive-in-checkpoint":
+            flags.append("--include-sensitive")
+        else:
+            extra = ["--include-sensitive"]
+        assert run(train_args(synth_csv, ckpt, flags)) == 0
+    out = tmp_path / "cmp.csv"
+    capsys.readouterr()
+    code = run(compare_args(synth_csv, out, ["--checkpoint", str(ckpt), "--grid", "0,1",
+                                             "--fairness-grid", "1.0", *extra]))
+    err = capsys.readouterr().err
+    assert code == 3
+    assert f"feature transform differs from the training split's in '{key}'" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_compare_checkpoint_without_transform_warns(synth_csv, compare_checkpoint, tmp_path,
+                                                    caplog):
+    model = load_checkpoint(compare_checkpoint)
+    del model.train_meta[FeatureTransform.META_KEY]
+    save_checkpoint(model, compare_checkpoint)
+    caplog.clear()
+    with caplog.at_level(logging.WARNING):
+        assert run(compare_args(synth_csv, tmp_path / "cmp.csv",
+                                ["--checkpoint", str(compare_checkpoint), "--grid", "0,1",
+                                 "--fairness-grid", "1.0"])) == 0
+    warnings = [r for r in caplog.records if r.levelno >= logging.WARNING]
+    assert len(warnings) == 1 and "no feature transform" in warnings[0].getMessage()
+
+
+def test_compare_jobs_keep_report_bytes(synth_csv, tmp_path, capsys):
+    args = ["--grid", "0,0.5,1", "--fairness-grid", "0,0.5,1"]
+    reports, gaps = [], []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"cmp{jobs}.csv"
+        assert run(compare_args(synth_csv, out, [*args, "--jobs", jobs])) == 0
+        reports.append(out.read_bytes())
+        gaps.append([ln for ln in capsys.readouterr().out.splitlines()
+                     if ln.startswith("frontier_gap=")])
+    assert reports[0] == reports[1] and gaps[0] == gaps[1]
+
+
+def test_compare_jobs_default_is_usable_cores():
+    args = parse_args(["compare", "--data", "d.csv", "--out", "o"])
+    assert args.jobs == len(os.sched_getaffinity(0))
 
 
 # ------------------------------------------------------------- misc
@@ -573,8 +656,10 @@ def test_config_file_key_parses_like_its_flag(command, key, tmp_path, monkeypatc
     if action.nargs == 0:
         raw, tokens = "true", [f"--{key}"]
     else:
+        # compare --jobs defaults to the core count, so 7 may be its default
         raw = (action.choices[-1] if action.choices
-               else {int: "7", float: "0.3", cli.floats: "0,0.5"}.get(action.type, "v.csv"))
+               else {int: "7" if action.default != 7 else "8", float: "0.3",
+                     cli.floats: "0,0.5"}.get(action.type, "v.csv"))
         tokens = [f"--{key}", raw]
     # the other required flags go on the command line in both runs
     base = [tok for other, a in parser.flags.items() if a.required and other != key

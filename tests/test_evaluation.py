@@ -132,8 +132,9 @@ def test_alpha_grid_rule(grid):
 
 
 @pytest.mark.parametrize("grids", [dict(alpha_grid=[float("nan")]),
-                                   dict(fairness_grid=[0.0, float("inf")])],
-                         ids=["alpha-nan", "fairness-inf"])
+                                   dict(fairness_grid=[0.0, float("inf")]),
+                                   dict(jobs=0)],
+                         ids=["alpha-nan", "fairness-inf", "jobs-zero"])
 def test_compare_to_grid_checks_grids_before_training(grids):
     # no datasets: training the line first would fail with another error
     with pytest.raises(ParameterError):

@@ -1,4 +1,6 @@
 import math
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 
 import mpmath
 import numpy as np
@@ -138,3 +140,18 @@ def test_sigmoid_bit_identical_to_two_branch_form():
     for t in (edges, sample, sample.reshape(400, 250), np.array(-3.5)):
         assert tensor.sigmoid(t).tobytes() == _two_branch_sigmoid(t).tobytes()
     assert np.isnan(tensor.sigmoid(np.array([np.nan, -np.nan]))).all()
+
+
+def _matmul_on_one_blas_thread(a, b):
+    return tensor.limit_blas_threads(1), tensor.matmul(a, b).tobytes()
+
+
+def test_limit_blas_threads_keeps_matmul_bits():
+    # in a forked child, so this process keeps its BLAS threads; the fixed
+    # grid's workers rely on one thread giving the same bits as several
+    rng = np.random.default_rng(0)
+    a, b = rng.standard_normal((2000, 64)), rng.standard_normal((64, 64))
+    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
+        limited, got = pool.submit(_matmul_on_one_blas_thread, a, b).result(timeout=60)
+    assert isinstance(limited, bool)
+    assert got == tensor.matmul(a, b).tobytes()
