@@ -42,7 +42,7 @@ def _skewed_dataset(n=40, n_group1=2) -> fl.Dataset:
     labels = (rng.random(n) < 0.5).astype(np.float64)
     sensitive = np.zeros(n)
     sensitive[:n_group1] = 1.0
-    return fl.Dataset(features, labels, sensitive, ["x1", "x2", "x3"])
+    return fl.Dataset(features, labels, sensitive, fl.FeatureTransform.numeric(["x1", "x2", "x3"]))
 
 
 def _library_checkpoints(tmp: Path):
@@ -117,14 +117,14 @@ def _cli_outputs(tmp: Path):
     data = tmp / "data.csv"
     _run_cli(["synth", "--n", 8000, "--d", 6, "--seed", 0, "--out", data])
     yield "synth/n=8000", _sha(data)
-    ckpt, test, sweep = tmp / "line.ckpt", tmp / "test.csv", tmp / "sweep.csv"
-    _run_cli(["train", "--data", data, "--out", ckpt, "--epochs", 8, "--seed", 0,
+    line, test, sweep = tmp / "line.ckpt", tmp / "test.csv", tmp / "sweep.csv"
+    _run_cli(["train", "--data", data, "--out", line, "--epochs", 8, "--seed", 0,
               "--test-fraction", 0.25, "--test-out", test])
-    _run_cli(["sweep", "--checkpoint", ckpt, "--test", test, "--out", sweep])
-    yield "train/checkpoint", _sha(ckpt)
+    _run_cli(["sweep", "--checkpoint", line, "--test", test, "--out", sweep])
+    yield "train/checkpoint", _sha(line)
     yield "train/test-out", _sha(test)
     yield "sweep/report", _sha(sweep)
-    cat = tmp / "cat.csv"
+    ckpt, cat = tmp / "other.ckpt", tmp / "cat.csv"
     _categorical_csv(cat)
     _run_cli(["train", "--data", cat, "--out", ckpt, "--epochs", 4, "--seed", 0,
               "--test-fraction", 0.25, "--test-out", test])
@@ -142,13 +142,16 @@ def _cli_outputs(tmp: Path):
     yield "schema/train/checkpoint", _sha(ckpt)
     yield "schema/train/test-out", _sha(test)
     yield "schema/sweep/report", _sha(sweep)
-    for m in ("dp", "eo"):
-        report = tmp / f"compare_{m}.csv"
+    # the line trained above, served on compare's split: the same one as
+    # train's, since both take --test-fraction 0.25 and --seed 0
+    for name, extra in (("compare/dp", []), ("compare/eo", ["--metric", "eo"]),
+                        ("compare/checkpoint", ["--checkpoint", line])):
+        report = tmp / "compare.csv"
         stdout = _run_cli(["compare", "--data", data, "--out", report,
-                           "--epochs", 8, "--seed", 0, "--metric", m])
+                           "--epochs", 8, "--seed", 0, *extra])
         gap = next(ln for ln in stdout.splitlines() if ln.startswith("frontier_gap="))
-        yield f"compare/{m}/report", _sha(report)
-        yield f"compare/{m}", gap
+        yield f"{name}/report", _sha(report)
+        yield name, gap
 
 
 def main() -> int:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from .data import Dataset
-from .errors import CheckpointError, ParameterError, ShapeError
+from .errors import CheckpointError, FairlineError, ParameterError, ShapeError
 from .model import MlpArchitecture, Workspace, forward
 from .subspace import TrainConfig, _task_gradient, _train_loop
 from .tensor import limit_blas_threads
@@ -113,7 +113,7 @@ def sweep_fixed(train: Dataset, config: TrainConfig,
     receiving them pickled and run their BLAS on one thread each; each task
     sends its seeded config and grid value, and each model comes back
     bit-identical to the in-process run. An error in a worker is raised
-    here, the first in grid order.
+    here, the first in grid order; a worker that dies raises FairlineError.
     """
     grid = check_fairness_grid(grid)
     workers = min(check_jobs(jobs), len(grid))
@@ -124,10 +124,14 @@ def sweep_fixed(train: Dataset, config: TrainConfig,
     # imports fairline, and only a pooled sweep needs it.
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                             initializer=_inherit, initargs=(train, arch)) as pool:
-        return list(pool.map(_train_task, tasks))
+    try:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                 initializer=_inherit, initargs=(train, arch)) as pool:
+            return list(pool.map(_train_task, tasks))
+    except BrokenProcessPool:
+        raise FairlineError("a fixed-grid worker process died before returning its model") from None
 
 
 # The training set and architecture of a sweep_fixed worker process.

@@ -3,10 +3,12 @@
 Logs go to stderr; machine-readable outputs go to files or stdout. Exit
 codes: 0 success; 2 usage error (bad flags, config file, YODO_SEED or
 parameter values); 4 numeric failure during training; 3 for any other
-package error (data, checkpoint, shape, empty group, frontier range) and for
-OS errors. No package error escapes as a traceback. The library owns every
-parameter rule: each command passes its flag values to those checks before
-the data file is read, and main names the flag of a ParameterError's
+package error (data, such as a CSV that is not UTF-8; checkpoint, such as
+one without a feature transform; a dead fixed-grid worker; shape, empty
+group, frontier range) and for OS errors. Input files may start with a UTF-8
+byte-order mark. No package error escapes as a traceback. The library owns
+every parameter rule: each command passes its flag values to those checks
+before the data file is read, and main names the flag of a ParameterError's
 parameter. A config file (key=value lines, keys spelled like the long flags
 without dashes, booleans 1/true/yes or 0/false/no) is read as flags ahead of
 the command line's own, so explicit flags win. YODO_SEED supplies the
@@ -194,9 +196,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Parser]]:
 def _config_flags(path: str, command: str, flags: dict[str, argparse.Action]) -> list[str]:
     """The config file's key=value lines as command-line flags for command."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = [line.strip() for line in fh]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParameterError(f"cannot read config file: {exc}") from None
     tokens = []
     for line_no, line in enumerate(lines, start=1):
@@ -266,10 +268,7 @@ def cmd_sweep(args) -> int:
     grid = check_alpha_grid(DEFAULT_ALPHA_GRID if args.grid is None else args.grid)
     model = load_checkpoint(args.checkpoint)
     transform = FeatureTransform.from_meta(model.train_meta, model.arch.input_dim)
-    if transform is None:
-        logger.warning("%s holds no feature transform; fitting one on %s",
-                       args.checkpoint, args.test)
-    test = load_csv(args.test, CsvSchema() if transform is None else transform)
+    test = load_csv(args.test, transform)
     records = alpha_sweep(model, test, grid)
     write_report(records, args.out)
     logger.info("%d records written to %s", len(records), args.out)

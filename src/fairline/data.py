@@ -1,21 +1,23 @@
 """Dataset CSV reading and writing, the feature encoding, synthetic data,
 splitting, and batching.
 
-A Dataset holds its raw encoded feature matrix, the model-ready features
-derived from it, binary label and group (sensitive-attribute) vectors, and
-the FeatureTransform that maps raw to features. FeatureTransform is the one
-owner of how a CSV is read: its CsvSchema (the label and sensitive columns,
-the cell values that count as 1, whether the group is a feature too), which
-source columns are features, which are numeric and which one-hot (over a
-sorted vocabulary), and one mean and scale per encoded column. load_csv
-reads a CSV through a given transform, or through one fitted on the file
-under a given schema. split refits the statistics on the training rows' raw
-values and applies them to both parts, so the training partition has exact
-per-column mean 0 / stdev 1 (one-hot and group columns stay 0/1). Training
-records the transform in the checkpoint, and serving loads a CSV through it,
-so served rows get the training schema and encoding. write_csv writes the
-raw rows back in the transform's schema, one-hot blocks as their category,
-so its output reads back through the transform to the same raw matrix.
+A Dataset holds its raw encoded feature matrix, binary label and group
+(sensitive-attribute) vectors, and the FeatureTransform that maps raw to
+model inputs; it derives its features and feature names through that
+transform alone. FeatureTransform is the one owner of how a CSV is read:
+its CsvSchema (the label and sensitive columns, the cell values that count
+as 1, whether the group is a feature too), which source columns are
+features, which are numeric and which one-hot (over a sorted vocabulary),
+and one mean and scale per encoded column. load_csv reads a CSV through a
+given transform, or through one fitted on the file under a given schema.
+split refits the statistics on the training rows' raw values and applies
+them to both parts, so the training partition has exact per-column mean 0 /
+stdev 1 (one-hot and group columns stay 0/1). Training records the
+transform in the checkpoint, and serving loads a CSV through it, so served
+rows get the training schema and encoding; a checkpoint that records none
+is refused. write_csv writes the raw rows back in the transform's schema,
+one-hot blocks as their category, so its output reads back through the
+transform to the same raw matrix.
 """
 
 from __future__ import annotations
@@ -24,11 +26,13 @@ import csv
 import io
 import json
 from dataclasses import asdict, dataclass, fields, replace
+from functools import cached_property
 
 import numpy as np
 
 from .errors import (
     CheckpointError,
+    DataError,
     ParameterError,
     RowParseError,
     SchemaError,
@@ -210,15 +214,15 @@ class FeatureTransform:
             "mean": self.mean.tolist(), "scale": self.scale.tolist()})}
 
     @classmethod
-    def from_meta(cls, meta: dict[str, str], input_dim: int) -> "FeatureTransform | None":
-        """The transform in checkpoint metadata, or None when there is none.
-        A schema field the JSON lacks takes the default schema's value, which
-        is how a transform recorded before the schema was reads. A malformed
-        value, a feature column named twice or like the label or sensitive
-        column, or a width that is not input_dim raises CheckpointError."""
+    def from_meta(cls, meta: dict[str, str], input_dim: int) -> "FeatureTransform":
+        """The transform in checkpoint metadata. A schema field the JSON
+        lacks takes the default schema's value, which is how a transform
+        recorded before the schema was reads. A missing or malformed value, a
+        feature column named twice or like the label or sensitive column, or
+        a width that is not input_dim raises CheckpointError."""
         text = meta.get(cls.META_KEY)
         if text is None:
-            return None
+            raise CheckpointError(f"checkpoint records no feature transform ('{cls.META_KEY}' key)")
         try:
             obj = json.loads(text)
             columns = [c["name"] for c in obj["columns"]]
@@ -275,51 +279,46 @@ def _float_or_nan(cell: str) -> float:
         return np.nan
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    features: np.ndarray  # (n, d) float64, transform.apply(raw)
+    raw: np.ndarray  # (n, d) float64, the encoded matrix before standardization
     labels: np.ndarray  # (n,) float64, entries 0.0 or 1.0
     sensitive: np.ndarray  # (n,) float64, entries 0.0 or 1.0
-    feature_names: list[str]
-    # The encoding that maps raw, the (n, d) encoded matrix before
-    # standardization, to features. By default the features are their own
-    # raw matrix: numeric columns named by feature_names, identity statistics,
-    # the default schema.
-    transform: FeatureTransform = None  # type: ignore[assignment]
-    raw: np.ndarray = None  # type: ignore[assignment]
+    transform: FeatureTransform
 
     def __post_init__(self):
-        if self.features.ndim != 2:
-            raise ShapeError("features must be a 2-D matrix")
-        n = self.features.shape[0]
-        if self.labels.shape != (n,) or self.sensitive.shape != (n,):
-            raise ShapeError("labels/sensitive length must match feature rows")
-        if len(self.feature_names) != self.features.shape[1]:
-            raise ShapeError("feature_names length must match feature columns")
-        if self.raw is None:
-            self.raw = self.features
-        if self.transform is None:
-            self.transform = FeatureTransform.numeric(self.feature_names)
-        if self.raw.shape != self.features.shape or self.transform.width != self.dim:
-            raise ShapeError("raw matrix and transform width must match the features")
+        if self.raw.ndim != 2:
+            raise ShapeError("raw must be a 2-D matrix")
+        if self.labels.shape != (self.n,) or self.sensitive.shape != (self.n,):
+            raise ShapeError("labels/sensitive length must match raw rows")
+        if self.transform.width != self.dim:
+            raise ShapeError("transform width must match raw columns")
         for name, v in (("labels", self.labels), ("sensitive", self.sensitive)):
             if not np.all((v == 0.0) | (v == 1.0)):
                 raise ValidationError(f"{name} must contain only 0/1 values")
         if not (np.any(self.sensitive == 0.0) and np.any(self.sensitive == 1.0)):
             raise ValidationError("dataset must contain both sensitive groups")
 
+    @cached_property
+    def features(self) -> np.ndarray:
+        """transform.apply(raw), computed on first use."""
+        return self.transform.apply(self.raw)
+
+    @property
+    def feature_names(self) -> list[str]:
+        return self.transform.feature_names()
+
     @property
     def n(self) -> int:
-        return self.features.shape[0]
+        return self.raw.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.features.shape[1]
+        return self.raw.shape[1]
 
     def take(self, idx: np.ndarray) -> "Dataset":
         """Row subset, without re-standardization."""
-        return Dataset(self.features[idx], self.labels[idx], self.sensitive[idx],
-                       list(self.feature_names), self.transform, self.raw[idx])
+        return Dataset(self.raw[idx], self.labels[idx], self.sensitive[idx], self.transform)
 
 
 def load_csv(path, schema_or_transform: CsvSchema | FeatureTransform) -> Dataset:
@@ -329,39 +328,43 @@ def load_csv(path, schema_or_transform: CsvSchema | FeatureTransform) -> Dataset
     (FeatureTransform.infer, then its statistics), or a FeatureTransform, to
     read the file through it and its schema; a column the transform does not
     name is then ignored. The label and sensitive columns are binarized
-    against the schema's positive values. Cells are stripped of surrounding
-    whitespace; a ragged row, an empty cell, a non-finite number and an
-    unknown category raise RowParseError with the file line on which the
-    row ends.
+    against the schema's positive values. The file is UTF-8, with or
+    without a byte-order mark; other bytes raise DataError naming the path.
+    Cells are stripped of surrounding whitespace; a ragged row, an empty
+    cell, a non-finite number and an unknown category raise RowParseError
+    with the file line on which the row ends.
     """
     fit = isinstance(schema_or_transform, CsvSchema)
     schema = schema_or_transform if fit else schema_or_transform.schema
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file, header row required") from None
-        header = [h.strip() for h in header]
-        if len(set(header)) != len(header):
-            raise SchemaError(f"duplicate column names in header {header}")
-        for col in (schema.label_column, schema.sensitive_column):
-            if col not in header:
-                raise SchemaError(f"column '{col}' not found in header {header}")
-        rows: list[list[str]] = []
-        lines: list[int] = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise RowParseError(reader.line_num,
-                                    f"expected {len(header)} cells, got {len(row)}")
-            cells = [c.strip() for c in row]
-            for col_name, cell in zip(header, cells):
-                if cell == "":
-                    raise RowParseError(reader.line_num, f"missing value in column '{col_name}'")
-            rows.append(cells)
-            lines.append(reader.line_num)
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise SchemaError(f"{path}: empty file, header row required") from None
+            header = [h.strip() for h in header]
+            if len(set(header)) != len(header):
+                raise SchemaError(f"duplicate column names in header {header}")
+            for col in (schema.label_column, schema.sensitive_column):
+                if col not in header:
+                    raise SchemaError(f"column '{col}' not found in header {header}")
+            rows: list[list[str]] = []
+            lines: list[int] = []
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise RowParseError(reader.line_num,
+                                        f"expected {len(header)} cells, got {len(row)}")
+                cells = [c.strip() for c in row]
+                for col, cell in zip(header, cells):
+                    if cell == "":
+                        raise RowParseError(reader.line_num, f"missing value in column '{col}'")
+                rows.append(cells)
+                lines.append(reader.line_num)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not rows:
         raise ValidationError(f"{path}: no data rows")
 
@@ -381,8 +384,7 @@ def load_csv(path, schema_or_transform: CsvSchema | FeatureTransform) -> Dataset
     raw = transform.encode(header, rows, lines, sensitive)
     if fit:
         transform = transform.fit(raw)
-    return Dataset(transform.apply(raw), labels, sensitive, transform.feature_names(),
-                   transform, raw)
+    return Dataset(raw, labels, sensitive, transform)
 
 
 def _csv_cell(text: str) -> str:
@@ -456,9 +458,8 @@ def synth_biased(n: int, d: int, group_fraction: float, base_rate_gap: float,
         + _GROUP_SHIFT * (sensitive - 0.5)[:, None] * u_group[None, :]
         + noise * rng.standard_normal((n, d))
     )
-    names = [f"x{i + 1}" for i in range(d)]
-    features = FeatureTransform.numeric(names).fit(features).apply(features)
-    return Dataset(features, labels, sensitive, names)
+    transform = FeatureTransform.numeric([f"x{i + 1}" for i in range(d)])
+    return Dataset(transform.fit(features).apply(features), labels, sensitive, transform)
 
 
 def check_test_fraction(test_fraction: float) -> None:
@@ -497,10 +498,8 @@ def split(ds: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Datase
 
     raw_train, raw_test = ds.raw[train_ix], ds.raw[test_ix]
     transform = ds.transform.fit(raw_train)
-    train, test = (Dataset(transform.apply(raw), ds.labels[ix], ds.sensitive[ix],
-                           list(ds.feature_names), transform, raw)
-                   for ix, raw in ((train_ix, raw_train), (test_ix, raw_test)))
-    return train, test
+    return (Dataset(raw_train, ds.labels[train_ix], ds.sensitive[train_ix], transform),
+            Dataset(raw_test, ds.labels[test_ix], ds.sensitive[test_ix], transform))
 
 
 def batches(ds: Dataset, batch_size: int, shuffle_seed: int, epoch: int) -> list[np.ndarray]:

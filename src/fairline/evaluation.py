@@ -160,12 +160,8 @@ def frontier_gap(f1: list[MetricsRecord], f2: list[MetricsRecord],
 
 def _check_transform(model: SubspaceModel, transform: FeatureTransform) -> None:
     """CheckpointError unless model records transform (compared key by key in
-    its checkpoint form); a model that records none only warns."""
+    its checkpoint form)."""
     recorded = FeatureTransform.from_meta(model.train_meta, model.arch.input_dim)
-    if recorded is None:
-        logger.warning("the model holds no feature transform; serving it on the "
-                       "split's own encoding")
-        return
     want, got = (json.loads(t.to_meta()[FeatureTransform.META_KEY])
                  for t in (recorded, transform))
     for key in want:
@@ -184,8 +180,8 @@ def compare_to_grid(train: Dataset, test: Dataset, config: TrainConfig,
     alpha_grid, trains one fixed model per fairness_grid value (sweep_fixed
     with its seeding and jobs), and evaluates everything on test. A
     given model must record train's feature transform, else CheckpointError
-    names the first key that differs; one that records none is used with a
-    warning. Returns (line_records, fixed_records, gap, ratio):
+    says it records none or names the first key that differs, before any
+    fixed model is trained. Returns (line_records, fixed_records, gap, ratio):
 
     - fixed_records carry A (fairness_weight) and each model's seed;
     - gap is the frontier gap over all points in the report field of

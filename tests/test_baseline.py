@@ -1,9 +1,11 @@
+import os
 import statistics
 import time
 
 import numpy as np
 import pytest
 
+from fairline import baseline
 from fairline.baseline import (
     DEFAULT_FAIRNESS_GRID,
     check_fairness_grid,
@@ -14,7 +16,7 @@ from fairline.baseline import (
     train_fixed,
 )
 from fairline.data import split, synth_biased
-from fairline.errors import CheckpointError, NumericError, ParameterError
+from fairline.errors import CheckpointError, FairlineError, NumericError, ParameterError
 from fairline.evaluation import evaluate_predictions
 from fairline.model import MlpArchitecture
 from fairline.subspace import TrainConfig, save_checkpoint, train_subspace
@@ -136,6 +138,20 @@ def test_worker_divergence_raises_numeric_error():
     cfg = TrainConfig(epochs=3, batch_size=16, seed=0, learning_rate=1e308)
     with pytest.raises(NumericError):
         sweep_fixed(train, cfg, [0.0, 1.0], arch=ARCH, jobs=2)
+
+
+def test_dead_worker_raises_fairline_error(monkeypatch):
+    # a worker that exits without a result (as an OOM kill does) is a package
+    # error, not concurrent.futures' BrokenProcessPool
+    def dies_at_half(train, config, fairness_weight, **kwargs):
+        if fairness_weight == 0.5:
+            os._exit(9)
+        return train_fixed(train, config, fairness_weight, **kwargs)
+
+    monkeypatch.setattr(baseline, "train_fixed", dies_at_half)  # forked workers inherit it
+    train, _ = quick_data(n=400)
+    with pytest.raises(FairlineError, match="a fixed-grid worker process died"):
+        sweep_fixed(train, TrainConfig(epochs=1, seed=0), [0.0, 0.5, 1.0], arch=ARCH, jobs=2)
 
 
 def test_sweep_total_time_tracks_per_run_time():

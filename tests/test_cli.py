@@ -1,19 +1,16 @@
 import csv
 import json
-import logging
 import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from fairline import cli
+from fairline import baseline, cli
 from fairline.cli import main, parse_args
 from fairline.data import CsvSchema, FeatureTransform, load_csv, split, write_csv
 from fairline.evaluation import alpha_sweep, read_report, write_report
 from fairline.subspace import TrainConfig, load_checkpoint, save_checkpoint, train_subspace
-
-SCHEMA = CsvSchema()
 
 
 def run(argv):
@@ -348,24 +345,20 @@ def test_sweep_unknown_category_names_column_and_value(categorical_checkpoint, t
     assert "Traceback" not in err
 
 
-def test_sweep_checkpoint_without_transform_fits_on_served_file(checkpoint, tmp_path, caplog):
-    # the checkpoint format before the transform key: the served CSV is fitted
-    # on itself, as load_csv does with no transform
+def test_sweep_checkpoint_without_transform_is_refused(checkpoint, synth_csv, tmp_path,
+                                                       capsys):
+    # no file may be served on an encoding fitted on itself
     model = load_checkpoint(checkpoint)
     del model.train_meta[FeatureTransform.META_KEY]
     save_checkpoint(model, checkpoint)
-    served = tmp_path / "served.csv"
-    assert run(["synth", "--n", "200", "--seed", "5", "--out", str(served)]) == 0
     report = tmp_path / "r.csv"
-    caplog.clear()
-    with caplog.at_level(logging.WARNING):
-        assert run(["sweep", "--checkpoint", str(checkpoint), "--test", str(served),
-                    "--out", str(report)]) == 0
-    warnings = [r for r in caplog.records if r.levelno >= logging.WARNING]
-    assert len(warnings) == 1 and "no feature transform" in warnings[0].getMessage()
-    expected = tmp_path / "expected.csv"
-    write_report(alpha_sweep(model, load_csv(served, SCHEMA)), expected)
-    assert report.read_bytes() == expected.read_bytes()
+    code = run(["sweep", "--checkpoint", str(checkpoint), "--test", str(synth_csv),
+                "--out", str(report)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "records no feature transform ('transform' key)" in err
+    assert "Traceback" not in err
+    assert not report.exists()
 
 
 def test_sweep_raw_training_file_needs_no_schema_flags(tmp_path):
@@ -539,18 +532,23 @@ def test_compare_checkpoint_with_other_transform_is_checkpoint_error(
     assert not out.exists()
 
 
-def test_compare_checkpoint_without_transform_warns(synth_csv, compare_checkpoint, tmp_path,
-                                                    caplog):
+def test_compare_checkpoint_without_transform_is_refused(synth_csv, compare_checkpoint,
+                                                         tmp_path, capsys, monkeypatch):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a fixed model was trained")
+
+    monkeypatch.setattr("fairline.evaluation.sweep_fixed", no_grid)
     model = load_checkpoint(compare_checkpoint)
     del model.train_meta[FeatureTransform.META_KEY]
     save_checkpoint(model, compare_checkpoint)
-    caplog.clear()
-    with caplog.at_level(logging.WARNING):
-        assert run(compare_args(synth_csv, tmp_path / "cmp.csv",
-                                ["--checkpoint", str(compare_checkpoint), "--grid", "0,1",
-                                 "--fairness-grid", "1.0"])) == 0
-    warnings = [r for r in caplog.records if r.levelno >= logging.WARNING]
-    assert len(warnings) == 1 and "no feature transform" in warnings[0].getMessage()
+    out = tmp_path / "cmp.csv"
+    code = run(compare_args(synth_csv, out, ["--checkpoint", str(compare_checkpoint),
+                                             "--grid", "0,1", "--fairness-grid", "1.0"]))
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "records no feature transform ('transform' key)" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_compare_jobs_keep_report_bytes(synth_csv, tmp_path, capsys):
@@ -563,6 +561,25 @@ def test_compare_jobs_keep_report_bytes(synth_csv, tmp_path, capsys):
         gaps.append([ln for ln in capsys.readouterr().out.splitlines()
                      if ln.startswith("frontier_gap=")])
     assert reports[0] == reports[1] and gaps[0] == gaps[1]
+
+
+def test_compare_dead_grid_worker_exits_3(synth_csv, tmp_path, capsys, monkeypatch):
+    train_fixed = baseline.train_fixed
+
+    def dies_at_half(train, config, fairness_weight, **kwargs):
+        if fairness_weight == 0.5:
+            os._exit(9)
+        return train_fixed(train, config, fairness_weight, **kwargs)
+
+    monkeypatch.setattr(baseline, "train_fixed", dies_at_half)  # forked workers inherit it
+    out = tmp_path / "cmp.csv"
+    code = run(compare_args(synth_csv, out, ["--grid", "0,1", "--fairness-grid", "0,0.5,1",
+                                             "--jobs", "2"]))
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "error: a fixed-grid worker process died" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_compare_jobs_default_is_usable_cores():
@@ -584,6 +601,41 @@ def test_unknown_command_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_csv_that_is_not_utf8_exits_3(synth_csv, checkpoint, tmp_path, capsys):
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes(synth_csv.read_bytes().replace(b"x1", "café".encode("latin-1"), 1))
+    out = tmp_path / "out"
+    for argv in (train_args(latin1, out),
+                 ["sweep", "--checkpoint", str(checkpoint), "--test", str(latin1),
+                  "--out", str(out)],
+                 compare_args(latin1, out)):
+        code = run(argv)
+        err = capsys.readouterr().err
+        assert code == 3, argv[0]
+        assert f"error: {latin1}: not UTF-8 text" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
+def test_config_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "synth.conf"
+    cfg.write_bytes("# café\nn=123\n".encode("latin-1"))
+    out = tmp_path / "data.csv"
+    assert run(["synth", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error: cannot read config file: 'utf-8' codec can't decode" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_config_file_with_byte_order_mark(tmp_path):
+    cfg = tmp_path / "synth.conf"
+    cfg.write_bytes(b"\xef\xbb\xbfn=123\n")
+    out = tmp_path / "data.csv"
+    assert run(["synth", "--config", str(cfg), "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 124
 
 
 def test_config_file_supplies_defaults(tmp_path):

@@ -1,6 +1,7 @@
 import csv
 import json
 import tempfile
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,9 +21,11 @@ from fairline.data import (
 )
 from fairline.errors import (
     CheckpointError,
+    DataError,
     ParameterError,
     RowParseError,
     SchemaError,
+    ShapeError,
     ValidationError,
 )
 
@@ -180,7 +183,8 @@ def test_transform_meta_round_trips_exactly(tmp_path):
     assert (back.columns, back.vocab, back.schema) == (("x", "c"), (None, ("a", "b")), schema)
     assert back.mean.tobytes() == ds.transform.mean.tobytes()
     assert back.scale.tobytes() == ds.transform.scale.tobytes()
-    assert FeatureTransform.from_meta({}, ds.dim) is None
+    with pytest.raises(CheckpointError, match="records no feature transform \\('transform' key\\)"):
+        FeatureTransform.from_meta({}, ds.dim)
 
 
 _JSON = st.recursive(
@@ -228,8 +232,7 @@ def test_synth_gap_near_target():
 
 def test_synth_swapped_encoding_mirrors_gap():
     ds = synth_biased(10000, 4, 0.5, 0.4, 1.0, seed=3)
-    flipped = Dataset(ds.features, ds.labels, 1.0 - ds.sensitive,
-                      ds.feature_names, ds.transform, ds.raw)
+    flipped = replace(ds, sensitive=1.0 - ds.sensitive)
     assert abs(_rate_gap(ds) + _rate_gap(flipped)) < 1e-12
 
 
@@ -260,7 +263,8 @@ def test_split_disjoint_exhaustive():
     features = np.column_stack([np.arange(n, dtype=np.float64),
                                 rng.standard_normal(n)])
     ds = Dataset(features, (rng.random(n) < 0.5).astype(np.float64),
-                 (rng.random(n) < 0.5).astype(np.float64), ["row_id", "x"])
+                 (rng.random(n) < 0.5).astype(np.float64),
+                 FeatureTransform.numeric(["row_id", "x"]))
     train, test = split(ds, 0.3, seed=1)
     train_ids = set(train.raw[:, 0])
     test_ids = set(test.raw[:, 0])
@@ -291,7 +295,7 @@ def test_split_single_group_partition_fails_after_retries():
     features = np.random.default_rng(0).standard_normal((n, 2))
     sensitive = np.zeros(n)
     sensitive[0] = 1.0  # one sample can only land in one partition
-    ds = Dataset(features, np.zeros(n), sensitive, ["x1", "x2"])
+    ds = Dataset(features, np.zeros(n), sensitive, FeatureTransform.numeric(["x1", "x2"]))
     with pytest.raises(ValidationError):
         split(ds, 0.5, seed=0)
 
@@ -341,9 +345,71 @@ def test_batches_cover_every_index_once(n, batch, seed, epoch):
 
 
 def test_dataset_invariants():
+    two = FeatureTransform.numeric(["a", "b"])
     with pytest.raises(ValidationError):
-        Dataset(np.zeros((3, 2)), np.array([0.0, 1.0, 2.0]),
-                np.array([0.0, 1.0, 0.0]), ["a", "b"])
+        Dataset(np.zeros((3, 2)), np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 0.0]), two)
     with pytest.raises(ValidationError):
-        Dataset(np.zeros((3, 2)), np.array([0.0, 1.0, 0.0]),
-                np.array([0.0, 0.0, 0.0]), ["a", "b"])
+        Dataset(np.zeros((3, 2)), np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.0, 0.0]), two)
+    with pytest.raises(ShapeError, match="transform width"):
+        Dataset(np.zeros((3, 3)), np.array([0.0, 1.0, 0.0]), np.array([0.0, 1.0, 0.0]), two)
+    with pytest.raises(ShapeError):
+        Dataset(np.zeros((3, 2)), np.array([0.0, 1.0]), np.array([0.0, 1.0, 0.0]), two)
+    assert [f.name for f in fields(Dataset)] == ["raw", "labels", "sensitive", "transform"]
+
+
+def _derived(ds):
+    # the one path from raw to model inputs: the dataset's transform
+    return ds.features.tobytes(), ds.feature_names
+
+
+def _applied(ds):
+    return ds.transform.apply(ds.raw).tobytes(), ds.transform.feature_names()
+
+
+@pytest.mark.parametrize("text, schema", [
+    ("a,b,label,group\n1,5,1,0\n2,7,0,1\n4,6,1,1\n", CsvSchema()),
+    ("a,c,label,group\n1,x,1,0\n2,y,0,1\n4,x,1,1\n", CsvSchema()),
+    ("a,c,label,group\n1,x,1,0\n2,y,0,1\n4,x,1,1\n", CsvSchema(include_sensitive=True)),
+], ids=["numeric", "categorical", "include-sensitive"])
+def test_load_csv_features_come_from_the_transform(tmp_path, text, schema):
+    ds = load_csv(write(tmp_path, text), schema)
+    assert _derived(ds) == _applied(ds)
+    assert _derived(ds.take(np.array([2, 0]))) == _applied(ds.take(np.array([2, 0])))
+
+
+def test_split_and_synth_features_come_from_the_transform():
+    ds = synth_biased(200, 3, 0.5, 0.2, 1.0, seed=4)
+    assert _derived(ds) == _applied(ds)
+    for part in split(ds, 0.25, seed=4):
+        assert _derived(part) == _applied(part)
+        assert _derived(part.take(np.arange(5))) == _applied(part.take(np.arange(5)))
+
+
+def test_replacing_the_transform_replaces_the_features(tmp_path):
+    ds = load_csv(write(tmp_path, "a,c,label,group\n1,x,1,0\n2,y,0,1\n4,x,1,1\n"), SCHEMA)
+    assert ds.features.any()  # computed before the replace
+    other = ds.transform.fit(ds.raw[:2])
+    swapped = replace(ds, transform=other)
+    assert swapped.features.tobytes() == other.apply(ds.raw).tobytes()
+    assert swapped.features.tobytes() != ds.features.tobytes()
+    with pytest.raises(FrozenInstanceError):
+        ds.transform = other
+
+
+def test_load_csv_reads_a_byte_order_mark(tmp_path):
+    # Excel's "CSV UTF-8" starts with a BOM; the first column keeps its name
+    for text in ("x,c,label,group\n1,é,1,0\n2,y,0,1\n", "label,x,group\n1,1,0\n0,2,1\n"):
+        plain = load_csv(write(tmp_path, text), SCHEMA)
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        bom = load_csv(path, SCHEMA)
+        assert bom.raw.tobytes() == plain.raw.tobytes()
+        assert bom.feature_names == plain.feature_names
+        assert bom.labels.tobytes() == plain.labels.tobytes()
+
+
+def test_load_csv_that_is_not_utf8_is_data_error(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("x,c,label,group\n1,café,1,0\n2,y,0,1\n".encode("latin-1"))
+    with pytest.raises(DataError, match=f"^{path}: not UTF-8 text"):
+        load_csv(path, SCHEMA)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fairline.data import Dataset, synth_biased
+from fairline.data import Dataset, FeatureTransform, synth_biased
 from fairline.errors import (
     CheckpointError,
     NumericError,
@@ -184,7 +184,7 @@ def _skewed_dataset(n=40, n_group1=2):
     labels = (rng.random(n) < 0.5).astype(np.float64)
     sensitive = np.zeros(n)
     sensitive[:n_group1] = 1.0
-    return Dataset(features, labels, sensitive, ["x1", "x2", "x3"])
+    return Dataset(features, labels, sensitive, FeatureTransform.numeric(["x1", "x2", "x3"]))
 
 
 def test_fairness_skips_counted_and_warned():
