@@ -3,6 +3,12 @@ line-versus-grid comparison.
 
 Relaxed metrics are computed in one global pass over the full prediction
 vector (no batching). Hard metrics threshold at HARD_THRESHOLD, inclusive.
+
+alpha_sweep and compare_to_grid serve a whole split per alpha or per fixed
+model. They forward it in CHUNK-row pieces through one model Workspace and
+write one prediction vector, both reused for every alpha or model, so a
+sweep allocates no split-sized activations. The predictions are
+bit-identical to one allocating forward over all rows.
 """
 
 from __future__ import annotations
@@ -14,12 +20,12 @@ from typing import get_args, get_type_hints
 
 import numpy as np
 
-from .baseline import (
-    DEFAULT_FAIRNESS_GRID, check_fairness_grid, check_jobs, predict_fixed, sweep_fixed)
+from .baseline import DEFAULT_FAIRNESS_GRID, check_fairness_grid, check_jobs, sweep_fixed
 from .data import Dataset, FeatureTransform
 from .errors import CheckpointError, FrontierRangeError, ParameterError
 from .losses import demographic_parity_gap, equal_opportunity_gap, equalized_odds_gap
-from .subspace import SubspaceModel, TrainConfig, predict, train_subspace
+from .model import MlpArchitecture, Workspace, forward
+from .subspace import SubspaceModel, TrainConfig, interpolate, train_subspace
 
 logger = logging.getLogger(__name__)
 
@@ -27,6 +33,10 @@ DEFAULT_ALPHA_GRID = tuple(k / 20 for k in range(21))
 
 # A prediction at or above this counts as positive in the hard metrics.
 HARD_THRESHOLD = 0.5
+
+# Rows per forward call when a whole split is served. 512 timed fastest for a
+# 256-wide hidden layer (256 read the same); the workspace is then 2 MB.
+CHUNK = 512
 
 
 def check_alpha_grid(grid) -> list[float]:
@@ -91,17 +101,36 @@ def _meta_seed(meta: dict[str, str]) -> int | None:
         raise CheckpointError(f"config.seed is not an integer: {raw!r}") from None
 
 
+def _serve(arch: MlpArchitecture, weights, x: np.ndarray):
+    """For each parameter vector in weights, yield its predictions on every
+    row of x, bit-identical to forward(arch, params, x)[0].
+
+    Each vector is forwarded in CHUNK-row pieces through one Workspace, and
+    every yield is the same array: read it before asking for the next.
+    """
+    n = x.shape[0]
+    workspace = Workspace(arch, min(CHUNK, n))
+    pred = np.empty(n)
+    for params in weights:
+        for lo in range(0, n, CHUNK):
+            pred[lo:lo + CHUNK] = forward(arch, params, x[lo:lo + CHUNK],
+                                          workspace=workspace)[0]
+        yield pred
+
+
 def alpha_sweep(model: SubspaceModel, test: Dataset,
                 grid=DEFAULT_ALPHA_GRID) -> list[MetricsRecord]:
-    """Evaluate the single checkpoint at every grid alpha on identical data."""
+    """Evaluate the single checkpoint at every grid alpha on identical data.
+
+    Each alpha's predictions equal predict(model, alpha, test.features).
+    """
     grid = check_alpha_grid(grid)
     seed = _meta_seed(model.train_meta)
-    records = []
-    for a in grid:
-        pred = predict(model, a, test.features)
-        rec = evaluate_predictions(pred, test.labels, test.sensitive)
-        records.append(replace(rec, alpha=a, seed=seed))
-    return records
+    preds = _serve(model.arch, (interpolate(model.w_acc, model.w_fair, a) for a in grid),
+                   test.features)
+    return [replace(evaluate_predictions(pred, test.labels, test.sensitive),
+                    alpha=a, seed=seed)
+            for a, pred in zip(grid, preds)]
 
 
 def pareto_frontier(points: list[MetricsRecord], fairness_field: str
@@ -202,12 +231,12 @@ def compare_to_grid(train: Dataset, test: Dataset, config: TrainConfig,
     line_records = alpha_sweep(model, test, alpha_grid)
 
     fixed_models = sweep_fixed(train, config, fairness_grid, jobs=jobs)
-    fixed_records = []
-    for fm in fixed_models:
-        pred = predict_fixed(fm, test.features)
-        rec = evaluate_predictions(pred, test.labels, test.sensitive)
-        fixed_records.append(replace(
-            rec, fairness_weight=fm.fairness_weight, seed=_meta_seed(fm.train_meta)))
+    preds = _serve(fixed_models[0].arch, (fm.weights for fm in fixed_models),
+                   test.features)
+    fixed_records = [replace(evaluate_predictions(pred, test.labels, test.sensitive),
+                             fairness_weight=fm.fairness_weight,
+                             seed=_meta_seed(fm.train_meta))
+                     for fm, pred in zip(fixed_models, preds)]
     fixed_total_s = sum(fm.wall_time_s for fm in fixed_models)
     logger.info("fixed training: %d models, %.3fs total", len(fixed_models),
                 fixed_total_s)
@@ -243,10 +272,15 @@ def write_report(records: list[MetricsRecord], path) -> None:
 
 
 def read_report(path) -> list[MetricsRecord]:
-    """Parse a report written by write_report. A wrong cell count, or a cell
-    that does not parse as its field's type or None, raises ParameterError."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln]
+    """Parse a report written by write_report, also when re-saved with a
+    UTF-8 byte-order mark. A file that is not UTF-8 text, a wrong cell count,
+    or a cell that does not parse as its field's type or None, raises
+    ParameterError."""
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            lines = [ln for ln in fh.read().splitlines() if ln]
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not lines or lines[0] != REPORT_HEADER:
         raise ParameterError(f"{path}: not a report file")
     types = get_type_hints(MetricsRecord)

@@ -8,11 +8,16 @@ and backward fill the views of one flat vector each. The forward pass is
 X @ W + b per layer with ReLU on hidden layers and sigmoid on the single
 output unit.
 
+Each hidden layer's pre-activation is computed into the array that then
+holds its activation: matmul, the bias added in place, ReLU in place. So no
+pre-activation is kept; backward takes the ReLU mask from the activation,
+which is positive exactly where the pre-activation is.
+
 forward and backward take an optional Workspace: per-hidden-layer
 (rows, width) buffers that a training run allocates once and reuses for every
-batch. With a workspace each pre-activation, activation and activation
-gradient is written into the workspace's first b rows; without one the same
-operations allocate their outputs. The results are bit-identical either way.
+batch. With a workspace each activation and activation gradient is written
+into the workspace's first b rows; without one the same operations allocate
+their outputs. The results are bit-identical either way.
 A ForwardCache from a workspace call points into the workspace, so it is
 valid only until the next forward or backward call on that workspace. The
 gradient vector backward returns is always a new array, so a caller may keep
@@ -58,7 +63,6 @@ class ForwardCache:
     """
 
     inputs: np.ndarray  # (b, d)
-    pre_acts: list[np.ndarray]  # hidden pre-activations, then output logits (b,)
     hidden: list[np.ndarray]  # post-ReLU hidden activations
     pred: np.ndarray  # sigmoid output (b,)
 
@@ -66,25 +70,25 @@ class ForwardCache:
 class Workspace:
     """Reusable forward/backward buffers for one architecture and batch size.
 
-    Per hidden layer: the pre-activation, the activation and the gradient
-    with respect to the activation, each (rows, width) float64. A batch of
-    b <= rows rows uses the first b rows of each buffer.
+    Per hidden layer: the activation and the gradient with respect to the
+    activation, each (rows, width) float64. A batch of b <= rows rows uses
+    the first b rows of each buffer.
     """
 
     def __init__(self, arch: MlpArchitecture, rows: int):
         self.hidden_dims = arch.hidden_dims
         self.rows = rows
-        self.layers = [tuple(np.empty((rows, h)) for _ in range(3))
+        self.layers = [tuple(np.empty((rows, h)) for _ in range(2))
                        for h in arch.hidden_dims]
 
 
 def _layer_buffers(arch: MlpArchitecture, workspace: Workspace | None, b: int
                    ) -> list[tuple]:
-    """Per hidden layer, the (pre-activation, activation, activation gradient)
-    out= targets for a b-row batch: the workspace's first b rows, or Nones
-    so that each operation allocates."""
+    """Per hidden layer, the (activation, activation gradient) out= targets
+    for a b-row batch: the workspace's first b rows, or Nones so that each
+    operation allocates."""
     if workspace is None:
-        return [(None, None, None)] * len(arch.hidden_dims)
+        return [(None, None)] * len(arch.hidden_dims)
     if workspace.hidden_dims != arch.hidden_dims or b > workspace.rows:
         raise ShapeError(
             f"workspace for hidden dims {workspace.hidden_dims} and "
@@ -136,20 +140,17 @@ def forward(arch: MlpArchitecture, params: np.ndarray, x: np.ndarray,
     if x.ndim != 2 or x.shape[1] != arch.input_dim:
         raise ShapeError(f"input shape {x.shape} does not match input_dim={arch.input_dim}")
     bufs = _layer_buffers(arch, workspace, x.shape[0])
-    pre_acts: list[np.ndarray] = []
     hidden: list[np.ndarray] = []
     h = x
-    for (w, b), (z_out, h_out, _) in zip(layers[:-1], bufs):
-        z = tensor.matmul(h, w, out=z_out)
-        z += b
-        pre_acts.append(z)
-        h = tensor.relu(z, out=h_out)
+    for (w, b), (h_out, _) in zip(layers[:-1], bufs):
+        h = tensor.matmul(h, w, out=h_out)
+        h += b
+        tensor.relu(h, out=h)
         hidden.append(h)
     w_out, b_out = layers[-1]
     logits = (tensor.matmul(h, w_out) + b_out)[:, 0]
-    pre_acts.append(logits)
     pred = tensor.sigmoid(logits)
-    return pred, ForwardCache(x, pre_acts, hidden, pred)
+    return pred, ForwardCache(x, hidden, pred)
 
 
 def backward(arch: MlpArchitecture, params: np.ndarray, cache: ForwardCache,
@@ -178,13 +179,13 @@ def backward(arch: MlpArchitecture, params: np.ndarray, cache: ForwardCache,
     np.sum(dz, keepdims=True, out=gb)
 
     for li in range(n_layers - 2, -1, -1):
-        dh_out = bufs[li][2]
+        dh_out = bufs[li][1]
         if li == n_layers - 2:
             # the outer product dz w_out^T, broadcast rather than a k=1 gemm
             dh = np.multiply(dz[:, None], w_out[:, 0], out=dh_out)
         else:
             dh = tensor.matmul(dz_l, layers[li + 1][0].T, out=dh_out)
-        dz_l = np.multiply(dh, tensor.relu_grad(cache.pre_acts[li]), out=dh)
+        dz_l = np.multiply(dh, tensor.relu_grad(cache.hidden[li]), out=dh)
         h_in = cache.hidden[li - 1] if li > 0 else cache.inputs
         gw, gb = grad_layers[li]
         tensor.matmul(h_in.T, dz_l, out=gw)

@@ -88,11 +88,14 @@ def relu(t, out=None):
     return np.maximum(t, 0.0, out=out)
 
 
-def relu_grad(t):
-    """Subgradient of relu as a boolean mask; defined as 0 at t == 0.
+def relu_grad(h):
+    """Subgradient of relu as a boolean mask, applied to relu's output h.
+
+    h > 0 exactly where relu's input was > 0: an input of 0, -0 or NaN gives
+    False either way, so the subgradient is defined as 0 at an input of 0.
 
     Multiplying a float64 array by the mask gives the same bits as
     multiplying it by the mask's float64 0/1 copy.
     """
-    return t > 0.0
+    return h > 0.0
 

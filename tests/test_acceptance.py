@@ -17,7 +17,7 @@ from scipy.stats import spearmanr
 
 import fairline as fl
 from fairline.cli import main as cli_main
-from fairline.model import MlpArchitecture, forward, init_params
+from fairline.model import MlpArchitecture, forward, init_params, layer_views
 from fairline.subspace import batch_gradients, interpolate
 
 SEEDS = range(5)
@@ -58,10 +58,13 @@ def _fd_safe(arch, w1, w2, alpha, x, y, s, metric, margin=1e-3):
     """Finite differences are only a valid oracle away from the creases:
     ReLU pre-activation kinks and the |group gap| = 0 corner."""
     theta = interpolate(w1, w2, alpha)
-    pred, cache = forward(arch, theta, x)
-    for z in cache.pre_acts[:-1]:
+    pred, _ = forward(arch, theta, x)
+    h = x
+    for w, b in layer_views(arch, theta)[:-1]:
+        z = h @ w + b
         if np.any(np.abs(z) < margin):
             return False
+        h = np.maximum(z, 0.0)
     pos, neg = y == 1.0, y == 0.0
     cells = {
         "dp": [(s == 0.0, s == 1.0)],
@@ -74,6 +77,19 @@ def _fd_safe(arch, w1, w2, alpha, x, y, s, metric, margin=1e-3):
         if abs(gap) < margin:
             return False
     return True
+
+
+def test_fd_safe_rejects_a_pre_activation_inside_the_margin():
+    arch = MlpArchitecture(3, (4,))
+    x, y, s = _cells_batch(np.random.default_rng(7), 12, 3)
+    params = init_params(arch, 1)
+    (w1, b1), (w_out, _) = layer_views(arch, params)
+    w_out[0, 0] = 0.0  # hidden unit 0 no longer reaches the prediction
+    assert _fd_safe(arch, params, params, 0.0, x, y, s, "dp")
+    # move row 0's unit-0 pre-activation to 5e-4, inside the 1e-3 margin;
+    # the predictions, and so the group-gap check, stay as they were
+    b1[0] += 5e-4 - (x[0] @ w1[:, 0] + b1[0])
+    assert not _fd_safe(arch, params, params, 0.0, x, y, s, "dp")
 
 
 @criterion("criterion 1: gradient correctness (100 configs, rel 1e-4, < 2 min)")

@@ -1,14 +1,21 @@
+import resource
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairline.data import synth_biased
+from fairline.baseline import predict_fixed, sweep_fixed
+from fairline.data import split, synth_biased
 from fairline.errors import EmptyGroupError, FrontierRangeError, ParameterError
 from fairline.evaluation import (
+    CHUNK,
     DEFAULT_ALPHA_GRID,
     REPORT_HEADER,
     MetricsRecord,
+    _serve,
     alpha_sweep,
     check_alpha_grid,
     compare_to_grid,
@@ -18,8 +25,8 @@ from fairline.evaluation import (
     read_report,
     write_report,
 )
-from fairline.model import MlpArchitecture, forward
-from fairline.subspace import TrainConfig, train_subspace
+from fairline.model import MlpArchitecture, forward, init_params
+from fairline.subspace import SubspaceModel, TrainConfig, predict, train_subspace
 
 
 def rec(error_rate, fairness, **kwargs):
@@ -293,3 +300,81 @@ def test_read_report_bad_row_is_parameter_error(tmp_path, row, match):
     path.write_text(REPORT_HEADER + "\n" + row + "\n")
     with pytest.raises(ParameterError, match=match):
         read_report(path)
+
+
+def test_read_report_accepts_a_byte_order_mark(tmp_path):
+    plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    write_report([full_record(i) for i in range(3)], plain)
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert read_report(bom) == read_report(plain)
+
+
+def test_read_report_not_utf8_is_parameter_error(tmp_path):
+    path = tmp_path / "r.csv"
+    path.write_bytes(b"alpha,A\n\xe9\n")
+    with pytest.raises(ParameterError, match="not UTF-8 text"):
+        read_report(path)
+
+
+# ------------------------------------------------- chunked serving
+
+@pytest.mark.parametrize("n", [1, 100, CHUNK, 2 * CHUNK + 37],
+                         ids=["one-row", "under-chunk", "one-chunk", "chunks-and-rest"])
+@pytest.mark.parametrize("hidden", [(256,), (32, 16)], ids=["256", "32-16"])
+def test_serve_is_byte_equal_to_one_allocating_forward(n, hidden):
+    arch = MlpArchitecture(6, hidden)
+    x = np.random.default_rng(n).standard_normal((n, 6))
+    weights = [init_params(arch, 0), init_params(arch, 1), init_params(arch, 0)]
+    # the workspace and the prediction vector are reused across the vectors
+    served = [pred.tobytes() for pred in _serve(arch, weights, x)]
+    assert served == [forward(arch, w, x)[0].tobytes() for w in weights]
+
+
+def test_alpha_sweep_and_compare_to_grid_equal_a_predict_loop():
+    # a 600-row test split: one full CHUNK and a shorter rest
+    train, test = split(synth_biased(2400, 3, 0.5, 0.3, 1.0, seed=0), 0.25, 0)
+    assert CHUNK < test.n < 2 * CHUNK
+    config = TrainConfig(epochs=1, batch_size=256, seed=4)
+    grid = [0.0, 0.3, 0.5, 1.0]
+    model = train_subspace(train, config)
+
+    def evaluate(pred, **fields):
+        return replace(evaluate_predictions(pred, test.labels, test.sensitive), **fields)
+
+    assert alpha_sweep(model, test, grid) == [
+        evaluate(predict(model, a, test.features), alpha=a, seed=4) for a in grid]
+    _, fixed_records, _, _ = compare_to_grid(train, test, config, alpha_grid=[0.0, 1.0],
+                                             fairness_grid=[0.0, 1.0], model=model)
+    assert fixed_records == [
+        evaluate(predict_fixed(fm, test.features), fairness_weight=fm.fairness_weight,
+                 seed=int(fm.train_meta["config.seed"]))
+        for fm in sweep_fixed(train, config, [0.0, 1.0])]
+
+
+def test_a_warm_alpha_sweep_takes_few_page_faults():
+    # A forward that allocated a (2000, 256) pre-activation and activation per
+    # layer made a warm 21-alpha sweep take about 41k minor faults: the heap
+    # handed the two freed 4 MB arrays back after every alpha.
+    test = synth_biased(2000, 6, 0.5, 0.4, 1.0, seed=0)
+    arch = MlpArchitecture(test.features.shape[1], (256,))
+    model = SubspaceModel(arch, init_params(arch, 0), init_params(arch, 1))
+    alpha_sweep(model, test)  # warm-up: features, allocator pools
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    alpha_sweep(model, test)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 2000, f"a warm 21-alpha sweep took {faults} minor faults"
+
+
+def test_alpha_sweep_memory_does_not_grow_with_the_split():
+    # one allocating forward over these 8000 rows holds a 16 MB activation;
+    # the CHUNK-row workspace is 2 MB whatever the split
+    test = synth_biased(8000, 6, 0.5, 0.4, 1.0, seed=0)
+    arch = MlpArchitecture(test.features.shape[1], (256,))
+    model = SubspaceModel(arch, init_params(arch, 0), init_params(arch, 1))
+    tracemalloc.start()
+    try:
+        alpha_sweep(model, test, [0.0, 0.5, 1.0])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, f"a sweep of 8000 rows peaked at {peak / 2**20:.1f} MB"

@@ -209,8 +209,11 @@ def test_workspace_holds_the_cached_activations():
     x = np.random.default_rng(7).standard_normal((3, 4))
     ws = Workspace(arch, 8)
     _, cache = forward(arch, params, x, workspace=ws)
-    for li, (z_buf, h_buf, _) in enumerate(ws.layers):
-        assert np.shares_memory(cache.pre_acts[li], z_buf)
+    # two buffers per hidden layer, activation then activation gradient; the
+    # pre-activation is computed into the activation buffer, never kept
+    assert [[buf.shape for buf in bufs] for bufs in ws.layers] == [[(8, 5)] * 2, [(8, 4)] * 2]
+    assert not hasattr(cache, "pre_acts")
+    for li, (h_buf, _) in enumerate(ws.layers):
         assert np.shares_memory(cache.hidden[li], h_buf)
     grad = backward(arch, params, cache, np.ones(3), workspace=ws)
     assert not any(np.shares_memory(grad, buf) for bufs in ws.layers for buf in bufs)

@@ -88,6 +88,12 @@ def test_relu_values():
     assert (d * mask).tobytes() == (d * mask.astype(np.float64)).tobytes()
 
 
+def test_relu_grad_of_the_output_is_the_mask_of_the_input():
+    # backward takes the mask from the activation, not the pre-activation
+    t = np.array([-np.inf, -3.0, -5e-324, -0.0, 0.0, 5e-324, 2.0, np.inf, np.nan, -np.nan])
+    assert np.array_equal(tensor.relu_grad(tensor.relu(t)), tensor.relu_grad(t))
+
+
 def test_sigmoid_extreme_negative_no_underflow_to_nan():
     v = tensor.sigmoid(np.array([-745.0]))[0]
     assert 0.0 < v <= 1e-300
