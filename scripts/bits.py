@@ -73,6 +73,7 @@ def _library_checkpoints(tmp: Path):
     wide = fl.MlpArchitecture(4, (32, 16))
     yield sub("sub/32x16/dp", train, config(), arch=wide)
     yield fixed("fixed/32x16/dp/A=0.5", train, config(), 0.5, arch=wide)
+    yield sub("sub/linear/dp", train, config(), arch=fl.MlpArchitecture(4, ()))
     skewed, skewed_cfg = _skewed_dataset(), fl.TrainConfig(epochs=2, batch_size=4, seed=0)
     yield sub("skewed/sub", skewed, skewed_cfg)
     yield fixed("skewed/fixed/A=1", skewed, skewed_cfg, 1.0)

@@ -1,7 +1,7 @@
 """Dense float64 array primitives of the model: a shape-checked matmul and
-the sigmoid and ReLU activations with their derivatives. matmul and relu
-take an optional out= buffer so the training step can reuse its activation
-memory. limit_blas_threads caps the threads matmul's BLAS may use.
+the sigmoid and ReLU activations with their derivatives. matmul, relu and
+relu_grad take an optional out= buffer so the training step can reuse its
+activation memory. limit_blas_threads caps the threads matmul's BLAS may use.
 
 Conventions: a Matrix is a 2-D float64 ndarray in batch-rows layout (each
 row one sample).
@@ -88,14 +88,16 @@ def relu(t, out=None):
     return np.maximum(t, 0.0, out=out)
 
 
-def relu_grad(h):
-    """Subgradient of relu as a boolean mask, applied to relu's output h.
+def relu_grad(h, out=None):
+    """Subgradient of relu as a 0/1 mask, applied to relu's output h: a
+    boolean array, or written into out when given (a float64 out holds
+    1.0 and 0.0).
 
     h > 0 exactly where relu's input was > 0: an input of 0, -0 or NaN gives
-    False either way, so the subgradient is defined as 0 at an input of 0.
+    0 either way, so the subgradient is defined as 0 at an input of 0.
 
-    Multiplying a float64 array by the mask gives the same bits as
-    multiplying it by the mask's float64 0/1 copy.
+    Multiplying a float64 array by the boolean mask gives the same bits as
+    multiplying it by the float64 mask. The float mask is for a matmul,
+    which sums over the mask's rows: the backward pass's top hidden layer.
     """
-    return h > 0.0
-
+    return np.greater(h, 0.0, out=out)

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
 
+import fairline.subspace
+from fairline import tensor
+from fairline.baseline import train_fixed
+from fairline.data import synth_biased
 from fairline.errors import ShapeError
 from fairline.losses import bce
 from fairline.model import (
@@ -11,6 +15,7 @@ from fairline.model import (
     init_params,
     layer_views,
 )
+from fairline.subspace import TrainConfig, train_subspace
 
 # sigmoid(0.4), frozen from a 50-digit mpmath evaluation
 SIGMOID_0_4 = 0.598687660112452
@@ -184,14 +189,23 @@ def test_backward_matches_fd_for_composite_loss():
 
 # ------------------------------------------------------------ workspace
 
-@pytest.mark.parametrize("rows", [6, 9])  # a full batch, and a short one
-def test_workspace_bit_identical_to_allocating_path(rows):
-    arch = MlpArchitecture(4, (5, 4))
+@pytest.mark.parametrize("rows,hidden_dims", [
+    # a full batch, and a short one
+    pytest.param(6, (5, 4), id="6"),
+    pytest.param(9, (5, 4), id="9"),
+    pytest.param(6, (5,), id="6-one-hidden-layer"),
+    pytest.param(9, (5,), id="9-one-hidden-layer"),
+    pytest.param(6, (), id="6-no-hidden-layer"),
+    pytest.param(9, (), id="9-no-hidden-layer"),
+])
+def test_workspace_bit_identical_to_allocating_path(rows, hidden_dims):
+    arch = MlpArchitecture(4, hidden_dims)
     params = init_params(arch, 5)
     rng = np.random.default_rng(6)
     ws = Workspace(arch, rows)
     # an earlier batch leaves stale values in every workspace row
-    forward(arch, params, rng.standard_normal((rows, 4)), workspace=ws)
+    _, cache_stale = forward(arch, params, rng.standard_normal((rows, 4)), workspace=ws)
+    backward(arch, params, cache_stale, rng.standard_normal(rows), workspace=ws)
     x = rng.standard_normal((6, 4))
     g = rng.standard_normal(6)
 
@@ -204,16 +218,128 @@ def test_workspace_bit_identical_to_allocating_path(rows):
 
 
 def test_workspace_holds_the_cached_activations():
-    arch = MlpArchitecture(4, (5, 4))
-    params = init_params(arch, 5)
-    x = np.random.default_rng(7).standard_normal((3, 4))
-    ws = Workspace(arch, 8)
+    for hidden_dims in ((5, 4), (5,)):
+        arch = MlpArchitecture(4, hidden_dims)
+        params = init_params(arch, 5)
+        x = np.random.default_rng(7).standard_normal((3, 4))
+        ws = Workspace(arch, 8)
+        pred, cache = forward(arch, params, x, workspace=ws)
+        # two float buffers per hidden layer, activation then activation
+        # gradient; the pre-activation is computed into the activation
+        # buffer, never kept
+        assert [[(buf.shape, buf.dtype) for buf in bufs] for bufs in ws.layers] == \
+            [[((8, width), np.float64)] * 2 for width in hidden_dims]
+        assert not hasattr(cache, "pre_acts")
+        for li, (h_buf, _) in enumerate(ws.layers):
+            assert np.shares_memory(cache.hidden[li], h_buf)
+        g = np.random.default_rng(8).standard_normal(3)
+        grad = backward(arch, params, cache, g, workspace=ws)
+        assert not any(np.shares_memory(grad, buf) for bufs in ws.layers for buf in bufs)
+        # the top layer's gradient buffer holds its float 0/1 ReLU mask, and
+        # then, when a hidden layer lies below, the mask times dz w_out^T
+        mask = (cache.hidden[-1] > 0.0).astype(np.float64)
+        if len(hidden_dims) > 1:
+            dz = g * tensor.sigmoid_grad(pred)
+            mask *= np.multiply.outer(dz, layer_views(arch, params)[-1][0][:, 0])
+        assert ws.layers[-1][1][:3].tobytes() == mask.tobytes()
+
+
+# ------------------------------------------- backward against a reference
+
+def _reference_backward(arch, params, cache, dloss_dpred, workspace=None):
+    """The backward pass that builds every hidden layer's dz_l: the outer
+    product dz w_out^T under the output, the mask multiply, h_in.T @ dz_l
+    and the row sum. Allocates; workspace is accepted and ignored."""
+    layers = layer_views(arch, params)
+    grads = np.empty_like(params)
+    grad_layers = layer_views(arch, grads)
+    dz = dloss_dpred * tensor.sigmoid_grad(cache.pred)
+    inputs = [cache.inputs, *cache.hidden]
+    gw, gb = grad_layers[-1]
+    gw[...] = inputs[-1].T @ dz[:, None]
+    gb[...] = np.sum(dz, keepdims=True)
+    for li in range(len(cache.hidden) - 1, -1, -1):
+        if li == len(cache.hidden) - 1:
+            dh = np.multiply(dz[:, None], layers[-1][0][:, 0])
+        else:
+            dh = dz_l @ layers[li + 1][0].T
+        dz_l = dh * (cache.hidden[li] > 0.0)
+        gw, gb = grad_layers[li]
+        gw[...] = inputs[li].T @ dz_l
+        gb[...] = np.sum(dz_l, axis=0)
+    return grads
+
+
+def _assert_matches_reference(arch, params, x, g, workspace_rows):
+    ws = None if workspace_rows is None else Workspace(arch, workspace_rows)
+    _, cache = forward(arch, params, x)
+    ref = _reference_backward(arch, params, cache, g)
     _, cache = forward(arch, params, x, workspace=ws)
-    # two buffers per hidden layer, activation then activation gradient; the
-    # pre-activation is computed into the activation buffer, never kept
-    assert [[buf.shape for buf in bufs] for bufs in ws.layers] == [[(8, 5)] * 2, [(8, 4)] * 2]
-    assert not hasattr(cache, "pre_acts")
-    for li, (h_buf, _) in enumerate(ws.layers):
-        assert np.shares_memory(cache.hidden[li], h_buf)
-    grad = backward(arch, params, cache, np.ones(3), workspace=ws)
-    assert not any(np.shares_memory(grad, buf) for bufs in ws.layers for buf in bufs)
+    got = backward(arch, params, cache, g, workspace=ws)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(got))
+    return got
+
+
+REFERENCE_DIMS = [pytest.param((256,), id="256"), pytest.param((5,), id="5"),
+                  pytest.param((32, 16), id="32x16"), pytest.param((), id="no-hidden-layer")]
+
+
+@pytest.mark.parametrize("workspace_rows", [None, 40], ids=["allocating", "workspace"])
+@pytest.mark.parametrize("batch", [33, 1])
+@pytest.mark.parametrize("hidden_dims", REFERENCE_DIMS)
+def test_backward_matches_reference(hidden_dims, batch, workspace_rows):
+    rng = np.random.default_rng(20)
+    arch = MlpArchitecture(6, hidden_dims)
+    params = init_params(arch, 21)
+    _assert_matches_reference(arch, params, rng.standard_normal((batch, 6)),
+                              rng.standard_normal(batch), workspace_rows)
+
+
+@pytest.mark.parametrize("workspace_rows", [None, 40], ids=["allocating", "workspace"])
+@pytest.mark.parametrize("hidden_dims", REFERENCE_DIMS)
+def test_backward_matches_reference_with_zero_rows_of_dz(hidden_dims, workspace_rows):
+    rng = np.random.default_rng(22)
+    arch = MlpArchitecture(6, hidden_dims)
+    params = init_params(arch, 23)
+    g = rng.standard_normal(33)
+    g[::3] = 0.0
+    _assert_matches_reference(arch, params, rng.standard_normal((33, 6)), g, workspace_rows)
+
+
+@pytest.mark.parametrize("workspace_rows", [None, 40], ids=["allocating", "workspace"])
+@pytest.mark.parametrize("hidden_dims,dead", [
+    pytest.param((256,), 0, id="256"),
+    pytest.param((5,), 0, id="5"),
+    pytest.param((32, 16), 0, id="32x16-lower"),
+    pytest.param((32, 16), 1, id="32x16-top"),
+])
+def test_backward_of_a_dead_layer_is_zero(hidden_dims, dead, workspace_rows):
+    rng = np.random.default_rng(24)
+    arch = MlpArchitecture(6, hidden_dims)
+    params = init_params(arch, 25)
+    layers = layer_views(arch, params)
+    for _, b in layers[:-1]:
+        b[...] = 0.1  # so that only the dead layer is dead
+    layers[dead][1][...] = -100.0  # no unit of the layer fires
+    got = _assert_matches_reference(arch, params, rng.standard_normal((33, 6)),
+                                    rng.standard_normal(33), workspace_rows)
+    gw, gb = layer_views(arch, got)[dead]
+    assert np.all(gw == 0.0) and np.all(gb == 0.0)
+
+
+def test_training_drift_against_reference_backward(monkeypatch):
+    # The top hidden layer's gradient sums in another order than the
+    # reference's, so trained weights may differ by rounding only; the
+    # bound is fixed in advance at 1e-12 of the largest weight.
+    train = synth_biased(2000, 6, 0.5, 0.4, 1.0, seed=0)
+    config = TrainConfig(epochs=3, seed=0)
+
+    def run():
+        line = train_subspace(train, config)
+        return line.w_acc, line.w_fair, train_fixed(train, config, 0.5).weights
+
+    real = run()
+    monkeypatch.setattr(fairline.subspace, "backward", _reference_backward)
+    reference = run()
+    for w, w_ref in zip(real, reference):
+        assert np.max(np.abs(w - w_ref)) <= 1e-12 * np.max(np.abs(w_ref))

@@ -86,6 +86,10 @@ def test_relu_values():
     mask = tensor.relu_grad(t)
     assert mask.dtype == np.bool_
     assert (d * mask).tobytes() == (d * mask.astype(np.float64)).tobytes()
+    # written into a float64 out, the same mask as 1.0 and +0.0
+    out = np.full(5, np.nan)
+    assert tensor.relu_grad(t, out=out) is out
+    assert out.tobytes() == mask.astype(np.float64).tobytes()
 
 
 def test_relu_grad_of_the_output_is_the_mask_of_the_input():
