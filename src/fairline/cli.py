@@ -31,7 +31,8 @@ from dataclasses import fields
 
 from .baseline import DEFAULT_FAIRNESS_GRID, check_fairness_grid, check_jobs
 from .data import (
-    CsvSchema, FeatureTransform, check_test_fraction, load_csv, split, synth_biased, write_csv)
+    CsvSchema, FeatureTransform, check_test_fraction, load_csv, open_text, split, synth_biased,
+    write_csv)
 from .errors import FairlineError, NumericError, ParameterError
 from .evaluation import (
     DEFAULT_ALPHA_GRID, alpha_sweep, check_alpha_grid, compare_to_grid, write_report)
@@ -195,11 +196,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Parser]]:
 
 def _config_flags(path: str, command: str, flags: dict[str, argparse.Action]) -> list[str]:
     """The config file's key=value lines as command-line flags for command."""
+    def unreadable(exc):
+        return ParameterError(f"cannot read config file: {exc}")
+
     try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
+        with open_text(path, unreadable) as fh:
             lines = [line.strip() for line in fh]
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParameterError(f"cannot read config file: {exc}") from None
+    except OSError as exc:
+        raise unreadable(exc) from None
     tokens = []
     for line_no, line in enumerate(lines, start=1):
         if not line or line.startswith("#"):

@@ -25,6 +25,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property
 
@@ -321,6 +322,20 @@ class Dataset:
         return Dataset(self.raw[idx], self.labels[idx], self.sensitive[idx], self.transform)
 
 
+@contextmanager
+def open_text(path, decode_error, newline=None):
+    """path opened for reading as UTF-8 text, with or without a byte-order
+    mark: how every text file fairline takes as input is read (dataset CSVs,
+    config files, reports). A byte that does not decode, wherever in the file
+    it is read, raises decode_error(exc), the caller's typed error, in place
+    of the UnicodeDecodeError exc. newline is open()'s."""
+    with open(path, "r", encoding="utf-8-sig", newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise decode_error(exc) from None
+
+
 def load_csv(path, schema_or_transform: CsvSchema | FeatureTransform) -> Dataset:
     """Load an RFC-4180 CSV with a header row into a Dataset.
 
@@ -336,35 +351,33 @@ def load_csv(path, schema_or_transform: CsvSchema | FeatureTransform) -> Dataset
     """
     fit = isinstance(schema_or_transform, CsvSchema)
     schema = schema_or_transform if fit else schema_or_transform.schema
-    try:
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise SchemaError(f"{path}: empty file, header row required") from None
-            header = [h.strip() for h in header]
-            if len(set(header)) != len(header):
-                raise SchemaError(f"duplicate column names in header {header}")
-            for col in (schema.label_column, schema.sensitive_column):
-                if col not in header:
-                    raise SchemaError(f"column '{col}' not found in header {header}")
-            rows: list[list[str]] = []
-            lines: list[int] = []
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    raise RowParseError(reader.line_num,
-                                        f"expected {len(header)} cells, got {len(row)}")
-                cells = [c.strip() for c in row]
-                for col, cell in zip(header, cells):
-                    if cell == "":
-                        raise RowParseError(reader.line_num, f"missing value in column '{col}'")
-                rows.append(cells)
-                lines.append(reader.line_num)
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    with open_text(path, lambda exc: DataError(f"{path}: not UTF-8 text ({exc.reason})"),
+                   newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise SchemaError(f"{path}: empty file, header row required") from None
+        header = [h.strip() for h in header]
+        if len(set(header)) != len(header):
+            raise SchemaError(f"duplicate column names in header {header}")
+        for col in (schema.label_column, schema.sensitive_column):
+            if col not in header:
+                raise SchemaError(f"column '{col}' not found in header {header}")
+        rows: list[list[str]] = []
+        lines: list[int] = []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise RowParseError(reader.line_num,
+                                    f"expected {len(header)} cells, got {len(row)}")
+            cells = [c.strip() for c in row]
+            for col, cell in zip(header, cells):
+                if cell == "":
+                    raise RowParseError(reader.line_num, f"missing value in column '{col}'")
+            rows.append(cells)
+            lines.append(reader.line_num)
     if not rows:
         raise ValidationError(f"{path}: no data rows")
 

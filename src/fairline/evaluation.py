@@ -21,7 +21,7 @@ from typing import get_args, get_type_hints
 import numpy as np
 
 from .baseline import DEFAULT_FAIRNESS_GRID, check_fairness_grid, check_jobs, sweep_fixed
-from .data import Dataset, FeatureTransform
+from .data import Dataset, FeatureTransform, open_text
 from .errors import CheckpointError, FrontierRangeError, ParameterError
 from .losses import demographic_parity_gap, equal_opportunity_gap, equalized_odds_gap
 from .model import MlpArchitecture, Workspace, forward
@@ -35,7 +35,8 @@ DEFAULT_ALPHA_GRID = tuple(k / 20 for k in range(21))
 HARD_THRESHOLD = 0.5
 
 # Rows per forward call when a whole split is served. 512 timed fastest for a
-# 256-wide hidden layer (256 read the same); the workspace is then 2 MB.
+# 256-wide hidden layer (256 read the same); the workspace is then about
+# 2.1 MB, the [x | 1] input and the (512, 257) activation and gradient buffers.
 CHUNK = 512
 
 
@@ -276,11 +277,9 @@ def read_report(path) -> list[MetricsRecord]:
     UTF-8 byte-order mark. A file that is not UTF-8 text, a wrong cell count,
     or a cell that does not parse as its field's type or None, raises
     ParameterError."""
-    try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            lines = [ln for ln in fh.read().splitlines() if ln]
-    except UnicodeDecodeError as exc:
-        raise ParameterError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    with open_text(path, lambda exc: ParameterError(
+            f"{path}: not UTF-8 text ({exc.reason})")) as fh:
+        lines = [ln for ln in fh.read().splitlines() if ln]
     if not lines or lines[0] != REPORT_HEADER:
         raise ParameterError(f"{path}: not a report file")
     types = get_type_hints(MetricsRecord)

@@ -6,31 +6,42 @@ biases, layer 2 weights, ... So each layer is one (fan_in + 1) x fan_out
 row-major block, W's rows and then b. _layer_blocks is the only code that
 knows this layout and the only check that a vector fits the architecture;
 layer_views splits its blocks into (W, b) pairs. init_params fills the
-views of one flat vector, backward the blocks of another. The forward pass
-is X @ W + b per layer with ReLU on hidden layers and sigmoid on the single
-output unit.
+views of one flat vector, backward the blocks of another.
 
-Each hidden layer's pre-activation is computed into the array that then
-holds its activation: matmul, the bias added in place, ReLU in place. So no
-pre-activation is kept; backward takes the ReLU mask from the activation,
-which is positive exactly where the pre-activation is.
+Every layer input carries a trailing ones column: the input is [x | 1] and
+each hidden activation is [h | 1]. A layer's block is then exactly the matrix
+that multiplies its input, so every layer is one GEMM against its block,
+[h_in | 1] @ [W; b] = h_in W + b, with no separate bias pass. Each hidden
+layer's GEMM writes the activation's first width columns in place, and ReLU
+runs over the whole activation, ones column included: relu(1) = 1, so the
+column stays. No pre-activation is kept; backward takes the ReLU mask from
+the activation, which is positive exactly where the pre-activation is. The
+output unit's logit is [h_top | 1] @ [w_out; b_out], and the prediction its
+sigmoid.
 
-backward fills the top hidden layer's block (the layer under the single
-output unit) with one matmul. With dz = d(loss)/d(logit), dh = dz w_out^T,
-M the layer's ReLU mask as float64 0/1, and * elementwise and broadcast:
+backward uses the same rule in reverse. With a_l = [h_l | 1] a layer's input
+and dz_l the gradient with respect to its pre-activation, the layer's whole
+block gradient is one GEMM, [gW; gb] = a_l^T dz_l: the ones column sums the
+bias gradient. For the output unit dz is d(loss)/d(logit), a vector, so that
+GEMM is a matvec. For the top hidden layer (the one under the output unit),
+with M its ReLU mask as float64 0/1 and * elementwise and broadcast,
 
-    [gW; gb] = [h_in | 1]^T (dh * M) = (([h_in | 1] * dz)^T M) * w_out^T
+    [gW; gb] = a_l^T ((dz w_out^T) * M) = ((a_l * dz)^T M) * w_out^T
 
-so the (batch, width) back-projection dh is never built for it. Only when a
-hidden layer lies below is dz_l = dh * M built; each layer below takes
-dz_l @ W^T back from the layer above, then h_in^T dz_l and the row sum of
-dz_l for its own gradient.
+so the (batch, width) back-projection dz w_out^T is never built for it.
+Only when a hidden layer lies below is that layer's dz_l built, as M * dz
+scaled by [w_out; b_out]; each layer below takes dz_l W^T back from the
+layer above, times its own mask, then one GEMM for its block. The gradient
+arrays carry an extra column too, so that each elementwise pass runs over
+one contiguous array; no GEMM reads that column, so its values never reach a
+gradient.
 
-forward and backward take an optional Workspace: per-hidden-layer
-(rows, width) buffers that a training run allocates once and reuses for every
-batch. With a workspace each activation and activation gradient is written
-into the workspace's first b rows; without one the same operations allocate
-their outputs. The results are bit-identical either way.
+forward and backward take an optional Workspace: the [x | 1] input buffer
+and per-hidden-layer (rows, width + 1) activation and gradient buffers that
+a training run allocates once and reuses for every batch. With a workspace
+each of these arrays is written into the workspace's first b rows; without
+one forward and backward allocate them. The results are bit-identical
+either way.
 A ForwardCache from a workspace call points into the workspace, so it is
 valid only until the next forward or backward call on that workspace. The
 gradient vector backward returns is always a new array, so a caller may keep
@@ -40,6 +51,7 @@ it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -57,11 +69,13 @@ class MlpArchitecture:
         if self.input_dim < 1 or any(h < 1 for h in self.hidden_dims):
             raise ParameterError("all layer widths must be >= 1")
 
-    @property
+    # Computed once per architecture: forward and backward read both on
+    # every call.
+    @cached_property
     def layer_dims(self) -> tuple[int, ...]:
         return (self.input_dim, *self.hidden_dims, 1)
 
-    @property
+    @cached_property
     def param_count(self) -> int:
         dims = self.layer_dims
         return sum(fi * fo + fo for fi, fo in zip(dims[:-1], dims[1:]))
@@ -71,47 +85,54 @@ class MlpArchitecture:
 class ForwardCache:
     """Per-layer intermediates of one forward pass, consumed by backward.
 
-    From a forward call with a workspace, the hidden-layer arrays are views
-    into it (see the module docstring for how long they stay valid).
+    Each layer input carries its trailing ones column: inputs is [x | 1] and
+    each hidden array is [h | 1]. From a forward call with a workspace, the
+    arrays are views into it (see the module docstring for how long they
+    stay valid).
     """
 
-    inputs: np.ndarray  # (b, d)
-    hidden: list[np.ndarray]  # post-ReLU hidden activations
+    inputs: np.ndarray  # (b, d + 1): [x | 1]
+    hidden: list[np.ndarray]  # post-ReLU hidden activations, (b, width + 1) each
     pred: np.ndarray  # sigmoid output (b,)
+
+
+def _with_ones(rows: int, width: int) -> np.ndarray:
+    """A (rows, width + 1) float64 array whose last column is 1.0; the other
+    columns are left for the caller to write."""
+    a = np.empty((rows, width + 1))
+    a[:, -1] = 1.0
+    return a
 
 
 class Workspace:
     """Reusable forward/backward buffers for one architecture and batch size.
 
-    Per hidden layer: the activation and the gradient with respect to the
-    activation, each (rows, width) float64. A batch of b <= rows rows uses
-    the first b rows of each buffer. The top hidden layer's gradient buffer
-    first holds its float 0/1 ReLU mask for backward's matmul; when a hidden
-    layer lies below, backward then scales it in place to the gradient with
-    respect to the pre-activation.
+    inputs is the (rows, input_dim + 1) buffer for [x | 1]. Per hidden layer,
+    hidden holds the (rows, width + 1) activation [h | 1] and grads a gradient
+    buffer of the same shape, all float64; the ones columns are written here
+    and never again. A batch of b <= rows rows uses the first b rows of each
+    buffer. The top hidden layer's gradient buffer first holds its float 0/1
+    ReLU mask for backward's matmul; when a hidden layer lies below, backward
+    then scales it in place to the gradient with respect to the
+    pre-activation. A gradient buffer's extra column is zeroed here so that
+    it stays finite; its values never reach a gradient.
     """
 
     def __init__(self, arch: MlpArchitecture, rows: int):
-        self.hidden_dims = arch.hidden_dims
+        self.arch = arch
         self.rows = rows
-        self.layers = [tuple(np.empty((rows, h)) for _ in range(2))
-                       for h in arch.hidden_dims]
+        self.inputs = _with_ones(rows, arch.input_dim)
+        self.hidden = [_with_ones(rows, h) for h in arch.hidden_dims]
+        self.grads = [np.zeros((rows, h + 1)) for h in arch.hidden_dims]
 
 
-def _layer_buffers(arch: MlpArchitecture, workspace: Workspace | None, b: int
-                   ) -> list[tuple]:
-    """Per hidden layer, the (activation, activation gradient) out= targets
-    for a b-row batch: the workspace's first b rows, or Nones so that each
-    operation allocates."""
-    if workspace is None:
-        return [(None, None)] * len(arch.hidden_dims)
-    if workspace.hidden_dims != arch.hidden_dims or b > workspace.rows:
+def _check_fits(workspace: Workspace, arch: MlpArchitecture, b: int) -> None:
+    """Raises ShapeError unless workspace was built for arch and b rows or more."""
+    if workspace.arch != arch or b > workspace.rows:
         raise ShapeError(
-            f"workspace for hidden dims {workspace.hidden_dims} and "
-            f"{workspace.rows} rows does not fit hidden dims {arch.hidden_dims} "
-            f"and {b} rows"
+            f"workspace for {workspace.arch} and {workspace.rows} rows does not "
+            f"fit {arch} and {b} rows"
         )
-    return [tuple(buf[:b] for buf in bufs) for bufs in workspace.layers]
 
 
 def _layer_blocks(arch: MlpArchitecture, params: np.ndarray) -> list[np.ndarray]:
@@ -161,18 +182,21 @@ def forward(arch: MlpArchitecture, params: np.ndarray, x: np.ndarray,
     blocks = _layer_blocks(arch, params)
     if x.ndim != 2 or x.shape[1] != arch.input_dim:
         raise ShapeError(f"input shape {x.shape} does not match input_dim={arch.input_dim}")
-    bufs = _layer_buffers(arch, workspace, x.shape[0])
-    hidden: list[np.ndarray] = []
-    h = x
-    for block, (h_out, _) in zip(blocks[:-1], bufs):
-        h = tensor.matmul(h, block[:-1], out=h_out)
-        h += block[-1]
-        tensor.relu(h, out=h)
-        hidden.append(h)
-    out = blocks[-1]
-    logits = (tensor.matmul(h, out[:-1]) + out[-1])[:, 0]
-    pred = tensor.sigmoid(logits)
-    return pred, ForwardCache(x, hidden, pred)
+    b = x.shape[0]
+    if workspace is None:
+        inputs = _with_ones(b, arch.input_dim)
+        hidden = [_with_ones(b, h) for h in arch.hidden_dims]
+    else:
+        _check_fits(workspace, arch, b)
+        inputs = workspace.inputs[:b]
+        hidden = [buf[:b] for buf in workspace.hidden]
+    inputs[:, :-1] = x
+    a = inputs
+    for block, a_out in zip(blocks[:-1], hidden):
+        tensor.matmul(a, block, out=a_out[:, :-1])
+        a = tensor.relu(a_out, out=a_out)
+    pred = tensor.sigmoid(tensor.matmul(a, blocks[-1])[:, 0])
+    return pred, ForwardCache(inputs, hidden, pred)
 
 
 def backward(arch: MlpArchitecture, params: np.ndarray, cache: ForwardCache,
@@ -182,9 +206,9 @@ def backward(arch: MlpArchitecture, params: np.ndarray, cache: ForwardCache,
 
     Returns a new flat vector in the same canonical layout as params.
 
-    The top hidden layer's gradient is one matmul over its float ReLU mask
-    M: with dh = dz w_out^T, [gW; gb] = (([h_in | 1] * dz)^T M) * w_out^T
-    (see the module docstring). dh * M is built only for a layer below it.
+    Each layer's block gradient is one GEMM, a_l^T dz_l with a_l = [h_l | 1]
+    the cached layer input; the top hidden layer's is ((a_l * dz)^T M) * w_out^T
+    over its float ReLU mask M (see the module docstring).
     """
     blocks = _layer_blocks(arch, params)
     b = cache.inputs.shape[0]
@@ -192,37 +216,34 @@ def backward(arch: MlpArchitecture, params: np.ndarray, cache: ForwardCache,
         raise ShapeError(
             f"dloss_dpred shape {dloss_dpred.shape} does not match batch size {b}"
         )
-    bufs = _layer_buffers(arch, workspace, b)
+    if workspace is None:
+        bufs = [np.zeros_like(h) for h in cache.hidden]
+    else:
+        _check_fits(workspace, arch, b)
+        bufs = [buf[:b] for buf in workspace.grads]
     grads = np.empty_like(params)
     grad_blocks = _layer_blocks(arch, grads)
-    layer_inputs = [cache.inputs, *cache.hidden]
+    acts = [cache.inputs, *cache.hidden]
 
     dz = dloss_dpred * tensor.sigmoid_grad(cache.pred)  # (b,)
-    g = grad_blocks[-1]
-    tensor.matmul(layer_inputs[-1].T, dz[:, None], out=g[:-1])
-    np.sum(dz, keepdims=True, out=g[-1])
+    tensor.matmul(acts[-1].T, dz[:, None], out=grad_blocks[-1])
     if not cache.hidden:
         return grads
 
     top = len(cache.hidden) - 1
-    h_in, h = layer_inputs[top], cache.hidden[top]
-    w_out = blocks[-1][:-1, 0]
-    mask_out = bufs[top][1]
-    mask = tensor.relu_grad(h, out=np.empty_like(h) if mask_out is None else mask_out)
-    lhs = np.empty((b, h_in.shape[1] + 1))  # [h_in | 1] * dz
-    np.multiply(h_in, dz[:, None], out=lhs[:, :-1])
-    lhs[:, -1] = dz
-    g = tensor.matmul(lhs.T, mask, out=grad_blocks[top])
-    g *= w_out
+    out = blocks[-1][:, 0]  # w_out, then b_out
+    mask = tensor.relu_grad(acts[-1], out=bufs[top])
+    g = tensor.matmul((acts[top] * dz[:, None]).T, mask[:, :-1], out=grad_blocks[top])
+    g *= out[:-1]
     if top == 0:
         return grads
 
+    # dz_l's extra column becomes dz * b_out: finite, and no GEMM reads it
     dz_l = np.multiply(mask, dz[:, None], out=mask)
-    dz_l *= w_out
+    dz_l *= out
     for li in range(top - 1, -1, -1):
-        dh = tensor.matmul(dz_l, blocks[li + 1][:-1].T, out=bufs[li][1])
-        dz_l = np.multiply(dh, tensor.relu_grad(cache.hidden[li]), out=dh)
-        g = grad_blocks[li]
-        tensor.matmul(layer_inputs[li].T, dz_l, out=g[:-1])
-        np.sum(dz_l, axis=0, out=g[-1])
+        dh = bufs[li]
+        tensor.matmul(dz_l[:, :-1], blocks[li + 1][:-1].T, out=dh[:, :-1])
+        dz_l = np.multiply(dh, tensor.relu_grad(acts[li + 1]), out=dh)
+        tensor.matmul(acts[li].T, dz_l[:, :-1], out=grad_blocks[li])
     return grads

@@ -98,6 +98,9 @@ def relu_grad(h, out=None):
 
     Multiplying a float64 array by the boolean mask gives the same bits as
     multiplying it by the float64 mask. The float mask is for a matmul,
-    which sums over the mask's rows: the backward pass's top hidden layer.
+    which sums over the mask's rows: the backward pass's top hidden layer,
+    whose block gradient is ((a_in * dz)^T M) * w_out^T. Every layer below
+    multiplies its back-projected gradient by the boolean mask, then takes
+    its block gradient as one matmul, a_in^T dz_l (see fairline.model).
     """
     return np.greater(h, 0.0, out=out)

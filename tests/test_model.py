@@ -218,30 +218,52 @@ def test_workspace_bit_identical_to_allocating_path(rows, hidden_dims):
 
 
 def test_workspace_holds_the_cached_activations():
-    for hidden_dims in ((5, 4), (5,)):
-        arch = MlpArchitecture(4, hidden_dims)
-        params = init_params(arch, 5)
-        x = np.random.default_rng(7).standard_normal((3, 4))
-        ws = Workspace(arch, 8)
-        pred, cache = forward(arch, params, x, workspace=ws)
-        # two float buffers per hidden layer, activation then activation
-        # gradient; the pre-activation is computed into the activation
-        # buffer, never kept
-        assert [[(buf.shape, buf.dtype) for buf in bufs] for bufs in ws.layers] == \
-            [[((8, width), np.float64)] * 2 for width in hidden_dims]
-        assert not hasattr(cache, "pre_acts")
-        for li, (h_buf, _) in enumerate(ws.layers):
-            assert np.shares_memory(cache.hidden[li], h_buf)
-        g = np.random.default_rng(8).standard_normal(3)
-        grad = backward(arch, params, cache, g, workspace=ws)
-        assert not any(np.shares_memory(grad, buf) for bufs in ws.layers for buf in bufs)
-        # the top layer's gradient buffer holds its float 0/1 ReLU mask, and
-        # then, when a hidden layer lies below, the mask times dz w_out^T
-        mask = (cache.hidden[-1] > 0.0).astype(np.float64)
-        if len(hidden_dims) > 1:
-            dz = g * tensor.sigmoid_grad(pred)
-            mask *= np.multiply.outer(dz, layer_views(arch, params)[-1][0][:, 0])
-        assert ws.layers[-1][1][:3].tobytes() == mask.tobytes()
+    for hidden_dims in ((5, 4), (5,), ()):
+        _check_workspace_buffers(hidden_dims)
+
+
+def _check_workspace_buffers(hidden_dims):
+    arch = MlpArchitecture(4, hidden_dims)
+    params = init_params(arch, 5)
+    rng = np.random.default_rng(7)
+    ws = Workspace(arch, 8)
+    # an [x | 1] input buffer, then per hidden layer a [h | 1] activation
+    # buffer and a gradient buffer of the same shape; the pre-activation is
+    # computed into the activation buffer, never kept
+    assert (ws.inputs.shape, ws.inputs.dtype) == ((8, 5), np.float64)
+    assert [(buf.shape, buf.dtype) for buf in ws.hidden] == \
+        [((8, width + 1), np.float64) for width in hidden_dims]
+    assert [(buf.shape, buf.dtype) for buf in ws.grads] == \
+        [((8, width + 1), np.float64) for width in hidden_dims]
+    # an earlier full batch leaves stale values in every workspace row
+    _, stale = forward(arch, params, rng.standard_normal((8, 4)), workspace=ws)
+    backward(arch, params, stale, rng.standard_normal(8), workspace=ws)
+    x = rng.standard_normal((3, 4))
+    pred, cache = forward(arch, params, x, workspace=ws)
+    assert not hasattr(cache, "pre_acts")
+    assert np.shares_memory(cache.inputs, ws.inputs)
+    assert cache.inputs[:, :-1].tobytes() == x.tobytes()
+    for h, h_buf in zip(cache.hidden, ws.hidden):
+        assert np.shares_memory(h, h_buf)
+    g = rng.standard_normal(3)
+    grad = backward(arch, params, cache, g, workspace=ws)
+    assert not any(np.shares_memory(grad, buf)
+                   for buf in (ws.inputs, *ws.hidden, *ws.grads))
+    # every ones column still reads 1.0, in every row
+    for buf in (ws.inputs, *ws.hidden):
+        assert np.all(buf[:, -1] == 1.0)
+    if not hidden_dims:
+        return
+    # the top layer's gradient buffer holds its float 0/1 ReLU mask, and
+    # then, when a hidden layer lies below, the mask times dz w_out^T
+    mask = (cache.hidden[-1][:, :-1] > 0.0).astype(np.float64)
+    if len(hidden_dims) > 1:
+        dz = g * tensor.sigmoid_grad(pred)
+        mask *= np.multiply.outer(dz, layer_views(arch, params)[-1][0][:, 0])
+    assert ws.grads[-1][:3, :-1].tobytes() == mask.tobytes()
+    # the gradient buffers' extra column stays finite
+    for buf in ws.grads:
+        assert np.all(np.isfinite(buf[:, -1]))
 
 
 # ------------------------------------------- backward against a reference
@@ -254,16 +276,18 @@ def _reference_backward(arch, params, cache, dloss_dpred, workspace=None):
     grads = np.empty_like(params)
     grad_layers = layer_views(arch, grads)
     dz = dloss_dpred * tensor.sigmoid_grad(cache.pred)
-    inputs = [cache.inputs, *cache.hidden]
+    # the cached arrays without their ones columns
+    hidden = [h[:, :-1] for h in cache.hidden]
+    inputs = [cache.inputs[:, :-1], *hidden]
     gw, gb = grad_layers[-1]
     gw[...] = inputs[-1].T @ dz[:, None]
     gb[...] = np.sum(dz, keepdims=True)
-    for li in range(len(cache.hidden) - 1, -1, -1):
-        if li == len(cache.hidden) - 1:
+    for li in range(len(hidden) - 1, -1, -1):
+        if li == len(hidden) - 1:
             dh = np.multiply(dz[:, None], layers[-1][0][:, 0])
         else:
             dh = dz_l @ layers[li + 1][0].T
-        dz_l = dh * (cache.hidden[li] > 0.0)
+        dz_l = dh * (hidden[li] > 0.0)
         gw, gb = grad_layers[li]
         gw[...] = inputs[li].T @ dz_l
         gb[...] = np.sum(dz_l, axis=0)
@@ -282,6 +306,32 @@ def _assert_matches_reference(arch, params, x, g, workspace_rows):
 
 REFERENCE_DIMS = [pytest.param((256,), id="256"), pytest.param((5,), id="5"),
                   pytest.param((32, 16), id="32x16"), pytest.param((), id="no-hidden-layer")]
+
+
+def _reference_forward(arch, params, x):
+    """relu(h @ W + b) per hidden layer from layer_views, then the sigmoid
+    of the output unit's h @ w + b: the bias added apart from the matmul."""
+    layers = layer_views(arch, params)
+    h = x
+    for w, b in layers[:-1]:
+        h = np.maximum(h @ w + b, 0.0)
+    w, b = layers[-1]
+    return tensor.sigmoid((h @ w + b)[:, 0])
+
+
+@pytest.mark.parametrize("workspace_rows", [None, 40], ids=["allocating", "workspace"])
+@pytest.mark.parametrize("batch", [33, 1])
+@pytest.mark.parametrize("hidden_dims", REFERENCE_DIMS)
+def test_forward_matches_reference(hidden_dims, batch, workspace_rows):
+    rng = np.random.default_rng(26)
+    arch = MlpArchitecture(6, hidden_dims)
+    params = init_params(arch, 27)
+    for _, b in layer_views(arch, params):
+        b[...] = rng.normal(0.0, 0.5, size=b.shape)  # init leaves them 0
+    x = rng.standard_normal((batch, 6))
+    ws = None if workspace_rows is None else Workspace(arch, workspace_rows)
+    pred, _ = forward(arch, params, x, workspace=ws)
+    assert np.max(np.abs(pred - _reference_forward(arch, params, x))) <= 1e-15
 
 
 @pytest.mark.parametrize("workspace_rows", [None, 40], ids=["allocating", "workspace"])
@@ -329,8 +379,9 @@ def test_backward_of_a_dead_layer_is_zero(hidden_dims, dead, workspace_rows):
 
 def test_training_drift_against_reference_backward(monkeypatch):
     # The top hidden layer's gradient sums in another order than the
-    # reference's, so trained weights may differ by rounding only; the
-    # bound is fixed in advance at 1e-12 of the largest weight.
+    # reference's, and every bias gradient sums inside its layer's GEMM, so
+    # trained weights may differ by rounding only; the bound is fixed in
+    # advance at 1e-12 of the largest weight.
     train = synth_biased(2000, 6, 0.5, 0.4, 1.0, seed=0)
     config = TrainConfig(epochs=3, seed=0)
 
