@@ -8,7 +8,10 @@ alpha_sweep and compare_to_grid serve a whole split per alpha or per fixed
 model. They forward it in CHUNK-row pieces through one model Workspace and
 write one prediction vector, both reused for every alpha or model, so a
 sweep allocates no split-sized activations. The predictions are
-bit-identical to one allocating forward over all rows.
+bit-identical to one allocating forward over all rows. The split's group
+cells are taken once too, and each prediction vector is evaluated from them
+without building the gap metrics' gradients; the records equal
+evaluate_predictions' on the same predictions.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 from .baseline import DEFAULT_FAIRNESS_GRID, check_fairness_grid, check_jobs, sweep_fixed
 from .data import Dataset, FeatureTransform, open_text
 from .errors import CheckpointError, FrontierRangeError, ParameterError
-from .losses import demographic_parity_gap, equal_opportunity_gap, equalized_odds_gap
+from .losses import check_lengths, group_cells, group_gap
 from .model import MlpArchitecture, Workspace, forward
 from .subspace import SubspaceModel, TrainConfig, interpolate, train_subspace
 
@@ -36,7 +39,8 @@ HARD_THRESHOLD = 0.5
 
 # Rows per forward call when a whole split is served. 512 timed fastest for a
 # 256-wide hidden layer (256 read the same); the workspace is then about
-# 2.1 MB, the [x | 1] input and the (512, 257) activation and gradient buffers.
+# 1.1 MB, the [x | 1] input and the (512, 257) activation buffer (a
+# one-hidden-layer workspace has no gradient buffer).
 CHUNK = 512
 
 
@@ -79,17 +83,32 @@ REPORT_HEADER = ",".join(_COLUMNS)
 
 def evaluate_predictions(pred: np.ndarray, y: np.ndarray, s: np.ndarray) -> MetricsRecord:
     """Error rate plus the hard (thresholded at HARD_THRESHOLD) and relaxed
-    group-gap metrics.
+    group-gap metrics, each gap the value of its fairness loss in
+    fairline.losses.
 
     Raises EmptyGroupError when a group (or group/label cell needed by the
     EO/Eodd metrics) has no samples.
     """
+    check_lengths(pred, y, s)
+    return _evaluate(pred, y, _split_cells(y, s))
+
+
+def _split_cells(y: np.ndarray, s: np.ndarray):
+    """The group cells every gap metric compares on one split, taken once:
+    all rows, then the positives (eo, eodd), then the negatives (eodd)."""
+    pos = y == 1.0
+    return group_cells(s), group_cells(s, pos), group_cells(s, ~pos)
+
+
+def _evaluate(pred: np.ndarray, y: np.ndarray, cells) -> MetricsRecord:
+    """evaluate_predictions over the split's _split_cells; builds no gradient."""
+    every, pos, neg = cells
     hard = (pred >= HARD_THRESHOLD).astype(np.float64)
     error_rate = float(np.mean(hard != y))
-    dp_hard = demographic_parity_gap(hard, s).value
-    dp_relaxed = demographic_parity_gap(pred, s).value
-    eo_relaxed = equal_opportunity_gap(pred, y, s).value
-    eodd_relaxed = equalized_odds_gap(pred, y, s).value
+    dp_hard = abs(group_gap(hard, every, "demographic_parity_gap"))
+    dp_relaxed = abs(group_gap(pred, every, "demographic_parity_gap"))
+    eo_relaxed = abs(group_gap(pred, pos, "equal_opportunity_gap"))
+    eodd_relaxed = eo_relaxed + abs(group_gap(pred, neg, "equalized_odds_gap (negatives)"))
     return MetricsRecord(None, None, error_rate, dp_relaxed, dp_hard,
                          eo_relaxed, eodd_relaxed)
 
@@ -127,10 +146,10 @@ def alpha_sweep(model: SubspaceModel, test: Dataset,
     """
     grid = check_alpha_grid(grid)
     seed = _meta_seed(model.train_meta)
+    cells = _split_cells(test.labels, test.sensitive)
     preds = _serve(model.arch, (interpolate(model.w_acc, model.w_fair, a) for a in grid),
                    test.features)
-    return [replace(evaluate_predictions(pred, test.labels, test.sensitive),
-                    alpha=a, seed=seed)
+    return [replace(_evaluate(pred, test.labels, cells), alpha=a, seed=seed)
             for a, pred in zip(grid, preds)]
 
 
@@ -232,9 +251,10 @@ def compare_to_grid(train: Dataset, test: Dataset, config: TrainConfig,
     line_records = alpha_sweep(model, test, alpha_grid)
 
     fixed_models = sweep_fixed(train, config, fairness_grid, jobs=jobs)
+    cells = _split_cells(test.labels, test.sensitive)
     preds = _serve(fixed_models[0].arch, (fm.weights for fm in fixed_models),
                    test.features)
-    fixed_records = [replace(evaluate_predictions(pred, test.labels, test.sensitive),
+    fixed_records = [replace(_evaluate(pred, test.labels, cells),
                              fairness_weight=fm.fairness_weight,
                              seed=_meta_seed(fm.train_meta))
                      for fm, pred in zip(fixed_models, preds)]

@@ -26,7 +26,8 @@ class LossValue:
     grad_w2: np.ndarray | None = None
 
 
-def _check_lengths(*vectors: np.ndarray) -> int:
+def check_lengths(*vectors: np.ndarray) -> int:
+    """The common length of 1-D vectors; ShapeError unless they share it."""
     n = vectors[0].shape[0]
     for v in vectors:
         if v.shape != (n,):
@@ -37,56 +38,71 @@ def _check_lengths(*vectors: np.ndarray) -> int:
 def bce(pred: np.ndarray, y: np.ndarray) -> LossValue:
     """Mean binary cross-entropy with predictions clamped to
     [1e-12, 1 - 1e-12]; the gradient is evaluated at the clamped values."""
-    n = _check_lengths(pred, y)
+    n = check_lengths(pred, y)
     p = np.clip(pred, BCE_CLAMP, 1.0 - BCE_CLAMP)
     value = -float(np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
     grad = (p - y) / (p * (1.0 - p)) / n
     return LossValue(value, grad_pred=grad)
 
 
-def _mean_gap(pred: np.ndarray, mask0: np.ndarray, mask1: np.ndarray,
-              what: str) -> tuple[float, np.ndarray]:
-    """|mean(pred | mask0) - mean(pred | mask1)| and its prediction gradient."""
-    n0 = int(np.count_nonzero(mask0))
-    n1 = int(np.count_nonzero(mask1))
-    if n0 == 0 or n1 == 0:
+Cells = tuple[np.ndarray, np.ndarray]
+
+
+def group_cells(s: np.ndarray, rows: np.ndarray | None = None) -> Cells:
+    """Row indices of group 0 and of group 1 (s == 0 and s == 1), among the
+    rows where the boolean vector rows is True when it is given."""
+    g0, g1 = s == 0.0, s == 1.0
+    if rows is not None:
+        g0 &= rows
+        g1 &= rows
+    return np.flatnonzero(g0), np.flatnonzero(g1)
+
+
+def group_gap(pred: np.ndarray, cells: Cells, what: str) -> float:
+    """mean(pred[cells[0]]) - mean(pred[cells[1]]), signed, each mean a sum
+    over its count: the one formula behind every group-gap metric, loss and
+    held-out evaluation alike. Raises EmptyGroupError, naming what, when a
+    cell has no rows."""
+    i0, i1 = cells
+    if len(i0) == 0 or len(i1) == 0:
         raise EmptyGroupError(f"{what}: a group cell has no samples")
-    delta = float(np.sum(pred[mask0]) / n0 - np.sum(pred[mask1]) / n1)
+    return float(np.sum(pred[i0]) / len(i0) - np.sum(pred[i1]) / len(i1))
+
+
+def _mean_gap(pred: np.ndarray, cells: Cells, what: str) -> tuple[float, np.ndarray]:
+    """|group_gap| and its prediction gradient."""
+    delta = group_gap(pred, cells, what)
     sgn = float(np.sign(delta))
+    i0, i1 = cells
     grad = np.zeros_like(pred)
-    grad[mask0] = sgn / n0
-    grad[mask1] = -sgn / n1
+    grad[i0] = sgn / len(i0)
+    grad[i1] = -sgn / len(i1)
     return abs(delta), grad
 
 
 def demographic_parity_gap(pred: np.ndarray, s: np.ndarray) -> LossValue:
     """Relaxed demographic-parity gap: absolute difference of the mean
     prediction between the two groups."""
-    _check_lengths(pred, s)
-    value, grad = _mean_gap(pred, s == 0.0, s == 1.0, "demographic_parity_gap")
+    check_lengths(pred, s)
+    value, grad = _mean_gap(pred, group_cells(s), "demographic_parity_gap")
     return LossValue(value, grad_pred=grad)
 
 
 def equal_opportunity_gap(pred: np.ndarray, y: np.ndarray, s: np.ndarray) -> LossValue:
     """Relaxed true-positive-rate gap: the group mean difference restricted to
     ground-truth-positive samples."""
-    _check_lengths(pred, y, s)
-    pos = y == 1.0
-    value, grad = _mean_gap(pred, (s == 0.0) & pos, (s == 1.0) & pos,
-                            "equal_opportunity_gap")
+    check_lengths(pred, y, s)
+    value, grad = _mean_gap(pred, group_cells(s, y == 1.0), "equal_opportunity_gap")
     return LossValue(value, grad_pred=grad)
 
 
 def equalized_odds_gap(pred: np.ndarray, y: np.ndarray, s: np.ndarray) -> LossValue:
     """Relaxed equalized-odds gap: the positive-restricted group gap plus the
     negative-restricted group gap. Value in [0, 2]."""
-    _check_lengths(pred, y, s)
+    check_lengths(pred, y, s)
     pos = y == 1.0
-    v_pos, g_pos = _mean_gap(pred, (s == 0.0) & pos, (s == 1.0) & pos,
-                             "equalized_odds_gap (positives)")
-    neg = ~pos
-    v_neg, g_neg = _mean_gap(pred, (s == 0.0) & neg, (s == 1.0) & neg,
-                             "equalized_odds_gap (negatives)")
+    v_pos, g_pos = _mean_gap(pred, group_cells(s, pos), "equalized_odds_gap (positives)")
+    v_neg, g_neg = _mean_gap(pred, group_cells(s, ~pos), "equalized_odds_gap (negatives)")
     return LossValue(v_pos + v_neg, grad_pred=g_pos + g_neg)
 
 

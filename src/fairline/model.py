@@ -29,23 +29,28 @@ with M its ReLU mask as float64 0/1 and * elementwise and broadcast,
     [gW; gb] = a_l^T ((dz w_out^T) * M) = ((a_l * dz)^T M) * w_out^T
 
 so the (batch, width) back-projection dz w_out^T is never built for it.
+M is the last use of the top activation, so with a workspace backward writes
+M over it; relu_grad(1) = 1, so the ones column stays for the next forward.
 Only when a hidden layer lies below is that layer's dz_l built, as M * dz
-scaled by [w_out; b_out]; each layer below takes dz_l W^T back from the
-layer above, times its own mask, then one GEMM for its block. The gradient
-arrays carry an extra column too, so that each elementwise pass runs over
-one contiguous array; no GEMM reads that column, so its values never reach a
-gradient.
+scaled by [w_out; b_out], in a gradient buffer; each layer below takes
+dz_l W^T back from the layer above, times its own mask, then one GEMM for its
+block. The gradient arrays carry an extra column too, so that each
+elementwise pass runs over one contiguous array; no GEMM reads that column,
+so its values never reach a gradient.
 
-forward and backward take an optional Workspace: the [x | 1] input buffer
-and per-hidden-layer (rows, width + 1) activation and gradient buffers that
-a training run allocates once and reuses for every batch. With a workspace
+forward and backward take an optional Workspace: the [x | 1] input buffer,
+per-hidden-layer (rows, width + 1) activation buffers and, when there is
+more than one hidden layer, gradient buffers of the same shapes, which a
+training run allocates once and reuses for every batch. With a workspace
 each of these arrays is written into the workspace's first b rows; without
 one forward and backward allocate them. The results are bit-identical
 either way.
 A ForwardCache from a workspace call points into the workspace, so it is
-valid only until the next forward or backward call on that workspace. The
-gradient vector backward returns is always a new array, so a caller may keep
-it.
+valid only until the next forward or backward call on that workspace, and a
+backward with the workspace consumes it: its top hidden array then holds the
+float ReLU mask. backward without a workspace leaves the cache as it was.
+The gradient vector backward returns is always a new array, so a caller may
+keep it.
 """
 
 from __future__ import annotations
@@ -88,7 +93,8 @@ class ForwardCache:
     Each layer input carries its trailing ones column: inputs is [x | 1] and
     each hidden array is [h | 1]. From a forward call with a workspace, the
     arrays are views into it (see the module docstring for how long they
-    stay valid).
+    stay valid), and a backward with that workspace writes the top hidden
+    layer's float 0/1 ReLU mask over hidden[-1].
     """
 
     inputs: np.ndarray  # (b, d + 1): [x | 1]
@@ -107,15 +113,16 @@ def _with_ones(rows: int, width: int) -> np.ndarray:
 class Workspace:
     """Reusable forward/backward buffers for one architecture and batch size.
 
-    inputs is the (rows, input_dim + 1) buffer for [x | 1]. Per hidden layer,
-    hidden holds the (rows, width + 1) activation [h | 1] and grads a gradient
-    buffer of the same shape, all float64; the ones columns are written here
-    and never again. A batch of b <= rows rows uses the first b rows of each
-    buffer. The top hidden layer's gradient buffer first holds its float 0/1
-    ReLU mask for backward's matmul; when a hidden layer lies below, backward
-    then scales it in place to the gradient with respect to the
-    pre-activation. A gradient buffer's extra column is zeroed here so that
-    it stays finite; its values never reach a gradient.
+    inputs is the (rows, input_dim + 1) buffer for [x | 1], and hidden holds
+    per hidden layer the (rows, width + 1) activation [h | 1], all float64;
+    the ones columns are written here and never again. A batch of b <= rows
+    rows uses the first b rows of each buffer. backward writes the top
+    hidden layer's float 0/1 ReLU mask over its activation (relu_grad(1) = 1
+    keeps the ones column). So with one hidden layer, grads is empty; with
+    more, it holds per hidden layer a gradient buffer of the activation's
+    shape, for the gradient with respect to the pre-activation. A gradient
+    buffer's extra column is zeroed here so that it stays finite; its values
+    never reach a gradient.
     """
 
     def __init__(self, arch: MlpArchitecture, rows: int):
@@ -123,7 +130,8 @@ class Workspace:
         self.rows = rows
         self.inputs = _with_ones(rows, arch.input_dim)
         self.hidden = [_with_ones(rows, h) for h in arch.hidden_dims]
-        self.grads = [np.zeros((rows, h + 1)) for h in arch.hidden_dims]
+        deep = len(arch.hidden_dims) > 1
+        self.grads = [np.zeros((rows, h + 1)) for h in arch.hidden_dims] if deep else []
 
 
 def _check_fits(workspace: Workspace, arch: MlpArchitecture, b: int) -> None:
@@ -208,7 +216,9 @@ def backward(arch: MlpArchitecture, params: np.ndarray, cache: ForwardCache,
 
     Each layer's block gradient is one GEMM, a_l^T dz_l with a_l = [h_l | 1]
     the cached layer input; the top hidden layer's is ((a_l * dz)^T M) * w_out^T
-    over its float ReLU mask M (see the module docstring).
+    over its float ReLU mask M (see the module docstring). With a workspace,
+    M is written over cache.hidden[-1], so the cache serves one backward;
+    without one, the cache is not written.
     """
     blocks = _layer_blocks(arch, params)
     b = cache.inputs.shape[0]
@@ -216,11 +226,8 @@ def backward(arch: MlpArchitecture, params: np.ndarray, cache: ForwardCache,
         raise ShapeError(
             f"dloss_dpred shape {dloss_dpred.shape} does not match batch size {b}"
         )
-    if workspace is None:
-        bufs = [np.zeros_like(h) for h in cache.hidden]
-    else:
+    if workspace is not None:
         _check_fits(workspace, arch, b)
-        bufs = [buf[:b] for buf in workspace.grads]
     grads = np.empty_like(params)
     grad_blocks = _layer_blocks(arch, grads)
     acts = [cache.inputs, *cache.hidden]
@@ -232,14 +239,24 @@ def backward(arch: MlpArchitecture, params: np.ndarray, cache: ForwardCache,
 
     top = len(cache.hidden) - 1
     out = blocks[-1][:, 0]  # w_out, then b_out
-    mask = tensor.relu_grad(acts[-1], out=bufs[top])
+    # Nothing reads the top activation after this, so a workspace call writes
+    # the mask over it; relu_grad(1) = 1 keeps its ones column for the next
+    # forward. Without a workspace the caller's cache is left as it was.
+    mask = tensor.relu_grad(acts[-1], out=acts[-1] if workspace is not None
+                            else np.empty_like(acts[-1]))
     g = tensor.matmul((acts[top] * dz[:, None]).T, mask[:, :-1], out=grad_blocks[top])
     g *= out[:-1]
     if top == 0:
         return grads
 
-    # dz_l's extra column becomes dz * b_out: finite, and no GEMM reads it
-    dz_l = np.multiply(mask, dz[:, None], out=mask)
+    if workspace is None:
+        bufs = [np.zeros_like(h) for h in cache.hidden]
+    else:
+        bufs = [buf[:b] for buf in workspace.grads]
+    # dz_l goes into the top layer's gradient buffer, not over the mask: the
+    # mask may be the activation, whose ones column must stay 1.0. dz_l's
+    # extra column becomes dz * b_out: finite, and no GEMM reads it.
+    dz_l = np.multiply(mask, dz[:, None], out=bufs[top])
     dz_l *= out
     for li in range(top - 1, -1, -1):
         dh = bufs[li]

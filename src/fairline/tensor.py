@@ -71,11 +71,17 @@ def sigmoid(t):
     """Numerically stable logistic function, output strictly inside (0, 1).
 
     exp() is only ever called on -|t| <= 0, so large |t| cannot overflow;
-    the sign of t picks 1 / (1 + e) or e / (1 + e).
+    with e = exp(-|t|), the sign of t picks the numerator, 1 or e, over
+    1 + e. The sum, the quotient and the clamp into (0, 1) are computed in
+    place.
     """
     t = np.asarray(t, dtype=np.float64)
     e = np.exp(-np.abs(t))
-    return np.clip(np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e)), _SIG_LO, _SIG_HI)
+    s = np.where(t >= 0, 1.0, e)
+    e += 1.0
+    s /= e
+    np.maximum(s, _SIG_LO, out=s)
+    return np.minimum(s, _SIG_HI, out=s)
 
 
 def sigmoid_grad(sig_out):
@@ -99,8 +105,11 @@ def relu_grad(h, out=None):
     Multiplying a float64 array by the boolean mask gives the same bits as
     multiplying it by the float64 mask. The float mask is for a matmul,
     which sums over the mask's rows: the backward pass's top hidden layer,
-    whose block gradient is ((a_in * dz)^T M) * w_out^T. Every layer below
-    multiplies its back-projected gradient by the boolean mask, then takes
-    its block gradient as one matmul, a_in^T dz_l (see fairline.model).
+    whose block gradient is ((a_in * dz)^T M) * w_out^T. With a workspace,
+    backward writes that mask over the activation it is taken from
+    (out=h); relu_grad(1) = 1, so an activation's ones column stays. Every
+    layer below multiplies its back-projected gradient by the boolean mask,
+    then takes its block gradient as one matmul, a_in^T dz_l (see
+    fairline.model).
     """
     return np.greater(h, 0.0, out=out)

@@ -13,6 +13,7 @@ from fairline.errors import EmptyGroupError, FrontierRangeError, ParameterError
 from fairline.evaluation import (
     CHUNK,
     DEFAULT_ALPHA_GRID,
+    HARD_THRESHOLD,
     REPORT_HEADER,
     MetricsRecord,
     _serve,
@@ -25,6 +26,7 @@ from fairline.evaluation import (
     read_report,
     write_report,
 )
+from fairline.losses import demographic_parity_gap, equal_opportunity_gap, equalized_odds_gap
 from fairline.model import MlpArchitecture, forward, init_params
 from fairline.subspace import SubspaceModel, TrainConfig, predict, train_subspace
 
@@ -68,6 +70,19 @@ def test_evaluate_empty_group_errors():
     with pytest.raises(EmptyGroupError):
         evaluate_predictions(np.array([0.5, 0.5]), np.array([1.0, 0.0]),
                              np.array([0.0, 0.0]))
+
+
+def test_evaluate_gaps_are_the_fairness_loss_values():
+    rng = np.random.default_rng(3)
+    pred = rng.uniform(0.0, 1.0, 501)
+    y = rng.integers(0, 2, 501).astype(np.float64)
+    s = rng.integers(0, 2, 501).astype(np.float64)
+    out = evaluate_predictions(pred, y, s)
+    hard = (pred >= HARD_THRESHOLD).astype(np.float64)
+    assert out.dp_hard == demographic_parity_gap(hard, s).value
+    assert out.dp_relaxed == demographic_parity_gap(pred, s).value
+    assert out.eo_relaxed == equal_opportunity_gap(pred, y, s).value
+    assert out.eodd_relaxed == equalized_odds_gap(pred, y, s).value
 
 
 @settings(max_examples=40, deadline=None)

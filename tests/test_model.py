@@ -203,18 +203,31 @@ def test_workspace_bit_identical_to_allocating_path(rows, hidden_dims):
     params = init_params(arch, 5)
     rng = np.random.default_rng(6)
     ws = Workspace(arch, rows)
-    # an earlier batch leaves stale values in every workspace row
+    # an earlier batch leaves stale values in every workspace row, and each
+    # step's backward leaves the top mask in the activation buffer that the
+    # next step's forward writes
     _, cache_stale = forward(arch, params, rng.standard_normal((rows, 4)), workspace=ws)
     backward(arch, params, cache_stale, rng.standard_normal(rows), workspace=ws)
-    x = rng.standard_normal((6, 4))
-    g = rng.standard_normal(6)
+    for b in (6, rows, 6):
+        x = rng.standard_normal((b, 4))
+        g = rng.standard_normal(b)
+        pred, cache = forward(arch, params, x)
+        grad = backward(arch, params, cache, g)
+        pred_ws, cache_ws = forward(arch, params, x, workspace=ws)
+        grad_ws = backward(arch, params, cache_ws, g, workspace=ws)
+        assert pred_ws.tobytes() == pred.tobytes()
+        assert grad_ws.tobytes() == grad.tobytes()
 
-    pred, cache = forward(arch, params, x)
-    grad = backward(arch, params, cache, g)
-    pred_ws, cache_ws = forward(arch, params, x, workspace=ws)
-    grad_ws = backward(arch, params, cache_ws, g, workspace=ws)
-    assert pred_ws.tobytes() == pred.tobytes()
-    assert grad_ws.tobytes() == grad.tobytes()
+
+@pytest.mark.parametrize("hidden_dims", [(5, 4), (5,), ()], ids=["5x4", "5", "none"])
+def test_backward_without_a_workspace_leaves_the_cache(hidden_dims):
+    arch = MlpArchitecture(4, hidden_dims)
+    params = init_params(arch, 5)
+    rng = np.random.default_rng(8)
+    _, cache = forward(arch, params, rng.standard_normal((6, 4)))
+    before = [a.tobytes() for a in (cache.inputs, *cache.hidden, cache.pred)]
+    backward(arch, params, cache, rng.standard_normal(6))
+    assert [a.tobytes() for a in (cache.inputs, *cache.hidden, cache.pred)] == before
 
 
 def test_workspace_holds_the_cached_activations():
@@ -227,14 +240,15 @@ def _check_workspace_buffers(hidden_dims):
     params = init_params(arch, 5)
     rng = np.random.default_rng(7)
     ws = Workspace(arch, 8)
-    # an [x | 1] input buffer, then per hidden layer a [h | 1] activation
-    # buffer and a gradient buffer of the same shape; the pre-activation is
-    # computed into the activation buffer, never kept
+    # an [x | 1] input buffer and per hidden layer a [h | 1] activation
+    # buffer; the pre-activation is computed into the activation buffer,
+    # never kept. Gradient buffers of the same shapes exist only when a
+    # hidden layer lies below the top one
     assert (ws.inputs.shape, ws.inputs.dtype) == ((8, 5), np.float64)
     assert [(buf.shape, buf.dtype) for buf in ws.hidden] == \
         [((8, width + 1), np.float64) for width in hidden_dims]
     assert [(buf.shape, buf.dtype) for buf in ws.grads] == \
-        [((8, width + 1), np.float64) for width in hidden_dims]
+        [((8, width + 1), np.float64) for width in hidden_dims if len(hidden_dims) > 1]
     # an earlier full batch leaves stale values in every workspace row
     _, stale = forward(arch, params, rng.standard_normal((8, 4)), workspace=ws)
     backward(arch, params, stale, rng.standard_normal(8), workspace=ws)
@@ -245,6 +259,8 @@ def _check_workspace_buffers(hidden_dims):
     assert cache.inputs[:, :-1].tobytes() == x.tobytes()
     for h, h_buf in zip(cache.hidden, ws.hidden):
         assert np.shares_memory(h, h_buf)
+    if hidden_dims:
+        mask = (cache.hidden[-1] > 0.0).astype(np.float64)
     g = rng.standard_normal(3)
     grad = backward(arch, params, cache, g, workspace=ws)
     assert not any(np.shares_memory(grad, buf)
@@ -254,13 +270,14 @@ def _check_workspace_buffers(hidden_dims):
         assert np.all(buf[:, -1] == 1.0)
     if not hidden_dims:
         return
-    # the top layer's gradient buffer holds its float 0/1 ReLU mask, and
-    # then, when a hidden layer lies below, the mask times dz w_out^T
-    mask = (cache.hidden[-1][:, :-1] > 0.0).astype(np.float64)
+    # the top activation buffer now holds its float 0/1 ReLU mask, ones
+    # column included, and, when a hidden layer lies below, the top gradient
+    # buffer holds the mask times dz w_out^T
+    assert ws.hidden[-1][:3].tobytes() == mask.tobytes()
     if len(hidden_dims) > 1:
         dz = g * tensor.sigmoid_grad(pred)
-        mask *= np.multiply.outer(dz, layer_views(arch, params)[-1][0][:, 0])
-    assert ws.grads[-1][:3, :-1].tobytes() == mask.tobytes()
+        dz_top = mask[:, :-1] * np.multiply.outer(dz, layer_views(arch, params)[-1][0][:, 0])
+        assert ws.grads[-1][:3, :-1].tobytes() == dz_top.tobytes()
     # the gradient buffers' extra column stays finite
     for buf in ws.grads:
         assert np.all(np.isfinite(buf[:, -1]))

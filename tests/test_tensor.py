@@ -90,6 +90,10 @@ def test_relu_values():
     out = np.full(5, np.nan)
     assert tensor.relu_grad(t, out=out) is out
     assert out.tobytes() == mask.astype(np.float64).tobytes()
+    # and written over its own input, as backward does with the top activation
+    h = t.copy()
+    assert tensor.relu_grad(h, out=h) is h
+    assert h.tobytes() == out.tobytes()
 
 
 def test_relu_grad_of_the_output_is_the_mask_of_the_input():
