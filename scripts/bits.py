@@ -146,6 +146,7 @@ def _cli_outputs(tmp: Path):
     # the line trained above, served on compare's split: the same one as
     # train's, since both take --test-fraction 0.25 and --seed 0
     for name, extra in (("compare/dp", []), ("compare/eo", ["--metric", "eo"]),
+                        ("compare/eodd", ["--metric", "eodd"]),
                         ("compare/checkpoint", ["--checkpoint", line])):
         report = tmp / "compare.csv"
         stdout = _run_cli(["compare", "--data", data, "--out", report,

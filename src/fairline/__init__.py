@@ -39,15 +39,7 @@ from .evaluation import (
     read_report,
     write_report,
 )
-from .losses import (
-    LossValue,
-    bce,
-    demographic_parity_gap,
-    equal_opportunity_gap,
-    equalized_odds_gap,
-    fairness_loss,
-    squared_cosine,
-)
+from .losses import LossValue, bce, fairness_loss, squared_cosine
 from .model import MlpArchitecture, Workspace, backward, forward, init_params
 from .subspace import (
     AdamState,

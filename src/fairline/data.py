@@ -59,7 +59,8 @@ class CsvSchema:
     map to 1, and whether the group is a feature too. CsvSchema() is the
     default schema: columns label and group, 1 for 1. load_csv strips every
     cell, so a positive value that is empty or has surrounding whitespace,
-    which no cell could match, raises ParameterError."""
+    which no cell could match, raises ParameterError, as does a label column
+    that is also the sensitive column."""
 
     label_column: str = "label"
     sensitive_column: str = "group"
@@ -73,6 +74,9 @@ class CsvSchema:
             if not value or value != value.strip():
                 raise ParameterError(f"must be non-empty without surrounding whitespace, "
                                      f"got {value!r}", param=name)
+        if self.label_column == self.sensitive_column:
+            raise ParameterError(f"must differ from the sensitive column, got "
+                                 f"{self.label_column!r} for both", param="label_column")
 
 
 @dataclass(frozen=True, eq=False)
@@ -343,11 +347,12 @@ def load_csv(path, schema_or_transform: CsvSchema | FeatureTransform) -> Dataset
     (FeatureTransform.infer, then its statistics), or a FeatureTransform, to
     read the file through it and its schema; a column the transform does not
     name is then ignored. The label and sensitive columns are binarized
-    against the schema's positive values. The file is UTF-8, with or
-    without a byte-order mark; other bytes raise DataError naming the path.
-    Cells are stripped of surrounding whitespace; a ragged row, an empty
-    cell, a non-finite number and an unknown category raise RowParseError
-    with the file line on which the row ends.
+    against the schema's positive values; a positive label that no cell
+    matches, or a single group, raises ValidationError. The file is UTF-8,
+    with or without a byte-order mark; other bytes raise DataError naming the
+    path. Cells are stripped of surrounding whitespace; a ragged row, an
+    empty cell, a non-finite number and an unknown category raise
+    RowParseError with the file line on which the row ends.
     """
     fit = isinstance(schema_or_transform, CsvSchema)
     schema = schema_or_transform if fit else schema_or_transform.schema
@@ -389,6 +394,9 @@ def load_csv(path, schema_or_transform: CsvSchema | FeatureTransform) -> Dataset
     sensitive = np.array(
         [1.0 if r[sens_ix] == schema.positive_sensitive_value else 0.0 for r in rows]
     )
+    if not np.any(labels == 1.0):
+        raise ValidationError(f"label column '{schema.label_column}' has no cell equal to "
+                              f"the positive label {schema.positive_label_value!r}")
     if not (np.any(sensitive == 0.0) and np.any(sensitive == 1.0)):
         raise ValidationError(
             f"sensitive column '{schema.sensitive_column}' has a single group"

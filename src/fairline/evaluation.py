@@ -26,7 +26,7 @@ import numpy as np
 from .baseline import DEFAULT_FAIRNESS_GRID, check_fairness_grid, check_jobs, sweep_fixed
 from .data import Dataset, FeatureTransform, open_text
 from .errors import CheckpointError, FrontierRangeError, ParameterError
-from .losses import check_lengths, group_cells, group_gap
+from .losses import METRIC_GAPS, Cells, check_lengths, group_cells, group_gap
 from .model import MlpArchitecture, Workspace, forward
 from .subspace import SubspaceModel, TrainConfig, interpolate, train_subspace
 
@@ -55,10 +55,6 @@ def check_alpha_grid(grid) -> list[float]:
     return grid
 
 
-# Report field that measures each training fairness metric.
-_METRIC_FIELD = {"dp": "dp_relaxed", "eo": "eo_relaxed", "eodd": "eodd_relaxed"}
-
-
 @dataclass(frozen=True)
 class MetricsRecord:
     """Metrics of one evaluated point; alpha is set for subspace sweeps,
@@ -81,36 +77,38 @@ _COLUMNS = {"A" if f.name == "fairness_weight" else f.name: f.name
 REPORT_HEADER = ",".join(_COLUMNS)
 
 
-def evaluate_predictions(pred: np.ndarray, y: np.ndarray, s: np.ndarray) -> MetricsRecord:
-    """Error rate plus the hard (thresholded at HARD_THRESHOLD) and relaxed
-    group-gap metrics, each gap the value of its fairness loss in
-    fairline.losses.
+def relaxed_field(metric: str) -> str:
+    """The MetricsRecord field that measures a METRIC_GAPS metric."""
+    return f"{metric}_relaxed"
 
-    Raises EmptyGroupError when a group (or group/label cell needed by the
-    EO/Eodd metrics) has no samples.
+
+def evaluate_predictions(pred: np.ndarray, y: np.ndarray, s: np.ndarray) -> MetricsRecord:
+    """Error rate, dp_hard (dp of the predictions thresholded at
+    HARD_THRESHOLD) and each METRIC_GAPS metric's relaxed value, which equals
+    its fairness_loss value.
+
+    Raises EmptyGroupError, naming the row set, when a group cell a metric
+    compares has no samples.
     """
     check_lengths(pred, y, s)
-    return _evaluate(pred, y, _split_cells(y, s))
+    return _evaluate(pred, y, _row_set_cells(y, s))
 
 
-def _split_cells(y: np.ndarray, s: np.ndarray):
-    """The group cells every gap metric compares on one split, taken once:
-    all rows, then the positives (eo, eodd), then the negatives (eodd)."""
-    pos = y == 1.0
-    return group_cells(s), group_cells(s, pos), group_cells(s, ~pos)
+def _row_set_cells(y: np.ndarray, s: np.ndarray) -> dict[str, Cells]:
+    """Every METRIC_GAPS row set's group cells on one split, each taken once."""
+    row_sets = dict.fromkeys(r for rows in METRIC_GAPS.values() for r in rows)
+    return {r: group_cells(r, y, s) for r in row_sets}
 
 
-def _evaluate(pred: np.ndarray, y: np.ndarray, cells) -> MetricsRecord:
-    """evaluate_predictions over the split's _split_cells; builds no gradient."""
-    every, pos, neg = cells
+def _evaluate(pred: np.ndarray, y: np.ndarray, cells: dict[str, Cells]) -> MetricsRecord:
+    """evaluate_predictions over a split's _row_set_cells: each row set's gap
+    is computed once, and no gradient is built."""
     hard = (pred >= HARD_THRESHOLD).astype(np.float64)
-    error_rate = float(np.mean(hard != y))
-    dp_hard = abs(group_gap(hard, every, "demographic_parity_gap"))
-    dp_relaxed = abs(group_gap(pred, every, "demographic_parity_gap"))
-    eo_relaxed = abs(group_gap(pred, pos, "equal_opportunity_gap"))
-    eodd_relaxed = eo_relaxed + abs(group_gap(pred, neg, "equalized_odds_gap (negatives)"))
-    return MetricsRecord(None, None, error_rate, dp_relaxed, dp_hard,
-                         eo_relaxed, eodd_relaxed)
+    gaps = {r: abs(group_gap(pred, c, f"{r} rows")) for r, c in cells.items()}
+    return MetricsRecord(
+        None, None, error_rate=float(np.mean(hard != y)),
+        dp_hard=sum(abs(group_gap(hard, cells[r], f"{r} rows")) for r in METRIC_GAPS["dp"]),
+        **{relaxed_field(m): sum(gaps[r] for r in rows) for m, rows in METRIC_GAPS.items()})
 
 
 def _meta_seed(meta: dict[str, str]) -> int | None:
@@ -146,7 +144,7 @@ def alpha_sweep(model: SubspaceModel, test: Dataset,
     """
     grid = check_alpha_grid(grid)
     seed = _meta_seed(model.train_meta)
-    cells = _split_cells(test.labels, test.sensitive)
+    cells = _row_set_cells(test.labels, test.sensitive)
     preds = _serve(model.arch, (interpolate(model.w_acc, model.w_fair, a) for a in grid),
                    test.features)
     return [replace(_evaluate(pred, test.labels, cells), alpha=a, seed=seed)
@@ -207,9 +205,13 @@ def frontier_gap(f1: list[MetricsRecord], f2: list[MetricsRecord],
     return total / (hi - lo)
 
 
-def _check_transform(model: SubspaceModel, transform: FeatureTransform) -> None:
-    """CheckpointError unless model records transform (compared key by key in
-    its checkpoint form)."""
+def _check_model(model: SubspaceModel, metric: str, transform: FeatureTransform) -> None:
+    """CheckpointError unless model records metric as its fairness metric and
+    records transform (compared key by key in its checkpoint form)."""
+    key = "config.fairness_metric"
+    if model.train_meta.get(key) != metric:
+        raise CheckpointError(f"the model's '{key}' is {model.train_meta.get(key)!r}, "
+                              f"not the grid's fairness metric {metric!r}")
     recorded = FeatureTransform.from_meta(model.train_meta, model.arch.input_dim)
     want, got = (json.loads(t.to_meta()[FeatureTransform.META_KEY])
                  for t in (recorded, transform))
@@ -228,9 +230,11 @@ def compare_to_grid(train: Dataset, test: Dataset, config: TrainConfig,
     Trains the line on train unless model is given, sweeps it over
     alpha_grid, trains one fixed model per fairness_grid value (sweep_fixed
     with its seeding and jobs), and evaluates everything on test. A
-    given model must record train's feature transform, else CheckpointError
-    says it records none or names the first key that differs, before any
-    fixed model is trained. Returns (line_records, fixed_records, gap, ratio):
+    given model must record config.fairness_metric and train's feature
+    transform, else CheckpointError names the metric it records, says it
+    records no transform or names the first transform key that differs,
+    before any fixed model is trained. Returns (line_records, fixed_records,
+    gap, ratio):
 
     - fixed_records carry A (fairness_weight) and each model's seed;
     - gap is the frontier gap over all points in the report field of
@@ -247,11 +251,11 @@ def compare_to_grid(train: Dataset, test: Dataset, config: TrainConfig,
         model = train_subspace(train, config)
         logger.info("subspace training: %.3fs", model.wall_time_s)
     else:
-        _check_transform(model, train.transform)
+        _check_model(model, config.fairness_metric, train.transform)
     line_records = alpha_sweep(model, test, alpha_grid)
 
     fixed_models = sweep_fixed(train, config, fairness_grid, jobs=jobs)
-    cells = _split_cells(test.labels, test.sensitive)
+    cells = _row_set_cells(test.labels, test.sensitive)
     preds = _serve(fixed_models[0].arch, (fm.weights for fm in fixed_models),
                    test.features)
     fixed_records = [replace(_evaluate(pred, test.labels, cells),
@@ -262,7 +266,7 @@ def compare_to_grid(train: Dataset, test: Dataset, config: TrainConfig,
     logger.info("fixed training: %d models, %.3fs total", len(fixed_models),
                 fixed_total_s)
 
-    field = _METRIC_FIELD[config.fairness_metric]
+    field = relaxed_field(config.fairness_metric)
     try:
         gap = frontier_gap(pareto_frontier(line_records, field),
                            pareto_frontier(fixed_records, field), field)

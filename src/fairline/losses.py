@@ -1,8 +1,9 @@
 """Loss values and their gradients.
 
-bce and the relaxed group-gap metrics return a gradient with respect to the
-predictions (to be routed through model.backward); squared_cosine is a
-function of two raw weight vectors and returns analytic gradients for both.
+bce and fairness_loss (the relaxed group-gap metrics of METRIC_GAPS) return
+a gradient with respect to the predictions (to be routed through
+model.backward); squared_cosine is a function of two raw weight vectors and
+returns analytic gradients for both.
 Gradients of |x| use the zero subgradient at x = 0.
 """
 
@@ -47,12 +48,20 @@ def bce(pred: np.ndarray, y: np.ndarray) -> LossValue:
 
 Cells = tuple[np.ndarray, np.ndarray]
 
+# Each relaxed fairness metric is the sum, in this order, of |group_gap| over
+# its row sets: "all" rows, the "positive" rows (y == 1) or the "negative"
+# rows (every other y).
+METRIC_GAPS = {"dp": ("all",), "eo": ("positive",), "eodd": ("positive", "negative")}
+FAIRNESS_METRICS = tuple(METRIC_GAPS)
 
-def group_cells(s: np.ndarray, rows: np.ndarray | None = None) -> Cells:
-    """Row indices of group 0 and of group 1 (s == 0 and s == 1), among the
-    rows where the boolean vector rows is True when it is given."""
+
+def group_cells(row_set: str, y: np.ndarray, s: np.ndarray) -> Cells:
+    """Row indices of group 0 and of group 1 (s == 0 and s == 1) within one
+    METRIC_GAPS row set."""
     g0, g1 = s == 0.0, s == 1.0
-    if rows is not None:
+    if row_set != "all":
+        pos = y == 1.0
+        rows = pos if row_set == "positive" else ~pos
         g0 &= rows
         g1 &= rows
     return np.flatnonzero(g0), np.flatnonzero(g1)
@@ -80,44 +89,22 @@ def _mean_gap(pred: np.ndarray, cells: Cells, what: str) -> tuple[float, np.ndar
     return abs(delta), grad
 
 
-def demographic_parity_gap(pred: np.ndarray, s: np.ndarray) -> LossValue:
-    """Relaxed demographic-parity gap: absolute difference of the mean
-    prediction between the two groups."""
-    check_lengths(pred, s)
-    value, grad = _mean_gap(pred, group_cells(s), "demographic_parity_gap")
-    return LossValue(value, grad_pred=grad)
-
-
-def equal_opportunity_gap(pred: np.ndarray, y: np.ndarray, s: np.ndarray) -> LossValue:
-    """Relaxed true-positive-rate gap: the group mean difference restricted to
-    ground-truth-positive samples."""
-    check_lengths(pred, y, s)
-    value, grad = _mean_gap(pred, group_cells(s, y == 1.0), "equal_opportunity_gap")
-    return LossValue(value, grad_pred=grad)
-
-
-def equalized_odds_gap(pred: np.ndarray, y: np.ndarray, s: np.ndarray) -> LossValue:
-    """Relaxed equalized-odds gap: the positive-restricted group gap plus the
-    negative-restricted group gap. Value in [0, 2]."""
-    check_lengths(pred, y, s)
-    pos = y == 1.0
-    v_pos, g_pos = _mean_gap(pred, group_cells(s, pos), "equalized_odds_gap (positives)")
-    v_neg, g_neg = _mean_gap(pred, group_cells(s, ~pos), "equalized_odds_gap (negatives)")
-    return LossValue(v_pos + v_neg, grad_pred=g_pos + g_neg)
-
-
-FAIRNESS_METRICS = ("dp", "eo", "eodd")
-
-
 def fairness_loss(metric: str, pred: np.ndarray, y: np.ndarray, s: np.ndarray) -> LossValue:
-    """Dispatch on the metric selector used by TrainConfig."""
-    if metric == "dp":
-        return demographic_parity_gap(pred, s)
-    if metric == "eo":
-        return equal_opportunity_gap(pred, y, s)
-    if metric == "eodd":
-        return equalized_odds_gap(pred, y, s)
-    raise ParameterError(f"unknown fairness metric '{metric}', expected one of {FAIRNESS_METRICS}")
+    """The relaxed fairness metric (a METRIC_GAPS key) and its prediction
+    gradient. dp is in [0, 1], as is eo; eodd is in [0, 2]. Raises
+    EmptyGroupError, naming the metric and the row set, when a group cell
+    has no rows."""
+    if metric not in METRIC_GAPS:
+        raise ParameterError(f"unknown fairness metric '{metric}', "
+                             f"expected one of {FAIRNESS_METRICS}")
+    check_lengths(pred, y, s)
+    gaps = [_mean_gap(pred, group_cells(r, y, s), f"{metric}, {r} rows")
+            for r in METRIC_GAPS[metric]]
+    # Summed onto the first gradient, not onto zeros: 0.0 + -0.0 is 0.0.
+    grad = gaps[0][1]
+    for _, g in gaps[1:]:
+        grad += g
+    return LossValue(sum(v for v, _ in gaps), grad_pred=grad)
 
 
 def squared_cosine(w1: np.ndarray, w2: np.ndarray) -> LossValue:

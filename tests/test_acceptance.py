@@ -329,13 +329,14 @@ def _brute_force_frontier(pts, field):
 def test_criterion_8_metric_oracle():
     tol = 1e-12
     assert abs(fl.bce(np.array([0.5]), np.array([1.0])).value - math.log(2)) < tol
-    assert abs(fl.demographic_parity_gap(
-        np.array([0.9, 0.5, 0.3, 0.7]), np.array([0.0, 0.0, 1.0, 1.0])).value - 0.2) < tol
-    assert abs(fl.equal_opportunity_gap(
-        np.array([0.9, 0.1, 0.6, 0.2]), np.array([1.0, 0.0, 1.0, 0.0]),
+    assert abs(fl.fairness_loss(
+        "dp", np.array([0.9, 0.5, 0.3, 0.7]), np.array([1.0, 0.0, 1.0, 0.0]),
+        np.array([0.0, 0.0, 1.0, 1.0])).value - 0.2) < tol
+    assert abs(fl.fairness_loss(
+        "eo", np.array([0.9, 0.1, 0.6, 0.2]), np.array([1.0, 0.0, 1.0, 0.0]),
         np.array([0.0, 0.0, 1.0, 1.0])).value - 0.3) < tol
-    assert abs(fl.equalized_odds_gap(
-        np.array([1.0, 0.0, 0.0, 1.0]), np.array([1.0, 0.0, 1.0, 0.0]),
+    assert abs(fl.fairness_loss(
+        "eodd", np.array([1.0, 0.0, 0.0, 1.0]), np.array([1.0, 0.0, 1.0, 0.0]),
         np.array([0.0, 0.0, 1.0, 1.0])).value - 2.0) < tol
     assert abs(fl.squared_cosine(
         np.array([1.0, 1.0]), np.array([1.0, 0.0])).value - 0.5) < tol

@@ -162,6 +162,27 @@ def test_padded_positive_value_is_usage_error(flag, command, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "compare"])
+def test_label_column_that_is_the_sensitive_column_is_usage_error(command, tmp_path, capsys):
+    # the data file does not exist, so a check that ran after load_csv would exit 3
+    out = tmp_path / "out"
+    code = run([command, "--data", str(tmp_path / "missing.csv"), "--out", str(out),
+                "--label-column", "group"])
+    assert code == 2
+    assert "error: --label-column must differ from the sensitive column" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_positive_label_that_matches_no_cell_exits_3(synth_csv, tmp_path, capsys):
+    out = tmp_path / "model.ckpt"
+    code = run(train_args(synth_csv, out, ["--positive-label", "yes"]))
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "error: label column 'label' has no cell equal to the positive label 'yes'" in err
+    assert not out.exists()
+
+
 def test_test_out_round_trips_quoted_categories(tmp_path):
     rng = np.random.default_rng(0)
     data = tmp_path / "data.csv"
@@ -528,6 +549,34 @@ def test_compare_checkpoint_with_other_transform_is_checkpoint_error(
     err = capsys.readouterr().err
     assert code == 3
     assert f"feature transform differs from the training split's in '{key}'" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["other-metric", "no-metric"])
+def test_compare_checkpoint_with_other_fairness_metric_is_refused(
+        case, synth_csv, tmp_path, capsys, monkeypatch):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a fixed model was trained")
+
+    monkeypatch.setattr("fairline.evaluation.sweep_fixed", no_grid)
+    ckpt = tmp_path / "line.ckpt"
+    metric = "eo" if case == "other-metric" else "dp"
+    assert run(train_args(synth_csv, ckpt, ["--test-fraction", "0.25", "--seed", "5",
+                                            "--metric", metric])) == 0
+    if case == "no-metric":
+        model = load_checkpoint(ckpt)
+        del model.train_meta["config.fairness_metric"]
+        save_checkpoint(model, ckpt)
+    out = tmp_path / "cmp.csv"
+    capsys.readouterr()
+    code = run(compare_args(synth_csv, out, ["--checkpoint", str(ckpt), "--grid", "0,1",
+                                             "--fairness-grid", "1.0"]))
+    err = capsys.readouterr().err
+    recorded = "'eo'" if case == "other-metric" else "None"
+    assert code == 3
+    assert (f"the model's 'config.fairness_metric' is {recorded}, "
+            f"not the grid's fairness metric 'dp'") in err
     assert "Traceback" not in err
     assert not out.exists()
 

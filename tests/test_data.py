@@ -69,6 +69,26 @@ def test_load_csv_single_group_rejected(tmp_path):
         load_csv(p, SCHEMA)
 
 
+def test_load_csv_positive_label_that_matches_no_cell_rejected(tmp_path):
+    p = write(tmp_path, "a,label,group\n1,1,0\n2,0,1\n")
+    with pytest.raises(ValidationError, match="label column 'label' has no cell equal to "
+                                              "the positive label 'yes'"):
+        load_csv(p, replace(SCHEMA, positive_label_value="yes"))
+
+
+def test_schema_label_column_must_not_be_the_sensitive_column(tmp_path):
+    with pytest.raises(ParameterError, match="^label_column must differ") as info:
+        CsvSchema(label_column="group")
+    assert info.value.param == "label_column"
+    ds = load_csv(write(tmp_path, "a,label,group\n1,1,0\n2,0,1\n"), SCHEMA)
+    meta = ds.transform.to_meta()
+    recorded = json.loads(meta[FeatureTransform.META_KEY])
+    recorded["label_column"] = "group"
+    meta[FeatureTransform.META_KEY] = json.dumps(recorded)
+    with pytest.raises(CheckpointError, match="label_column must differ"):
+        FeatureTransform.from_meta(meta, ds.dim)
+
+
 def test_load_csv_missing_value_names_line(tmp_path):
     p = write(tmp_path, "a,label,group\n1,1,0\n,0,1\n")
     with pytest.raises(RowParseError, match="line 3"):

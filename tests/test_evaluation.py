@@ -1,6 +1,6 @@
 import resource
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -24,9 +24,10 @@ from fairline.evaluation import (
     frontier_gap,
     pareto_frontier,
     read_report,
+    relaxed_field,
     write_report,
 )
-from fairline.losses import demographic_parity_gap, equal_opportunity_gap, equalized_odds_gap
+from fairline.losses import FAIRNESS_METRICS, METRIC_GAPS, fairness_loss
 from fairline.model import MlpArchitecture, forward, init_params
 from fairline.subspace import SubspaceModel, TrainConfig, predict, train_subspace
 
@@ -72,17 +73,34 @@ def test_evaluate_empty_group_errors():
                              np.array([0.0, 0.0]))
 
 
-def test_evaluate_gaps_are_the_fairness_loss_values():
+@pytest.mark.parametrize("metric", FAIRNESS_METRICS)
+def test_evaluate_gaps_are_the_fairness_loss_values(metric):
     rng = np.random.default_rng(3)
     pred = rng.uniform(0.0, 1.0, 501)
     y = rng.integers(0, 2, 501).astype(np.float64)
     s = rng.integers(0, 2, 501).astype(np.float64)
     out = evaluate_predictions(pred, y, s)
     hard = (pred >= HARD_THRESHOLD).astype(np.float64)
-    assert out.dp_hard == demographic_parity_gap(hard, s).value
-    assert out.dp_relaxed == demographic_parity_gap(pred, s).value
-    assert out.eo_relaxed == equal_opportunity_gap(pred, y, s).value
-    assert out.eodd_relaxed == equalized_odds_gap(pred, y, s).value
+    assert out.dp_hard == fairness_loss("dp", hard, y, s).value
+    assert getattr(out, relaxed_field(metric)) == fairness_loss(metric, pred, y, s).value
+
+
+def test_every_metric_has_a_relaxed_report_field():
+    names = {f.name for f in fields(MetricsRecord)}
+    assert FAIRNESS_METRICS == tuple(METRIC_GAPS)
+    for metric in FAIRNESS_METRICS:
+        assert relaxed_field(metric) == f"{metric}_relaxed"
+        assert relaxed_field(metric) in names
+
+
+@pytest.mark.parametrize("y, s, row_set", [
+    ([1.0, 0.0], [0.0, 0.0], "all"),
+    ([1.0, 1.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], "negative"),
+    ([0.0, 0.0, 0.0, 1.0], [0.0, 1.0, 0.0, 1.0], "positive"),
+], ids=["no-group-1", "no-negative-in-group-1", "no-positive-in-group-0"])
+def test_evaluate_empty_cell_names_its_row_set(y, s, row_set):
+    with pytest.raises(EmptyGroupError, match=f"^{row_set} rows: a group cell"):
+        evaluate_predictions(np.full(len(y), 0.5), np.array(y), np.array(s))
 
 
 @settings(max_examples=40, deadline=None)

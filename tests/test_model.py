@@ -167,7 +167,7 @@ def test_backward_matches_finite_differences(seed, workspace_rows):
 
 def test_backward_matches_fd_for_composite_loss():
     # bce plus a group-mean-gap term, end to end through the network
-    from fairline.losses import demographic_parity_gap
+    from fairline.losses import fairness_loss
 
     rng = np.random.default_rng(10)
     arch = MlpArchitecture(4, (7,))
@@ -179,10 +179,10 @@ def test_backward_matches_fd_for_composite_loss():
 
     def loss(p):
         pred, _ = forward(arch, p, x)
-        return bce(pred, y).value + a * demographic_parity_gap(pred, s).value
+        return bce(pred, y).value + a * fairness_loss("dp", pred, y, s).value
 
     pred, cache = forward(arch, params, x)
-    dpred = bce(pred, y).grad_pred + a * demographic_parity_gap(pred, s).grad_pred
+    dpred = bce(pred, y).grad_pred + a * fairness_loss("dp", pred, y, s).grad_pred
     analytic = backward(arch, params, cache, dpred)
     _assert_close(analytic, _fd_gradient(loss, params))
 

@@ -260,11 +260,11 @@ def test_held_out_gap_shrinks_toward_fairness_end():
         train, test = split_quarter(ds, seed)
         cfg = TrainConfig(epochs=4, batch_size=256, seed=seed)
         model = train_subspace(train, cfg)
-        from fairline.losses import demographic_parity_gap
-        dp0 = demographic_parity_gap(predict(model, 0.0, test.features),
-                                     test.sensitive).value
-        dp1 = demographic_parity_gap(predict(model, 1.0, test.features),
-                                     test.sensitive).value
+        from fairline.losses import fairness_loss
+        dp0 = fairness_loss("dp", predict(model, 0.0, test.features), test.labels,
+                            test.sensitive).value
+        dp1 = fairness_loss("dp", predict(model, 1.0, test.features), test.labels,
+                            test.sensitive).value
         diffs.append(dp0 - dp1)
     assert statistics.median(diffs) > 0.0
 
@@ -375,13 +375,13 @@ def test_routed_gradient_matches_finite_differences_end_to_end():
     s = np.array([0, 0, 0, 0, 1, 1, 1, 1], dtype=np.float64)
     alpha = 0.3
 
-    from fairline.losses import bce, demographic_parity_gap, squared_cosine
+    from fairline.losses import bce, fairness_loss, squared_cosine
 
     def total_loss(a, b):
         theta = interpolate(a, b, alpha)
         pred, _ = forward(arch, theta, x)
         return (bce(pred, y).value
-                + cfg.fairness_weight * alpha * demographic_parity_gap(pred, s).value
+                + cfg.fairness_weight * alpha * fairness_loss("dp", pred, y, s).value
                 + cfg.diversity_weight * squared_cosine(a, b).value)
 
     bg = batch_gradients(arch, w1, w2, alpha, x, y, s, cfg)
