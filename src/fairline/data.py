@@ -113,27 +113,27 @@ class FeatureTransform:
         return cls._unfitted(columns, [None] * len(columns), CsvSchema())
 
     @classmethod
-    def infer(cls, header: list[str], rows: list[list[str]],
-              schema: CsvSchema) -> "FeatureTransform":
-        """The encoding of rows (cells in header order), with identity
-        statistics: every column but the label and sensitive ones, numeric
-        where every cell parses as a float, else one-hot over its sorted
-        distinct values; the group is a feature as the schema says."""
-        columns, vocab = [], []
-        for i, name in enumerate(header):
+    def infer(cls, header: list[str], cols: list[list[str]],
+              schema: CsvSchema) -> tuple["FeatureTransform", dict[str, np.ndarray]]:
+        """The encoding of cols (one list of cells per header column), with
+        identity statistics: every column but the label and sensitive ones,
+        numeric where every cell parses as a float, else one-hot over its
+        sorted distinct values; the group is a feature as the schema says.
+        Also returns each numeric column's floats by name, parsed with one
+        float() per cell, for encode to take without parsing again."""
+        columns, vocab, floats = [], [], {}
+        for name, cells in zip(header, cols):
             if name in (schema.label_column, schema.sensitive_column):
                 continue
-            cells = [r[i] for r in rows]
             try:
-                for cell in cells:
-                    float(cell)
+                floats[name] = _floats(cells)
                 vocab.append(None)
             except ValueError:
                 vocab.append(tuple(sorted(set(cells))))
             columns.append(name)
         if not columns and not schema.include_sensitive:
             raise SchemaError("no feature columns besides label/sensitive")
-        return cls._unfitted(columns, vocab, schema)
+        return cls._unfitted(columns, vocab, schema), floats
 
     @property
     def width(self) -> int:
@@ -153,27 +153,30 @@ class FeatureTransform:
                 for flag in ([True] if cats is None else [False] * len(cats))]
         return np.array(mask + [False] * self.schema.include_sensitive, dtype=bool)
 
-    def encode(self, header: list[str], rows: list[list[str]], lines: list[int],
-               sensitive: np.ndarray) -> np.ndarray:
-        """The (len(rows), width) raw matrix of rows, cells in header order,
-        lines[k] being row k's file line. A column the transform names must
-        be in the header (SchemaError); a cell of a numeric column must be a
+    def encode(self, header: list[str], cols: list[list[str]], lines: list[int],
+               sensitive: np.ndarray, floats: dict[str, np.ndarray]) -> np.ndarray:
+        """The (len(lines), width) raw matrix of cols, one list of cells per
+        header column, lines[k] being row k's file line. floats holds numeric
+        columns already parsed (infer's), by name; any other numeric column
+        is parsed here, once per cell. A column the transform names must be
+        in the header (SchemaError); a cell of a numeric column must be a
         finite number and one of a one-hot column in its vocabulary
-        (RowParseError with the line). Other header columns are ignored."""
-        n = len(rows)
+        (RowParseError with the line). Columns are checked in the
+        transform's order, each one's first bad cell in file order, so a bad
+        cell in an earlier column wins over one on an earlier line. Other
+        header columns are ignored."""
+        n = len(lines)
         blocks = []
         for name, cats in zip(self.columns, self.vocab):
             if name not in header:
                 raise SchemaError(f"feature column '{name}' not found in header {header}")
-            i = header.index(name)
-            cells = [r[i] for r in rows]
+            cells = cols[header.index(name)]
             if cats is None:
-                blocks.append(_numbers(name, cells, lines)[:, None])
+                blocks.append(_numbers(name, cells, lines, floats.get(name))[:, None])
                 continue
-            index = {c: k for k, c in enumerate(cats)}
-            codes = [index.get(c, -1) for c in cells]
-            if -1 in codes:
-                k = codes.index(-1)
+            codes = list(map({c: k for k, c in enumerate(cats)}.get, cells))
+            if None in codes:
+                k = codes.index(None)
                 raise RowParseError(lines[k], f"unknown category '{cells[k]}' in column '{name}'")
             block = np.zeros((n, len(cats)))
             block[np.arange(n), codes] = 1.0
@@ -262,13 +265,21 @@ class FeatureTransform:
         return replace(transform, mean=mean, scale=scale)
 
 
-def _numbers(name: str, cells: list[str], lines: list[int]) -> np.ndarray:
-    """A numeric column's cells as floats; a cell that is not a finite number
-    raises RowParseError with its line."""
-    try:
-        values = np.array([float(c) for c in cells])
-    except ValueError:  # a served file's cell that is not a number at all
-        values = np.array([_float_or_nan(c) for c in cells])
+def _floats(cells: list[str]) -> np.ndarray:
+    """cells parsed with one float() each; ValueError if one is not a number."""
+    return np.fromiter(map(float, cells), np.float64, len(cells))
+
+
+def _numbers(name: str, cells: list[str], lines: list[int],
+             values: np.ndarray | None) -> np.ndarray:
+    """A numeric column's floats: values when its cells were parsed already,
+    else the cells parsed here; a cell that is not a finite number raises
+    RowParseError with its line."""
+    if values is None:
+        try:
+            values = _floats(cells)
+        except ValueError:  # a served file's cell that is not a number at all
+            values = np.array([_float_or_nan(c) for c in cells])
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         k = int(bad[0])
@@ -353,6 +364,16 @@ def load_csv(path, schema_or_transform: CsvSchema | FeatureTransform) -> Dataset
     path. Cells are stripped of surrounding whitespace; a ragged row, an
     empty cell, a non-finite number and an unknown category raise
     RowParseError with the file line on which the row ends.
+
+    The file is read column by column: the rows are transposed once into
+    stripped columns, each column is checked for empty cells as a whole, and
+    each numeric cell is parsed by one float() call. Faults come in this
+    order: the first ragged row or empty cell in file order, then the label
+    and group checks, then per feature column, in the transform's order, its
+    first non-finite number or unknown category. A byte that is not UTF-8
+    raises when the reader reaches it: before any empty cell is reported,
+    and before an earlier ragged row when both fall in one read chunk of the
+    decoder.
     """
     fit = isinstance(schema_or_transform, CsvSchema)
     schema = schema_or_transform if fit else schema_or_transform.schema
@@ -372,28 +393,23 @@ def load_csv(path, schema_or_transform: CsvSchema | FeatureTransform) -> Dataset
         rows: list[list[str]] = []
         lines: list[int] = []
         for row in reader:
-            if not row:
-                continue
             if len(row) != len(header):
+                if not row:
+                    continue
+                # an empty cell on an earlier line is the first fault
+                _check_missing(header, _columns(rows), lines)
                 raise RowParseError(reader.line_num,
                                     f"expected {len(header)} cells, got {len(row)}")
-            cells = [c.strip() for c in row]
-            for col, cell in zip(header, cells):
-                if cell == "":
-                    raise RowParseError(reader.line_num, f"missing value in column '{col}'")
-            rows.append(cells)
+            rows.append(row)
             lines.append(reader.line_num)
     if not rows:
         raise ValidationError(f"{path}: no data rows")
-
-    label_ix = header.index(schema.label_column)
-    sens_ix = header.index(schema.sensitive_column)
-    labels = np.array(
-        [1.0 if r[label_ix] == schema.positive_label_value else 0.0 for r in rows]
-    )
-    sensitive = np.array(
-        [1.0 if r[sens_ix] == schema.positive_sensitive_value else 0.0 for r in rows]
-    )
+    cols = _columns(rows)
+    del rows  # the columns hold every cell now
+    _check_missing(header, cols, lines)
+    labels = _binary(cols[header.index(schema.label_column)], schema.positive_label_value)
+    sensitive = _binary(cols[header.index(schema.sensitive_column)],
+                        schema.positive_sensitive_value)
     if not np.any(labels == 1.0):
         raise ValidationError(f"label column '{schema.label_column}' has no cell equal to "
                               f"the positive label {schema.positive_label_value!r}")
@@ -401,11 +417,34 @@ def load_csv(path, schema_or_transform: CsvSchema | FeatureTransform) -> Dataset
         raise ValidationError(
             f"sensitive column '{schema.sensitive_column}' has a single group"
         )
-    transform = FeatureTransform.infer(header, rows, schema) if fit else schema_or_transform
-    raw = transform.encode(header, rows, lines, sensitive)
+    if fit:
+        transform, floats = FeatureTransform.infer(header, cols, schema)
+    else:
+        transform, floats = schema_or_transform, {}
+    raw = transform.encode(header, cols, lines, sensitive, floats)
     if fit:
         transform = transform.fit(raw)
     return Dataset(raw, labels, sensitive, transform)
+
+
+def _columns(rows: list[list[str]]) -> list[list[str]]:
+    """rows transposed into columns of stripped cells."""
+    return [list(map(str.strip, col)) for col in zip(*rows)]
+
+
+def _binary(cells: list[str], positive: str) -> np.ndarray:
+    """1.0 where a cell is the string positive, else 0.0. Python's equality,
+    not numpy's, which ignores trailing NULs ("1\\x00" would equal "1")."""
+    return np.fromiter(map(positive.__eq__, cells), np.float64, len(cells))
+
+
+def _check_missing(header: list[str], cols: list[list[str]], lines: list[int]) -> None:
+    """Raise RowParseError for the first empty cell in file order, leftmost
+    in its row, if any column has one."""
+    empty = [(col.index(""), i) for i, col in enumerate(cols) if "" in col]
+    if empty:
+        k, i = min(empty)
+        raise RowParseError(lines[k], f"missing value in column '{header[i]}'")
 
 
 def _csv_cell(text: str) -> str:
@@ -517,10 +556,9 @@ def split(ds: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Datase
     else:
         raise ValidationError("split: could not retain both groups in both partitions")
 
-    raw_train, raw_test = ds.raw[train_ix], ds.raw[test_ix]
-    transform = ds.transform.fit(raw_train)
-    return (Dataset(raw_train, ds.labels[train_ix], ds.sensitive[train_ix], transform),
-            Dataset(raw_test, ds.labels[test_ix], ds.sensitive[test_ix], transform))
+    train, test = ds.take(train_ix), ds.take(test_ix)
+    transform = ds.transform.fit(train.raw)
+    return replace(train, transform=transform), replace(test, transform=transform)
 
 
 def batches(ds: Dataset, batch_size: int, shuffle_seed: int, epoch: int) -> list[np.ndarray]:

@@ -192,13 +192,17 @@ def test_subspace_overhead_bounded():
     cfg = TrainConfig(epochs=3, seed=0)
     train_fixed(train, cfg, 1.0)  # warm caches for both code paths
     train_subspace(train, cfg)
+    # Each side is the min of 3 runs, as in criterion 5: one scheduling
+    # stall on a loaded machine must not decide the ratio.
+    t_fixed = min(timed(lambda: train_fixed(train, cfg, 1.0)) for _ in range(3))
+    t_sub = min(timed(lambda: train_subspace(train, cfg)) for _ in range(3))
+    assert t_sub <= 2.0 * t_fixed, f"{t_sub:.3f}s vs {t_fixed:.3f}s"
+
+
+def timed(fn):
     t0 = time.perf_counter()
-    train_fixed(train, cfg, 1.0)
-    t_fixed = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    train_subspace(train, cfg)
-    t_sub = time.perf_counter() - t0
-    assert t_sub <= 2.0 * t_fixed
+    fn()
+    return time.perf_counter() - t0
 
 
 def test_fixed_checkpoint_round_trip(tmp_path):

@@ -125,6 +125,38 @@ def test_row_errors_name_the_file_line(tmp_path, layout, line, bad_row, message)
         load_csv(p, SCHEMA)
 
 
+@pytest.mark.parametrize("rows, expected", [
+    ("1,x,1,0\n2,,0,1\n3,y,1\n", "line 3: missing value in column 'c'"),
+    ("1,x,1,0\n3,y,1\n2,,0,1\n", "line 3: expected 4 cells, got 3"),
+    ("1,x,1,0\n2,y, ,1\n", "line 3: missing value in column 'label'"),
+    ("1,x,1,0\n2,,0,1\n,y,1,0\n", "line 3: missing value in column 'c'"),
+    ("1,x,1,0\n2,y,,\n3,,1,0\n", "line 3: missing value in column 'label'"),
+    ("1,x,1,0\n2,y,0,1\n4,,1\n", "line 4: expected 4 cells, got 3"),
+], ids=["empty-above-ragged", "ragged-above-empty", "whitespace-only",
+        "earlier-line-wins", "leftmost-on-the-line-wins", "ragged-row-with-an-empty-cell"])
+def test_row_faults_come_in_file_order(tmp_path, rows, expected):
+    p = write(tmp_path, "a,c,label,group\n" + rows)
+    with pytest.raises(RowParseError, match=f"^{expected}$"):
+        load_csv(p, SCHEMA)
+
+
+def test_served_file_faults_come_in_column_order(tmp_path):
+    # An unknown category in c on line 2 and an infinite a on line 3: the
+    # transform checks a, its first column, first.
+    fitted = load_csv(write(tmp_path, "a,c,label,group\n1,x,1,0\n2,y,0,1\n"), SCHEMA).transform
+    p = write(tmp_path, "a,c,label,group\n1,q,1,0\ninf,y,0,1\n", "served.csv")
+    with pytest.raises(RowParseError,
+                       match="^line 3: 'inf' in numeric column 'a' is not a finite number$"):
+        load_csv(p, fitted)
+
+
+def test_label_cell_with_a_trailing_nul_is_not_positive(tmp_path):
+    ds = load_csv(write(tmp_path, "a,label,group\n1,1,0\n2,1\x00,1\n3,0,1\n"), SCHEMA)
+    assert ds.labels.tolist() == [1.0, 0.0, 0.0]
+    ds = load_csv(write(tmp_path, "a,label,group\n1,1,0\n2,0,1\x00\n3,0,1\n"), SCHEMA)
+    assert ds.sensitive.tolist() == [0.0, 0.0, 1.0]
+
+
 def test_load_csv_rfc4180_quoting(tmp_path):
     p = write(tmp_path, 'c,label,group\n"x, with comma",1,0\nplain,0,1\n')
     ds = load_csv(p, SCHEMA)
@@ -431,5 +463,10 @@ def test_load_csv_reads_a_byte_order_mark(tmp_path):
 def test_load_csv_that_is_not_utf8_is_data_error(tmp_path):
     path = tmp_path / "latin1.csv"
     path.write_bytes("x,c,label,group\n1,café,1,0\n2,y,0,1\n".encode("latin-1"))
+    with pytest.raises(DataError, match=f"^{path}: not UTF-8 text"):
+        load_csv(path, SCHEMA)
+    # far past the decoder's first read chunk, after every other row is read
+    path.write_bytes("x,c,label,group\n".encode() + b"1,y,1,0\n2,y,0,1\n" * 4000
+                     + "3,café,1,0\n".encode("latin-1"))
     with pytest.raises(DataError, match=f"^{path}: not UTF-8 text"):
         load_csv(path, SCHEMA)
