@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time CSV ingest and CSV writing at the acceptance size.
 
-Three cases, each called once to warm up and then --runs times:
+Three cases, each called once to warm up and then RUNS (15) times:
 
 - load_csv_fit_8000: load_csv of an 8000-row synth CSV (6 numeric features)
   under the default schema, fitting the transform, as `train` reads --data;
@@ -14,9 +14,9 @@ session (its --label, the cases, and the environment: Python, numpy, BLAS
 and its thread count, nproc) is appended to the JSON file --out, so runs of
 two trees in alternating sessions, with one --out, sit side by side. The
 tree's own src/ is imported; files go to a temporary directory removed on
-exit. About 2 s on 2 cores at the default --runs.
+exit. About 2 s on 2 cores.
 
-Usage: python scripts/bench_ingest.py --label NAME [--runs 15] [--out BENCH_ingest.json]
+Usage: python scripts/bench_ingest.py --label NAME [--out BENCH_ingest.json]
 """
 
 import argparse
@@ -35,19 +35,20 @@ from fairline.data import write_csv  # noqa: E402
 from run import environment  # noqa: E402
 
 SEED = 1
+RUNS = 15
 
 
-def _timed(fn, runs: int) -> dict:
+def _timed(fn) -> dict:
     fn()
     times = []
-    for _ in range(runs):
+    for _ in range(RUNS):
         t0 = perf_counter()
         fn()
         times.append(perf_counter() - t0)
-    return {"min_s": min(times), "spread": max(times) / min(times), "runs": runs}
+    return {"min_s": min(times), "spread": max(times) / min(times), "runs": RUNS}
 
 
-def measure(runs: int) -> dict:
+def measure() -> dict:
     ds = fl.synth_biased(8000, 6, 0.5, 0.4, 1.0, seed=SEED)
     train, test = fl.split(ds, 0.25, seed=SEED)
     with tempfile.TemporaryDirectory() as tmp:
@@ -55,22 +56,18 @@ def measure(runs: int) -> dict:
         write_csv(ds, full)
         write_csv(test, held_out)
         return {
-            "load_csv_fit_8000": _timed(lambda: fl.load_csv(full, fl.CsvSchema()), runs),
-            "load_csv_transform_2000": _timed(lambda: fl.load_csv(held_out, train.transform),
-                                              runs),
-            "write_csv_8000": _timed(lambda: write_csv(ds, out), runs),
+            "load_csv_fit_8000": _timed(lambda: fl.load_csv(full, fl.CsvSchema())),
+            "load_csv_transform_2000": _timed(lambda: fl.load_csv(held_out, train.transform)),
+            "write_csv_8000": _timed(lambda: write_csv(ds, out)),
         }
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="name of the tree measured")
-    parser.add_argument("--runs", type=int, default=15)
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_ingest.json")
     args = parser.parse_args(argv)
-    if args.runs < 1:
-        parser.error("--runs must be >= 1")
-    session = {"label": args.label, "cases": measure(args.runs),
+    session = {"label": args.label, "cases": measure(),
                "environment": environment(SEED)}
     for name, case in session["cases"].items():
         print(f"{args.label} {name} min_s={case['min_s']:.4f} spread={case['spread']:.2f}")
