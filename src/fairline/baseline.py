@@ -1,8 +1,8 @@
 """Fixed-penalty training: one weight vector per fairness strength.
 
 train_fixed minimizes bce + fairness_weight * fairness_gap through the
-subspace trainer's own epoch/batch loop with a single endpoint: no mixing
-ratio, no diversity regularizer, one Adam state. fairness_weight = 0 is plain
+subspace trainer's own epoch/batch loop with a (1, m) weight array: no
+mixing ratio, no diversity regularizer. fairness_weight = 0 is plain
 empirical risk minimization. sweep_fixed trains one independently
 initialized model per grid value, which is the multi-model competitor the
 single subspace run replaces; with jobs > 1 it trains them in forked worker
@@ -20,7 +20,7 @@ from . import checkpoint as ckpt
 from .data import Dataset
 from .errors import CheckpointError, FairlineError, ParameterError, ShapeError
 from .model import MlpArchitecture, Workspace, forward
-from .subspace import TrainConfig, _task_gradient, _train_loop
+from .subspace import BatchGradients, TrainConfig, _task_gradient, _train_loop
 from .tensor import limit_blas_threads
 
 # Grid of penalty strengths 0.05 .. 1.00 in steps of 0.05, plus 0 for the
@@ -60,21 +60,15 @@ class FixedModel:
             raise ShapeError("weight length does not match the architecture")
 
 
-@dataclass
-class FixedBatchGradients:
-    g_theta: np.ndarray
-    loss_ce: float
-    loss_fair: float | None
-    fairness_skipped: bool
-
-
 def fixed_batch_gradients(arch: MlpArchitecture, weights: np.ndarray,
                           x: np.ndarray, y: np.ndarray, s: np.ndarray,
                           fairness_weight: float, metric: str,
-                          workspace: Workspace | None = None) -> FixedBatchGradients:
+                          workspace: Workspace | None = None) -> BatchGradients:
+    """The k = 1 BatchGradients of one batch: task and grads are both g_theta
+    as a (1, m) view, and loss_reg is None."""
     g, loss_ce, loss_fair = _task_gradient(arch, weights, x, y, s, metric,
                                            fairness_weight, workspace=workspace)
-    return FixedBatchGradients(g, loss_ce, loss_fair, loss_fair is None)
+    return BatchGradients(g, g[None], g[None], loss_ce, loss_fair, None, loss_fair is None)
 
 
 def train_fixed(train: Dataset, config: TrainConfig, fairness_weight: float,
@@ -83,16 +77,17 @@ def train_fixed(train: Dataset, config: TrainConfig, fairness_weight: float,
 
     fairness_weight overrides config.fairness_weight. The run is the
     one-endpoint case of the subspace training loop: same batching, seeding,
-    Adam settings and empty-group skip policy, one weight vector initialized
-    from config.seed. probe, if given, is called as probe(epoch, batch_index,
-    bg) with the FixedBatchGradients of every batch before the update.
+    Adam settings and empty-group skip policy, with a (1, m) weight array
+    initialized from config.seed. probe, if given, is called as
+    probe(epoch, batch_index, bg) with the BatchGradients of every batch
+    before the update.
     """
     check_fairness_grid([fairness_weight], param="fairness_weight")
 
-    def step(arch, weights, x, y, s, workspace):
-        bg = fixed_batch_gradients(arch, weights[0], x, y, s, fairness_weight,
+    def step(arch, W, x, y, s, workspace):
+        bg = fixed_batch_gradients(arch, W[0], x, y, s, fairness_weight,
                                    config.fairness_metric, workspace=workspace)
-        return bg, (bg.g_theta,), (bg,)
+        return bg, (bg,)
 
     arch, (weights,), meta, wall_time_s = _train_loop(
         train, config, arch, (config.seed,), step, probe,

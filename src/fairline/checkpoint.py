@@ -6,10 +6,11 @@ Layout (all integers little-endian u32, floats little-endian f64):
     per array: length, values... | metadata | crc32
 
 kind 0 stores two arrays (the endpoint pair), kind 1 stores one (a fixed
-model). dims is the full layer-size chain, input width first, output width
-(always 1) last. The metadata block is UTF-8 "key=value" lines sorted by key
-and runs from the end of the arrays to the trailing CRC-32, which covers all
-preceding bytes.
+model); a reader refuses an array that holds a NaN or an infinity. dims is
+the full layer-size chain, input width first, output width (always 1) last.
+The metadata block is UTF-8 "key=value" lines sorted by key and runs from
+the end of the arrays to the trailing CRC-32, which covers all preceding
+bytes.
 """
 
 from __future__ import annotations
@@ -26,6 +27,9 @@ MAGIC = b"YODO"
 VERSION = 1
 KIND_PAIR = 0
 KIND_SINGLE = 1
+
+# The arrays each kind stores, by name, in file order.
+_ARRAY_NAMES = {KIND_PAIR: ("w_acc", "w_fair"), KIND_SINGLE: ("weights",)}
 
 _U32 = struct.Struct("<I")
 
@@ -125,9 +129,8 @@ def read_checkpoint(path, expected_kind: int
         raise CheckpointError(f"invalid layer sizes {dims}")
     arch = MlpArchitecture(dims[0], tuple(dims[1:-1]))
 
-    n_arrays = 2 if kind == KIND_PAIR else 1
     arrays = []
-    for _ in range(n_arrays):
+    for name in _ARRAY_NAMES[kind]:
         length = r.u32()
         if length != arch.param_count:
             raise CheckpointError(
@@ -135,5 +138,7 @@ def read_checkpoint(path, expected_kind: int
                 f"({arch.param_count} parameters)"
             )
         arrays.append(r.f64_array(length))
+        if not np.isfinite(arrays[-1]).all():
+            raise CheckpointError(f"array {name} holds non-finite values")
     meta = _decode_meta(r.blob[r.pos:])
     return arch, arrays, meta

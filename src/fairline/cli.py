@@ -2,16 +2,18 @@
 
 Logs go to stderr; machine-readable outputs go to files or stdout. Exit
 codes: 0 success; 2 usage error (bad flags, config file, YODO_SEED or
-parameter values); 4 numeric failure during training; 3 for any other
+parameter values); 4 numeric failure (a non-finite value during training,
+or a served model whose predictions are not finite); 3 for any other
 package error (data, such as a CSV that is not UTF-8; checkpoint, such as
-one without a feature transform; a dead fixed-grid worker; shape, empty
-group, frontier range) and for OS errors. Input files may start with a UTF-8
-byte-order mark. No package error escapes as a traceback. The library owns
-every parameter rule: each command passes its flag values to those checks
-before the data file is read, and main names the flag of a ParameterError's
-parameter. A config file (key=value lines, keys spelled like the long flags
-without dashes, booleans 1/true/yes or 0/false/no) is read as flags ahead of
-the command line's own, so explicit flags win. YODO_SEED supplies the
+one without a feature transform or with non-finite weights; a dead
+fixed-grid worker; shape, empty group, frontier range) and for OS errors.
+Input files may start with a UTF-8 byte-order mark. No package error
+escapes as a traceback. The library owns every parameter rule: each command
+passes its flag values to those checks before the data file is read, and
+main names the flag of a ParameterError's parameter. A config file
+(key=value lines, keys spelled like the long flags without dashes, booleans
+1/true/yes or 0/false/no) is read as flags ahead of the command line's own,
+so explicit flags win. YODO_SEED supplies the
 default seed. train and compare read their CSV by the schema flags; sweep
 has none, and reads its CSV by the feature transform the checkpoint recorded
 at training, schema included, so a train --test-out file and the raw

@@ -47,7 +47,8 @@ class CheckpointError(FairlineError):
 
 
 class NumericError(FairlineError):
-    """A non-finite value appeared during training."""
+    """A non-finite value appeared during training or in a served model's
+    predictions."""
 
 
 class FrontierRangeError(FairlineError):

@@ -25,7 +25,7 @@ import numpy as np
 
 from .baseline import DEFAULT_FAIRNESS_GRID, check_fairness_grid, check_jobs, sweep_fixed
 from .data import Dataset, FeatureTransform, open_text
-from .errors import CheckpointError, FrontierRangeError, ParameterError
+from .errors import CheckpointError, FrontierRangeError, NumericError, ParameterError
 from .losses import METRIC_GAPS, Cells, check_lengths, group_cells, group_gap
 from .model import MlpArchitecture, Workspace, forward
 from .subspace import SubspaceModel, TrainConfig, interpolate, train_subspace
@@ -119,20 +119,25 @@ def _meta_seed(meta: dict[str, str]) -> int | None:
         raise CheckpointError(f"config.seed is not an integer: {raw!r}") from None
 
 
-def _serve(arch: MlpArchitecture, weights, x: np.ndarray):
+def _serve(arch: MlpArchitecture, weights, x: np.ndarray, names):
     """For each parameter vector in weights, yield its predictions on every
     row of x, bit-identical to forward(arch, params, x)[0].
 
     Each vector is forwarded in CHUNK-row pieces through one Workspace, and
     every yield is the same array: read it before asking for the next.
+    Predictions that are not all finite (huge weights overflow to inf - inf
+    in the logit) raise NumericError, naming the vector by its entry in
+    names.
     """
     n = x.shape[0]
     workspace = Workspace(arch, min(CHUNK, n))
     pred = np.empty(n)
-    for params in weights:
+    for name, params in zip(names, weights):
         for lo in range(0, n, CHUNK):
             pred[lo:lo + CHUNK] = forward(arch, params, x[lo:lo + CHUNK],
                                           workspace=workspace)[0]
+        if not np.isfinite(pred).all():
+            raise NumericError(f"the served model's predictions at {name} are not finite")
         yield pred
 
 
@@ -146,7 +151,7 @@ def alpha_sweep(model: SubspaceModel, test: Dataset,
     seed = _meta_seed(model.train_meta)
     cells = _row_set_cells(test.labels, test.sensitive)
     preds = _serve(model.arch, (interpolate(model.w_acc, model.w_fair, a) for a in grid),
-                   test.features)
+                   test.features, (f"alpha={a!r}" for a in grid))
     return [replace(_evaluate(pred, test.labels, cells), alpha=a, seed=seed)
             for a, pred in zip(grid, preds)]
 
@@ -257,7 +262,7 @@ def compare_to_grid(train: Dataset, test: Dataset, config: TrainConfig,
     fixed_models = sweep_fixed(train, config, fairness_grid, jobs=jobs)
     cells = _row_set_cells(test.labels, test.sensitive)
     preds = _serve(fixed_models[0].arch, (fm.weights for fm in fixed_models),
-                   test.features)
+                   test.features, (f"A={fm.fairness_weight!r}" for fm in fixed_models))
     fixed_records = [replace(_evaluate(pred, test.labels, cells),
                              fairness_weight=fm.fairness_weight,
                              seed=_meta_seed(fm.train_meta))

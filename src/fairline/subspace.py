@@ -8,8 +8,9 @@ alpha * w_fair are evaluated, the batch loss is
 
 and the theta-gradient of the task part is routed to the endpoints with
 factors (1 - alpha) and alpha; the diversity regularizer contributes its own
-analytic gradients directly. Each endpoint has its own Adam state. At
-inference time any alpha in [0, 1] picks a point on the learned line.
+analytic gradients directly. The endpoints train as the two rows of one
+(2, m) weight array under one Adam state. At inference time any alpha in
+[0, 1] picks a point on the learned line.
 """
 
 from __future__ import annotations
@@ -83,12 +84,15 @@ def _meta_text(value) -> str:
 
 @dataclass
 class AdamState:
-    """Per-endpoint Adam moments; beta1=0.9, beta2=0.999, eps=1e-8."""
+    """Adam moments of one weight array of any shape; beta1=0.9,
+    beta2=0.999, eps=1e-8. Every operation is elementwise, so one state over
+    a (k, m) array steps each row exactly as a state of its own would."""
 
     m: np.ndarray
     v: np.ndarray
     step: int = 0
-    # Two scratch vectors, so that a step allocates only its result.
+    # Two scratch arrays of the moments' shape, so that a step allocates
+    # only its result.
     _scratch: np.ndarray = field(init=False, repr=False, compare=False)
 
     BETA1 = 0.9
@@ -96,19 +100,19 @@ class AdamState:
     EPS = 1e-8
 
     def __post_init__(self):
-        self._scratch = np.empty((2, self.m.size))
+        self._scratch = np.empty((2, *self.m.shape))
 
     @classmethod
-    def zeros(cls, size: int) -> "AdamState":
-        return cls(np.zeros(size), np.zeros(size))
+    def zeros(cls, shape) -> "AdamState":
+        return cls(np.zeros(shape), np.zeros(shape))
 
     def apply(self, w: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
-        """One Adam step: the updated weights, as a new vector. The moments
-        update in place and every intermediate goes to a scratch vector, in
-        the order of the textbook form m = b1 * m + (1 - b1) * g;
+        """One Adam step: the updated weights, as a new array of w's shape.
+        The moments update in place and every intermediate goes to a scratch
+        array, in the order of the textbook form m = b1 * m + (1 - b1) * g;
         v = b2 * v + (1 - b2) * g * g; w - lr * m_hat / (sqrt(v_hat) + eps),
         so the result is bit-identical to it. Updating w in place too read
-        slower end to end, so the result keeps its own vector."""
+        slower end to end, so the result keeps its own array."""
         self.step += 1
         term, denom = self._scratch
         self.m *= self.BETA1
@@ -160,16 +164,15 @@ def interpolate(w1: np.ndarray, w2: np.ndarray, alpha: float) -> np.ndarray:
 
 @dataclass
 class BatchGradients:
-    """Gradients and loss parts of one training batch."""
+    """Gradients and loss parts of one training batch of a (k, m) weight
+    array: k = 2 for the endpoint pair, k = 1 for a fixed model."""
 
-    g_theta: np.ndarray  # d(task loss)/d(theta)
-    g_acc_task: np.ndarray  # (1 - alpha) * g_theta
-    g_fair_task: np.ndarray  # alpha * g_theta
-    g_acc: np.ndarray  # task + diversity parts
-    g_fair: np.ndarray
+    g_theta: np.ndarray  # d(task loss)/d(theta), shape (m,)
+    task: np.ndarray  # (k, m): g_theta routed to each row, (1 - alpha) and alpha
+    grads: np.ndarray  # (k, m): task + diversity parts; what Adam applies
     loss_ce: float
     loss_fair: float | None  # None when the batch lacked a required group cell
-    loss_reg: float
+    loss_reg: float | None  # None for k = 1: no diversity regularizer
     fairness_skipped: bool
 
 
@@ -200,34 +203,31 @@ def batch_gradients(arch: MlpArchitecture, w_acc: np.ndarray, w_fair: np.ndarray
                     alpha: float, x: np.ndarray, y: np.ndarray, s: np.ndarray,
                     config: TrainConfig, workspace: Workspace | None = None
                     ) -> BatchGradients:
-    """One batch of the subspace objective: loss parts, theta-gradient,
-    routed endpoint gradients, and the directly-added regularizer gradients."""
+    """One batch of the subspace objective: loss parts, theta-gradient, and
+    the (2, m) endpoint gradients, routed task part plus the directly-added
+    regularizer gradients."""
     theta = interpolate(w_acc, w_fair, alpha)
     g_theta, loss_ce, loss_fair = _task_gradient(
         arch, theta, x, y, s, config.fairness_metric, config.fairness_weight * alpha,
         workspace=workspace)
-    g_acc_task = (1.0 - alpha) * g_theta
-    g_fair_task = alpha * g_theta
+    task = np.outer((1.0 - alpha, alpha), g_theta)
     reg = squared_cosine(w_acc, w_fair)
-    g_acc = g_acc_task + config.diversity_weight * reg.grad_w1
-    g_fair = g_fair_task + config.diversity_weight * reg.grad_w2
-    return BatchGradients(g_theta, g_acc_task, g_fair_task, g_acc, g_fair,
-                          loss_ce, loss_fair, reg.value, loss_fair is None)
+    grads = task + config.diversity_weight * np.stack((reg.grad_w1, reg.grad_w2))
+    return BatchGradients(g_theta, task, grads, loss_ce, loss_fair, reg.value,
+                          loss_fair is None)
 
 
 def _train_loop(train: Dataset, config: TrainConfig, arch: MlpArchitecture | None,
                 seeds: tuple[int, ...], step, probe, label: str = ""
-                ) -> tuple[MlpArchitecture, list[np.ndarray], dict[str, str], float]:
+                ) -> tuple[MlpArchitecture, np.ndarray, dict[str, str], float]:
     """The epoch/batch loop shared by the subspace and the fixed trainer.
 
-    One weight vector per seed, initialized from it, each with its own Adam
-    state, and one model Workspace for the run's batch size that every batch
-    reuses. step(arch, weights, x, y, s, workspace) returns
-    (bg, grads, probe_args):
-    bg is the batch's gradient record (loss_ce, loss_fair, fairness_skipped,
-    plus loss_reg for the endpoint pair), grads holds one gradient per weight
-    vector, and probe_args follow (epoch, batch_index) in the probe call.
-    Returns the architecture, the trained weights, the metadata shared by
+    The weights are one (k, m) array W, row i initialized from seeds[i],
+    under one Adam state, and one model Workspace for the run's batch size
+    serves every batch. step(arch, W, x, y, s, workspace) returns
+    (bg, probe_args): bg is the batch's BatchGradients, whose grads Adam
+    applies to W, and probe_args follow (epoch, batch_index) in the probe
+    call. Returns the architecture, the trained W, the metadata shared by
     both checkpoint kinds (the config, train's feature transform and the
     batch counters), and the wall time.
     """
@@ -236,8 +236,8 @@ def _train_loop(train: Dataset, config: TrainConfig, arch: MlpArchitecture | Non
         arch = MlpArchitecture(train.dim)
     if arch.input_dim != train.dim:
         raise ShapeError("architecture input_dim does not match the dataset")
-    weights = [init_params(arch, seed) for seed in seeds]
-    adams = [AdamState.zeros(arch.param_count) for _ in seeds]
+    W = np.stack([init_params(arch, seed) for seed in seeds])
+    adam = AdamState.zeros(W.shape)
     shuffle_seed = config.seed if config.shuffle_seed is None else config.shuffle_seed
     workspace = Workspace(arch, min(config.batch_size, train.n))
 
@@ -249,20 +249,16 @@ def _train_loop(train: Dataset, config: TrainConfig, arch: MlpArchitecture | Non
         fair_n = 0
         epoch_batches = 0
         epoch_skips = 0
-        reg_last = None
         for bi, idx in enumerate(batches(train, config.batch_size, shuffle_seed, epoch)):
-            bg, grads, probe_args = step(arch, weights, train.features[idx],
-                                         train.labels[idx], train.sensitive[idx],
-                                         workspace)
-            reg_last = getattr(bg, "loss_reg", None)
-            losses = [v for v in (bg.loss_ce, bg.loss_fair, reg_last) if v is not None]
+            bg, probe_args = step(arch, W, train.features[idx], train.labels[idx],
+                                  train.sensitive[idx], workspace)
+            losses = [v for v in (bg.loss_ce, bg.loss_fair, bg.loss_reg) if v is not None]
             if not all(np.isfinite(v) for v in losses):
                 raise NumericError(f"non-finite loss at epoch {epoch}: ce={bg.loss_ce} "
-                                   f"fair={bg.loss_fair} reg={reg_last}")
+                                   f"fair={bg.loss_fair} reg={bg.loss_reg}")
             if probe is not None:
                 probe(epoch, bi, *probe_args)
-            weights = [adam.apply(w, g, config.learning_rate)
-                       for adam, w, g in zip(adams, weights, grads)]
+            W = adam.apply(W, bg.grads, config.learning_rate)
             epoch_batches += 1
             epoch_skips += int(bg.fairness_skipped)
             ce_sum += bg.loss_ce
@@ -271,9 +267,9 @@ def _train_loop(train: Dataset, config: TrainConfig, arch: MlpArchitecture | Non
                 fair_n += 1
         total_batches += epoch_batches
         skipped_batches += epoch_skips
-        if not all(np.all(np.isfinite(w)) for w in weights):
+        if not np.all(np.isfinite(W)):
             raise NumericError(f"non-finite weights after epoch {epoch}")
-        reg_text = "" if reg_last is None else f" reg={reg_last:.6f}"
+        reg_text = "" if bg.loss_reg is None else f" reg={bg.loss_reg:.6f}"
         logger.info(
             "%sepoch %d: mean_ce=%.6f mean_fair=%.6f%s fairness_skips=%d",
             label, epoch, ce_sum / max(epoch_batches, 1),
@@ -287,7 +283,7 @@ def _train_loop(train: Dataset, config: TrainConfig, arch: MlpArchitecture | Non
         "batches_total": str(total_batches),
         "fairness_skipped_batches": str(skipped_batches),
     })
-    return arch, weights, meta, time.perf_counter() - t0
+    return arch, W, meta, time.perf_counter() - t0
 
 
 def train_subspace(train: Dataset, config: TrainConfig,
@@ -305,14 +301,14 @@ def train_subspace(train: Dataset, config: TrainConfig,
     """
     alpha_rng = np.random.default_rng([config.seed, *_ALPHA_STREAM])
 
-    def step(arch, weights, x, y, s, workspace):
+    def step(arch, W, x, y, s, workspace):
         alpha = (config.fixed_alpha if config.fixed_alpha is not None
                  else float(alpha_rng.uniform()))
-        bg = batch_gradients(arch, weights[0], weights[1], alpha, x, y, s, config,
+        bg = batch_gradients(arch, W[0], W[1], alpha, x, y, s, config,
                              workspace=workspace)
-        return bg, (bg.g_acc, bg.g_fair), (alpha, bg)
+        return bg, (alpha, bg)
 
-    arch, (w_acc, w_fair), meta, wall_time_s = _train_loop(
+    arch, W, meta, wall_time_s = _train_loop(
         train, config, arch, (config.seed, config.seed + 1), step, probe)
     total = int(meta["batches_total"])
     skipped = int(meta["fairness_skipped_batches"])
@@ -320,7 +316,7 @@ def train_subspace(train: Dataset, config: TrainConfig,
     if skip_warning:
         logger.warning("fairness term skipped in %d of %d batches", skipped, total)
     meta["skip_warning"] = "1" if skip_warning else "0"
-    return SubspaceModel(arch, w_acc, w_fair, meta, wall_time_s=wall_time_s)
+    return SubspaceModel(arch, W[0], W[1], meta, wall_time_s=wall_time_s)
 
 
 def predict(model: SubspaceModel, alpha: float, x: np.ndarray) -> np.ndarray:

@@ -130,7 +130,7 @@ def test_criterion_1_gradient_correctness():
             return value
 
         bg = batch_gradients(arch, w1, w2, alpha, x, y, s, cfg)
-        for which, grad in ((0, bg.g_acc), (1, bg.g_fair)):
+        for which, grad in enumerate(bg.grads):
             for k in range(arch.param_count):
                 up = [w1.copy(), w2.copy()]
                 up[which][k] += h
@@ -185,13 +185,13 @@ def test_criterion_2_routing_identity():
                       probe=lambda e, b, a, bg: seen.append((a, bg)))
     assert seen
     for alpha, bg in seen:
-        assert np.array_equal(bg.g_acc_task, (1.0 - alpha) * bg.g_theta)
-        assert np.array_equal(bg.g_fair_task, alpha * bg.g_theta)
-    for alpha, attr in ((0.0, "g_fair_task"), (1.0, "g_acc_task")):
+        assert np.array_equal(bg.task[0], (1.0 - alpha) * bg.g_theta)
+        assert np.array_equal(bg.task[1], alpha * bg.g_theta)
+    for alpha, row in ((0.0, 1), (1.0, 0)):
         got = []
         fl.train_subspace(ds, replace(cfg, fixed_alpha=alpha), arch=arch,
                           probe=lambda e, b, a, bg: got.append(bg))
-        assert all(np.all(getattr(bg, attr) == 0.0) for bg in got)
+        assert all(np.all(bg.task[row] == 0.0) for bg in got)
 
 
 # =====================================================================

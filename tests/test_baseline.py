@@ -181,10 +181,23 @@ def test_fixed_vs_subspace_batch0_gradient_agreement():
                    probe=lambda e, b, a, bg: grabbed.setdefault("sub", bg))
     train_fixed(train, cfg_fix, 1.0, arch=ARCH,
                 probe=lambda e, b, bg: grabbed.setdefault("fix", bg))
-    g_sub = grabbed["sub"].g_fair_task
+    g_sub = grabbed["sub"].task[1]
     g_fix = grabbed["fix"].g_theta
     denom = np.maximum(np.abs(g_fix), 1e-12)
     assert np.max(np.abs(g_sub - g_fix) / denom) < 1e-10
+
+
+def test_fixed_probe_sees_the_one_row_record():
+    train, _ = quick_data(n=400)
+    seen = []
+    train_fixed(train, TrainConfig(epochs=1, batch_size=128, seed=2), 0.5, arch=ARCH,
+                probe=lambda e, b, bg: seen.append(bg))
+    assert seen
+    for bg in seen:
+        assert bg.task.shape == bg.grads.shape == (1, ARCH.param_count)
+        assert np.array_equal(bg.task[0], bg.g_theta)
+        assert np.array_equal(bg.grads[0], bg.g_theta)
+        assert bg.loss_reg is None
 
 
 def test_subspace_overhead_bounded():

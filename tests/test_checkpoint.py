@@ -1,6 +1,7 @@
 import struct
 import zlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -54,6 +55,24 @@ def test_fixed_fairness_weight_outside_the_grid_rule_is_checkpoint_error(tmp_pat
     path.write_bytes(body + _crc_tail(body))
     with pytest.raises(CheckpointError, match="fixed.fairness_weight"):
         load_fixed_checkpoint(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("array", ["w_acc", "w_fair", "weights"])
+def test_non_finite_weight_is_checkpoint_error(tmp_path, array, value):
+    w = init_params(ARCH, 0)
+    w[3] = value
+    path = tmp_path / "m.ckpt"
+    if array == "weights":
+        save_fixed_checkpoint(FixedModel(ARCH, w, 0.5, META), path)
+        load = load_fixed_checkpoint
+    else:
+        other = init_params(ARCH, 1)
+        pair = (w, other) if array == "w_acc" else (other, w)
+        save_checkpoint(SubspaceModel(ARCH, *pair, META), path)
+        load = load_checkpoint
+    with pytest.raises(CheckpointError, match=f"array {array} holds non-finite values"):
+        load(path)
 
 
 @pytest.mark.parametrize("meta", [{"note": "\ud800"}, {"\ud800": "v"}], ids=["value", "key"])

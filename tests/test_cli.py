@@ -271,6 +271,34 @@ def test_sweep_non_integer_seed_metadata_is_checkpoint_error(checkpoint, synth_c
     assert "Traceback" not in err
 
 
+def _spoil(path, case):
+    """Rewrite a line checkpoint with a NaN weight in w_fair, or with both
+    endpoints scaled so far that every prediction overflows to NaN."""
+    model = load_checkpoint(path)
+    if case == "nan-weight":
+        model.w_fair[0] = np.nan
+    else:
+        model = replace(model, w_acc=model.w_acc * 1e300, w_fair=model.w_fair * 1e300)
+    save_checkpoint(model, path)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
+@pytest.mark.parametrize("case, code, message", [
+    ("nan-weight", 3, "error: array w_fair holds non-finite values"),
+    ("huge-weights", 4, "error: the served model's predictions at alpha=0.0 are not finite"),
+])
+def test_sweep_non_finite_checkpoint_exits_3_or_4(checkpoint, synth_csv, tmp_path, capsys,
+                                                  case, code, message):
+    _spoil(checkpoint, case)
+    report = tmp_path / "r.csv"
+    assert run(["sweep", "--checkpoint", str(checkpoint), "--test", str(synth_csv),
+                "--out", str(report)]) == code
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not report.exists()
+
+
 # ------------------------------------- feature transform, train to serve
 
 def categorical_csv(path, n=240, categories=("a, b", "plain", "z")):
@@ -527,6 +555,25 @@ def test_compare_can_reuse_checkpoint(synth_csv, compare_checkpoint, tmp_path, c
                              "--grid", "0,1", "--fairness-grid", "1.0"])) == 0
     stdout = capsys.readouterr().out
     assert "wall_time_ratio=\n" in stdout  # no subspace training time to compare
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
+@pytest.mark.parametrize("case, code, message", [
+    ("nan-weight", 3, "error: array w_fair holds non-finite values"),
+    ("huge-weights", 4, "error: the served model's predictions at alpha=0.0 are not finite"),
+])
+def test_compare_non_finite_checkpoint_exits_3_or_4(synth_csv, compare_checkpoint, tmp_path,
+                                                    capsys, case, code, message):
+    _spoil(compare_checkpoint, case)
+    out = tmp_path / "cmp.csv"
+    capsys.readouterr()
+    assert run(compare_args(synth_csv, out,
+                            ["--checkpoint", str(compare_checkpoint),
+                             "--grid", "0,1", "--fairness-grid", "1.0"])) == code
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("case", ["sensitive-in-checkpoint", "sensitive-in-compare",

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from fairline.baseline import predict_fixed, sweep_fixed
 from fairline.data import split, synth_biased
-from fairline.errors import EmptyGroupError, FrontierRangeError, ParameterError
+from fairline.errors import EmptyGroupError, FrontierRangeError, NumericError, ParameterError
 from fairline.evaluation import (
     CHUNK,
     DEFAULT_ALPHA_GRID,
@@ -359,8 +359,19 @@ def test_serve_is_byte_equal_to_one_allocating_forward(n, hidden):
     x = np.random.default_rng(n).standard_normal((n, 6))
     weights = [init_params(arch, 0), init_params(arch, 1), init_params(arch, 0)]
     # the workspace and the prediction vector are reused across the vectors
-    served = [pred.tobytes() for pred in _serve(arch, weights, x)]
+    served = [pred.tobytes() for pred in _serve(arch, weights, x, range(3))]
     assert served == [forward(arch, w, x)[0].tobytes() for w in weights]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
+def test_serve_refuses_predictions_that_are_not_finite():
+    arch = MlpArchitecture(6, (32,))
+    x = np.random.default_rng(0).standard_normal((CHUNK + 1, 6))
+    weights = [init_params(arch, 0), init_params(arch, 1) * 1e300]
+    served = _serve(arch, weights, x, ["A=0.0", "A=0.5"])
+    assert np.isfinite(next(served)).all()
+    with pytest.raises(NumericError, match="predictions at A=0.5 are not finite"):
+        next(served)
 
 
 def test_alpha_sweep_and_compare_to_grid_equal_a_predict_loop():

@@ -12,6 +12,7 @@ from fairline.errors import (
 )
 from fairline.model import MlpArchitecture, forward, init_params
 from fairline.subspace import (
+    AdamState,
     SubspaceModel,
     TrainConfig,
     batch_gradients,
@@ -106,20 +107,20 @@ def test_routing_factors_applied_exactly():
                    probe=lambda e, b, a, bg: seen.append((a, bg)))
     assert len(seen) == 4
     for alpha, bg in seen:
-        assert np.array_equal(bg.g_acc_task, (1.0 - alpha) * bg.g_theta)
-        assert np.array_equal(bg.g_fair_task, alpha * bg.g_theta)
+        assert np.array_equal(bg.task[0], (1.0 - alpha) * bg.g_theta)
+        assert np.array_equal(bg.task[1], alpha * bg.g_theta)
         assert (1.0 - alpha) + alpha == 1.0
 
 
 def test_degenerate_alpha_zeroes_task_gradients():
     ds = small_dataset()
-    for alpha, attr in ((0.0, "g_fair_task"), (1.0, "g_acc_task")):
+    for alpha, row in ((0.0, 1), (1.0, 0)):
         cfg = TrainConfig(epochs=1, batch_size=16, seed=3, fixed_alpha=alpha)
         seen = []
         train_subspace(ds, cfg, arch=ARCH,
                        probe=lambda e, b, a, bg: seen.append(bg))
         for bg in seen:
-            assert np.all(getattr(bg, attr) == 0.0)
+            assert np.all(bg.task[row] == 0.0)
 
 
 def test_fixed_alpha_zero_without_regularizer_freezes_fairness_endpoint():
@@ -148,9 +149,27 @@ def test_fixed_alpha_zero_with_regularizer_moves_fairness_endpoint_by_reg_only()
     model = train_subspace(ds, cfg, arch=ARCH,
                            probe=lambda e, b, a, bg: seen.append(bg))
     for bg in seen:
-        assert np.all(bg.g_fair_task == 0.0)
-        assert np.any(bg.g_fair != 0.0)  # regularizer gradient is all that remains
+        assert np.all(bg.task[1] == 0.0)
+        assert np.any(bg.grads[1] != 0.0)  # regularizer gradient is all that remains
     assert not np.array_equal(model.w_fair, init_params(ARCH, cfg.seed + 1))
+
+
+def test_one_adam_state_over_two_rows_steps_each_row_as_its_own_state():
+    # the training loop's (2, m) state against one state per endpoint; at
+    # alpha = 0 without the regularizer the fairness row's gradient is zero
+    rng = np.random.default_rng(7)
+    m = ARCH.param_count
+    W = rng.standard_normal((2, m))
+    rows = [W[0].copy(), W[1].copy()]
+    pair, singles = AdamState.zeros(W.shape), [AdamState.zeros(m), AdamState.zeros(m)]
+    for _ in range(4):
+        grads = np.stack((rng.standard_normal(m) * 10.0 ** rng.integers(-6, 3),
+                          np.zeros(m)))
+        W = pair.apply(W, grads, 0.001)
+        rows = [a.apply(w, g, 0.001) for a, w, g in zip(singles, rows, grads)]
+        assert W.shape == (2, m)
+        assert W[0].tobytes() == rows[0].tobytes()
+        assert W[1].tobytes() == rows[1].tobytes()
 
 
 # ----------------------------------------------------- determinism
@@ -386,7 +405,7 @@ def test_routed_gradient_matches_finite_differences_end_to_end():
 
     bg = batch_gradients(arch, w1, w2, alpha, x, y, s, cfg)
     h = 1e-5
-    for target, grad in ((0, bg.g_acc), (1, bg.g_fair)):
+    for target, grad in enumerate(bg.grads):
         for k in range(w1.size):
             up = [w1.copy(), w2.copy()]
             up[target][k] += h
