@@ -6,7 +6,8 @@ mixing ratio, no diversity regularizer. fairness_weight = 0 is plain
 empirical risk minimization. sweep_fixed trains one independently
 initialized model per grid value, which is the multi-model competitor the
 single subspace run replaces; with jobs > 1 it trains them in forked worker
-processes, with bit-identical results in grid order.
+processes, with bit-identical results in grid order. The same pool also
+takes the line itself when evaluation.compare_to_grid trains it.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ from . import checkpoint as ckpt
 from .data import Dataset
 from .errors import CheckpointError, FairlineError, ParameterError, ShapeError
 from .model import MlpArchitecture, Workspace, forward
-from .subspace import BatchGradients, TrainConfig, _task_gradient, _train_loop
-from .tensor import limit_blas_threads
+from .subspace import (
+    BatchGradients, TrainConfig, _task_gradient, _train_loop, train_subspace)
+from .tensor import blas_threads, limit_blas_threads
 
 # Grid of penalty strengths 0.05 .. 1.00 in steps of 0.05, plus 0 for the
 # empirical-risk-minimization anchor.
@@ -105,44 +107,71 @@ def sweep_fixed(train: Dataset, config: TrainConfig,
     Results are ordered by grid index. jobs = 1 trains them one after
     another in this process. jobs > 1 trains them in min(jobs, len(grid))
     forked worker processes, which inherit train and arch instead of
-    receiving them pickled and run their BLAS on one thread each; each task
-    sends its seeded config and grid value, and each model comes back
-    bit-identical to the in-process run. An error in a worker is raised
-    here, the first in grid order; a worker that dies raises FairlineError.
+    receiving them pickled. This process caps its BLAS at one thread while
+    the pool runs, so the workers inherit the cap and start no BLAS helper
+    thread, then restores its own count. Each task sends its seeded config
+    and grid value, and each model comes back bit-identical to the
+    in-process run. An error in a worker is raised here, the first in grid
+    order; a worker that dies raises FairlineError.
     """
     grid = check_fairness_grid(grid)
-    workers = min(check_jobs(jobs), len(grid))
-    tasks = [(replace(config, seed=config.seed + i), a) for i, a in enumerate(grid)]
+    return _train_runs(train, _grid_tasks(config, grid), check_jobs(jobs), arch)
+
+
+def _grid_tasks(config: TrainConfig, grid: list[float]) -> list[tuple[TrainConfig, float]]:
+    """sweep_fixed's tasks: per grid value, its config seeded base + index."""
+    return [(replace(config, seed=config.seed + i), a) for i, a in enumerate(grid)]
+
+
+def _train_runs(train: Dataset, tasks: list, jobs: int,
+                arch: MlpArchitecture | None = None) -> list:
+    """Train every task, in order: a TrainConfig is a line (train_subspace),
+    a (config, fairness_weight) pair a fixed model (train_fixed). Runs in
+    this process when min(jobs, len(tasks)) == 1, else in a fork pool of
+    that many workers (see sweep_fixed); the results are the same."""
+    workers = min(jobs, len(tasks))
     if workers == 1:
-        return [train_fixed(train, cfg, a, arch=arch) for cfg, a in tasks]
+        return [_train_run(train, arch, task) for task in tasks]
     # Imported here: the pool machinery adds about 2 MB to every process that
-    # imports fairline, and only a pooled sweep needs it.
+    # imports fairline, and only a pooled run needs it.
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
+    # A worker that sets its own BLAS thread count starts a helper thread,
+    # which spins against the other workers; one forked from a process
+    # capped at one thread starts none.
+    threads = blas_threads()
+    limit_blas_threads(1)
     try:
         with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                                  initializer=_inherit, initargs=(train, arch)) as pool:
-            return list(pool.map(_train_task, tasks))
+            return list(pool.map(_pooled_run, tasks))
     except BrokenProcessPool:
         raise FairlineError("a fixed-grid worker process died before returning its model") from None
+    finally:
+        if threads is not None:
+            limit_blas_threads(threads)
 
 
-# The training set and architecture of a sweep_fixed worker process.
+def _train_run(train: Dataset, arch: MlpArchitecture | None, task):
+    if isinstance(task, TrainConfig):
+        return train_subspace(train, task, arch=arch)
+    config, fairness_weight = task
+    return train_fixed(train, config, fairness_weight, arch=arch)
+
+
+# The training set and architecture of a _train_runs worker process.
 _worker_data: tuple[Dataset, MlpArchitecture | None] | None = None
 
 
 def _inherit(train: Dataset, arch: MlpArchitecture | None) -> None:
     global _worker_data
     _worker_data = (train, arch)
-    limit_blas_threads(1)
 
 
-def _train_task(task: tuple[TrainConfig, float]) -> FixedModel:
-    train, arch = _worker_data
-    config, fairness_weight = task
-    return train_fixed(train, config, fairness_weight, arch=arch)
+def _pooled_run(task):
+    return _train_run(*_worker_data, task)
 
 
 def predict_fixed(model: FixedModel, x: np.ndarray) -> np.ndarray:

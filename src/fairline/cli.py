@@ -19,8 +19,8 @@ has none, and reads its CSV by the feature transform the checkpoint recorded
 at training, schema included, so a train --test-out file and the raw
 training file both sweep as trained. compare is a thin caller of
 evaluation.compare_to_grid on the split it makes itself; it trains the
-fixed-penalty grid in --jobs worker processes, by default one per usable
-core.
+line and the fixed-penalty grid in --jobs worker processes, by default one
+per usable core.
 """
 
 from __future__ import annotations
@@ -178,7 +178,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Parser]]:
     p.add_argument("--out", required=True, help="combined report CSV path")
     p.add_argument("--checkpoint", default=None,
                    help="reuse this subspace checkpoint instead of training "
-                        "(the wall-time ratio then covers only fixed runs)")
+                        "(no line is trained, so wall_time_ratio= is empty)")
     p.add_argument("--test-fraction", type=float, default=0.25)
     p.add_argument("--grid", type=floats, default=None,
                    help="comma-separated alphas (default: 0,0.05,...,1)")
@@ -186,9 +186,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Parser]]:
                    help="comma-separated penalty strengths "
                         "(default: 0,0.05,...,1)")
     p.add_argument("--jobs", type=int, default=_usable_cores(),
-                   help="worker processes that train the fixed-penalty grid, "
-                        "capped at the grid size; the default is the number of "
-                        "usable cores")
+                   help="worker processes that train the line and the "
+                        "fixed-penalty grid, capped at the number of runs; the "
+                        "default is the number of usable cores. Under more than "
+                        "one, every run times itself while sharing the cores; "
+                        "--jobs 1 times each run alone")
     _add_train_flags(p)
     _add_schema_flags(p)
     for p in sub.choices.values():

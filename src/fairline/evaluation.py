@@ -23,12 +23,13 @@ from typing import get_args, get_type_hints
 
 import numpy as np
 
-from .baseline import DEFAULT_FAIRNESS_GRID, check_fairness_grid, check_jobs, sweep_fixed
+from .baseline import (
+    DEFAULT_FAIRNESS_GRID, _grid_tasks, _train_runs, check_fairness_grid, check_jobs, sweep_fixed)
 from .data import Dataset, FeatureTransform, open_text
 from .errors import CheckpointError, FrontierRangeError, NumericError, ParameterError
 from .losses import METRIC_GAPS, Cells, check_lengths, group_cells, group_gap
 from .model import MlpArchitecture, Workspace, forward
-from .subspace import SubspaceModel, TrainConfig, interpolate, train_subspace
+from .subspace import SubspaceModel, TrainConfig, interpolate
 
 logger = logging.getLogger(__name__)
 
@@ -133,9 +134,13 @@ def _serve(arch: MlpArchitecture, weights, x: np.ndarray, names):
     workspace = Workspace(arch, min(CHUNK, n))
     pred = np.empty(n)
     for name, params in zip(names, weights):
-        for lo in range(0, n, CHUNK):
-            pred[lo:lo + CHUNK] = forward(arch, params, x[lo:lo + CHUNK],
-                                          workspace=workspace)[0]
+        # Overflow is reported as the NumericError below, not as numpy
+        # warnings ahead of it. Not held across the yield, which returns
+        # control to the caller.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo in range(0, n, CHUNK):
+                pred[lo:lo + CHUNK] = forward(arch, params, x[lo:lo + CHUNK],
+                                              workspace=workspace)[0]
         if not np.isfinite(pred).all():
             raise NumericError(f"the served model's predictions at {name} are not finite")
         yield pred
@@ -234,12 +239,15 @@ def compare_to_grid(train: Dataset, test: Dataset, config: TrainConfig,
 
     Trains the line on train unless model is given, sweeps it over
     alpha_grid, trains one fixed model per fairness_grid value (sweep_fixed
-    with its seeding and jobs), and evaluates everything on test. A
-    given model must record config.fairness_metric and train's feature
-    transform, else CheckpointError names the metric it records, says it
-    records no transform or names the first transform key that differs,
-    before any fixed model is trained. Returns (line_records, fixed_records,
-    gap, ratio):
+    with its seeding and jobs), and evaluates everything on test. With
+    jobs > 1 a line to train is the first task of the fixed grid's worker
+    pool, so that both cores stay busy; with jobs = 1 it trains in this
+    process ahead of the grid. A given model must record
+    config.fairness_metric and train's feature transform, else
+    CheckpointError names the metric it records, says it records no
+    transform or names the first transform key that differs, before any
+    fixed model is trained; it is swept before the grid trains too.
+    Returns (line_records, fixed_records, gap, ratio):
 
     - fixed_records carry A (fairness_weight) and each model's seed;
     - gap is the frontier gap over all points in the report field of
@@ -247,19 +255,21 @@ def compare_to_grid(train: Dataset, test: Dataset, config: TrainConfig,
       not overlap;
     - ratio is the line's wall time over the mean fixed-run wall time, or
       None when the model carries no wall time (loaded from a checkpoint).
-      Under jobs > 1 the fixed runs time themselves while sharing cores.
+      Under jobs > 1 the line and the fixed runs all time themselves in
+      workers that share the cores; jobs = 1 times each run alone.
     """
     alpha_grid = check_alpha_grid(alpha_grid)
     fairness_grid = check_fairness_grid(fairness_grid)
-    check_jobs(jobs)
+    jobs = check_jobs(jobs)
     if model is None:
-        model = train_subspace(train, config)
+        model, *fixed_models = _train_runs(
+            train, [config, *_grid_tasks(config, fairness_grid)], jobs)
         logger.info("subspace training: %.3fs", model.wall_time_s)
+        line_records = alpha_sweep(model, test, alpha_grid)
     else:
         _check_model(model, config.fairness_metric, train.transform)
-    line_records = alpha_sweep(model, test, alpha_grid)
-
-    fixed_models = sweep_fixed(train, config, fairness_grid, jobs=jobs)
+        line_records = alpha_sweep(model, test, alpha_grid)
+        fixed_models = sweep_fixed(train, config, fairness_grid, jobs=jobs)
     cells = _row_set_cells(test.labels, test.sensitive)
     preds = _serve(fixed_models[0].arch, (fm.weights for fm in fixed_models),
                    test.features, (f"A={fm.fairness_weight!r}" for fm in fixed_models))

@@ -16,6 +16,7 @@ analytic gradients directly. The endpoints train as the two rows of one
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field, fields
 
@@ -188,7 +189,7 @@ def _task_gradient(arch: MlpArchitecture, theta: np.ndarray, x: np.ndarray,
     """
     pred, cache = forward(arch, theta, x, workspace=workspace)
     ce = bce(pred, y)
-    dpred = ce.grad_pred.copy()
+    dpred = ce.grad_pred  # a new array, so it takes the fairness term in place
     loss_fair: float | None = None
     try:
         fl = fairness_loss(metric, pred, y, s)
@@ -205,14 +206,20 @@ def batch_gradients(arch: MlpArchitecture, w_acc: np.ndarray, w_fair: np.ndarray
                     ) -> BatchGradients:
     """One batch of the subspace objective: loss parts, theta-gradient, and
     the (2, m) endpoint gradients, routed task part plus the directly-added
-    regularizer gradients."""
+    regularizer gradients. Each row is written in place, with the products
+    and the sum of the textbook form, so the bits are the same."""
     theta = interpolate(w_acc, w_fair, alpha)
     g_theta, loss_ce, loss_fair = _task_gradient(
         arch, theta, x, y, s, config.fairness_metric, config.fairness_weight * alpha,
         workspace=workspace)
-    task = np.outer((1.0 - alpha, alpha), g_theta)
+    task = np.empty((2, g_theta.shape[0]))
+    np.multiply(1.0 - alpha, g_theta, out=task[0])
+    np.multiply(alpha, g_theta, out=task[1])
     reg = squared_cosine(w_acc, w_fair)
-    grads = task + config.diversity_weight * np.stack((reg.grad_w1, reg.grad_w2))
+    grads = np.empty_like(task)
+    np.multiply(config.diversity_weight, reg.grad_w1, out=grads[0])
+    np.multiply(config.diversity_weight, reg.grad_w2, out=grads[1])
+    grads += task
     return BatchGradients(g_theta, task, grads, loss_ce, loss_fair, reg.value,
                           loss_fair is None)
 
@@ -224,7 +231,10 @@ def _train_loop(train: Dataset, config: TrainConfig, arch: MlpArchitecture | Non
 
     The weights are one (k, m) array W, row i initialized from seeds[i],
     under one Adam state, and one model Workspace for the run's batch size
-    serves every batch. step(arch, W, x, y, s, workspace) returns
+    serves every batch. Each epoch takes the rows in the order of its
+    data.batches once, so each batch's x, y and s are contiguous slices:
+    the rows, in order, of indexing by the batch's indices.
+    step(arch, W, x, y, s, workspace) returns
     (bg, probe_args): bg is the batch's BatchGradients, whose grads Adam
     applies to W, and probe_args follow (epoch, batch_index) in the probe
     call. Returns the architecture, the trained W, the metadata shared by
@@ -249,11 +259,15 @@ def _train_loop(train: Dataset, config: TrainConfig, arch: MlpArchitecture | Non
         fair_n = 0
         epoch_batches = 0
         epoch_skips = 0
-        for bi, idx in enumerate(batches(train, config.batch_size, shuffle_seed, epoch)):
-            bg, probe_args = step(arch, W, train.features[idx], train.labels[idx],
-                                  train.sensitive[idx], workspace)
-            losses = [v for v in (bg.loss_ce, bg.loss_fair, bg.loss_reg) if v is not None]
-            if not all(np.isfinite(v) for v in losses):
+        order = batches(train, config.batch_size, shuffle_seed, epoch)
+        perm = np.concatenate(order)
+        xs, ys, ss = train.features[perm], train.labels[perm], train.sensitive[perm]
+        hi = 0
+        for bi, idx in enumerate(order):
+            lo, hi = hi, hi + len(idx)
+            bg, probe_args = step(arch, W, xs[lo:hi], ys[lo:hi], ss[lo:hi], workspace)
+            if not all(math.isfinite(v) for v in (bg.loss_ce, bg.loss_fair, bg.loss_reg)
+                       if v is not None):
                 raise NumericError(f"non-finite loss at epoch {epoch}: ce={bg.loss_ce} "
                                    f"fair={bg.loss_fair} reg={bg.loss_reg}")
             if probe is not None:

@@ -1,7 +1,8 @@
 """Dense float64 array primitives of the model: a shape-checked matmul and
 the sigmoid and ReLU activations with their derivatives. matmul, relu and
 relu_grad take an optional out= buffer so the training step can reuse its
-activation memory. limit_blas_threads caps the threads matmul's BLAS may use.
+activation memory. limit_blas_threads caps the threads matmul's BLAS may use,
+and blas_threads reads the cap.
 
 Conventions: a Matrix is a 2-D float64 ndarray in batch-rows layout (each
 row one sample).
@@ -10,6 +11,7 @@ row one sample).
 from __future__ import annotations
 
 import ctypes
+import functools
 
 import numpy as np
 
@@ -27,37 +29,60 @@ def matmul(a: Matrix, b: Matrix, out: Matrix | None = None) -> Matrix:
     return np.matmul(a, b, out=out)
 
 
-# The thread-count setters of OpenBLAS builds: numpy's bundled one, others.
-_BLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
-                     "openblas_set_num_threads64_", "openblas_set_num_threads")
+# The thread-count setter and getter of OpenBLAS builds: numpy's bundled
+# one, others.
+_BLAS_THREAD_FUNCS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"))
 
 
-def limit_blas_threads(n: int) -> bool:
-    """Let every OpenBLAS loaded in this process use at most n threads, as a
-    worker process that shares the cores with others should: its BLAS
-    threads would otherwise spin against the other workers'. Returns False,
-    and changes nothing, where no OpenBLAS setter is found (another BLAS, or
-    no /proc/self/maps)."""
+@functools.cache
+def _openblas_threads() -> tuple:
+    """(setter, getter) of every OpenBLAS loaded in this process that has
+    both, looked up once per process (a forked child inherits the lookup).
+    Empty where none is found: another BLAS, or no /proc/self/maps."""
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
             # fields: address, perms, offset, dev, inode, then the path
             paths = {fields[5].strip() for fields in (line.split(maxsplit=5) for line in fh)
                      if len(fields) == 6 and "openblas" in fields[5]}
     except OSError:
-        return False
-    done = False
+        return ()
+    found = []
     for path in sorted(paths):
         try:
             lib = ctypes.CDLL(path)
         except OSError:  # e.g. a library file deleted since it was loaded
             continue
-        setter = next((getattr(lib, name) for name in _BLAS_SET_THREADS
-                       if hasattr(lib, name)), None)
-        if setter is not None:
+        names = next((pair for pair in _BLAS_THREAD_FUNCS
+                      if all(hasattr(lib, name) for name in pair)), None)
+        if names is not None:
+            setter, getter = (getattr(lib, name) for name in names)
             setter.argtypes, setter.restype = [ctypes.c_int], None
-            setter(n)
-            done = True
-    return done
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            found.append((setter, getter))
+    return tuple(found)
+
+
+def limit_blas_threads(n: int) -> bool:
+    """Let every OpenBLAS loaded in this process use at most n threads.
+    Returns False, and changes nothing, where no OpenBLAS is found.
+
+    A forked worker inherits its parent's cap. Called in the worker instead,
+    it starts a BLAS helper thread that spins against the other workers."""
+    libs = _openblas_threads()
+    for setter, _ in libs:
+        setter(n)
+    return bool(libs)
+
+
+def blas_threads() -> int | None:
+    """The thread count the first OpenBLAS found in this process may use, or
+    None where none is found."""
+    libs = _openblas_threads()
+    return libs[0][1]() if libs else None
 
 
 # Smallest positive double and the largest double below 1: sigmoid output is
@@ -111,5 +136,11 @@ def relu_grad(h, out=None):
     layer below multiplies its back-projected gradient by the boolean mask,
     then takes its block gradient as one matmul, a_in^T dz_l (see
     fairline.model).
+
+    A float out is filled by a copy of the boolean mask, which reads faster
+    than a compare that casts each element to float64; the bits are the same.
     """
-    return np.greater(h, 0.0, out=out)
+    if out is None or out.dtype == np.bool_:
+        return np.greater(h, 0.0, out=out)
+    np.copyto(out, np.greater(h, 0.0))
+    return out

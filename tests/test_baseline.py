@@ -20,6 +20,7 @@ from fairline.errors import CheckpointError, FairlineError, NumericError, Parame
 from fairline.evaluation import evaluate_predictions
 from fairline.model import MlpArchitecture
 from fairline.subspace import TrainConfig, save_checkpoint, train_subspace
+from fairline.tensor import blas_threads
 
 ARCH = MlpArchitecture(3, (8,))
 
@@ -152,6 +153,31 @@ def test_dead_worker_raises_fairline_error(monkeypatch):
     train, _ = quick_data(n=400)
     with pytest.raises(FairlineError, match="a fixed-grid worker process died"):
         sweep_fixed(train, TrainConfig(epochs=1, seed=0), [0.0, 0.5, 1.0], arch=ARCH, jobs=2)
+
+
+def _thread_count_after_training(train, config, fairness_weight, **kwargs):
+    train_fixed(train, config, fairness_weight, **kwargs)
+    return len(os.listdir("/proc/self/task"))
+
+
+@pytest.mark.skipif(blas_threads() is None, reason="no OpenBLAS thread setter found")
+def test_grid_workers_run_on_one_thread(monkeypatch):
+    # A worker that set its own BLAS thread count started an OpenBLAS helper
+    # thread, which spun against the other worker; a worker forked while
+    # this process is capped at one thread starts none.
+    monkeypatch.setattr(baseline, "train_fixed", _thread_count_after_training)
+    train, _ = quick_data(n=400)
+    counts = sweep_fixed(train, TrainConfig(epochs=1, seed=0), [0.0, 0.5, 1.0], arch=ARCH,
+                         jobs=2)
+    assert counts == [1, 1, 1]
+
+
+@pytest.mark.skipif(blas_threads() is None, reason="no OpenBLAS thread setter found")
+def test_pooled_sweep_restores_this_process_blas_threads():
+    train, _ = quick_data(n=400)
+    before = blas_threads()
+    sweep_fixed(train, TrainConfig(epochs=1, seed=0), [0.0, 1.0], arch=ARCH, jobs=2)
+    assert blas_threads() == before
 
 
 def test_sweep_total_time_tracks_per_run_time():

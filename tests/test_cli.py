@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -576,6 +577,26 @@ def test_compare_non_finite_checkpoint_exits_3_or_4(synth_csv, compare_checkpoin
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, fixture", [("sweep", "checkpoint"),
+                                              ("compare", "compare_checkpoint")])
+def test_overflowing_checkpoint_prints_only_its_error_line(command, fixture, synth_csv,
+                                                           tmp_path, capsys, request):
+    # numpy's overflow warnings are not printed ahead of the NumericError
+    ckpt = request.getfixturevalue(fixture)
+    _spoil(ckpt, "huge-weights")
+    out = tmp_path / "r.csv"
+    argv = (["sweep", "--checkpoint", str(ckpt), "--test", str(synth_csv), "--out", str(out)]
+            if command == "sweep" else
+            compare_args(synth_csv, out, ["--checkpoint", str(ckpt), "--grid", "0,1",
+                                          "--fairness-grid", "1.0"]))
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv) == 4
+    assert capsys.readouterr().err.splitlines() == [
+        "error: the served model's predictions at alpha=0.0 are not finite"]
+
+
 @pytest.mark.parametrize("case", ["sensitive-in-checkpoint", "sensitive-in-compare",
                                   "other-rows"])
 def test_compare_checkpoint_with_other_transform_is_checkpoint_error(
@@ -670,6 +691,21 @@ def test_compare_dead_grid_worker_exits_3(synth_csv, tmp_path, capsys, monkeypat
     monkeypatch.setattr(baseline, "train_fixed", dies_at_half)  # forked workers inherit it
     out = tmp_path / "cmp.csv"
     code = run(compare_args(synth_csv, out, ["--grid", "0,1", "--fairness-grid", "0,0.5,1",
+                                             "--jobs", "2"]))
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "error: a fixed-grid worker process died" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_compare_dead_line_worker_exits_3(synth_csv, tmp_path, capsys, monkeypatch):
+    def dies(*args, **kwargs):
+        os._exit(9)
+
+    monkeypatch.setattr(baseline, "train_subspace", dies)  # forked workers inherit it
+    out = tmp_path / "cmp.csv"
+    code = run(compare_args(synth_csv, out, ["--grid", "0,1", "--fairness-grid", "0,1",
                                              "--jobs", "2"]))
     err = capsys.readouterr().err
     assert code == 3

@@ -1,3 +1,4 @@
+import os
 import resource
 import tracemalloc
 from dataclasses import fields, replace
@@ -7,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fairline import baseline
 from fairline.baseline import predict_fixed, sweep_fixed
 from fairline.data import split, synth_biased
-from fairline.errors import EmptyGroupError, FrontierRangeError, NumericError, ParameterError
+from fairline.errors import (
+    EmptyGroupError, FairlineError, FrontierRangeError, NumericError, ParameterError)
 from fairline.evaluation import (
     CHUNK,
     DEFAULT_ALPHA_GRID,
@@ -393,6 +396,31 @@ def test_alpha_sweep_and_compare_to_grid_equal_a_predict_loop():
         evaluate(predict_fixed(fm, test.features), fairness_weight=fm.fairness_weight,
                  seed=int(fm.train_meta["config.seed"]))
         for fm in sweep_fixed(train, config, [0.0, 1.0])]
+
+
+def _small_compare():
+    train, test = split(synth_biased(1200, 3, 0.5, 0.3, 1.0, seed=0), 0.25, 0)
+    return train, test, TrainConfig(epochs=1, batch_size=256, seed=4), dict(
+        alpha_grid=[0.0, 0.5, 1.0], fairness_grid=[0.0, 0.5, 1.0])
+
+
+def test_compare_to_grid_trains_the_line_in_the_pool_with_the_same_records():
+    train, test, config, grids = _small_compare()
+    line, fixed, gap, _ = compare_to_grid(train, test, config, **grids, jobs=1)
+    pooled = compare_to_grid(train, test, config, **grids, jobs=2)
+    assert pooled[:3] == (line, fixed, gap)
+    assert pooled[3] is not None and pooled[3] > 0
+
+
+def test_compare_to_grid_dead_line_worker_raises_fairline_error(monkeypatch):
+    # a line trained in this process would end the test run here instead
+    def dies(*args, **kwargs):
+        os._exit(9)
+
+    monkeypatch.setattr(baseline, "train_subspace", dies)  # forked workers inherit it
+    train, test, config, grids = _small_compare()
+    with pytest.raises(FairlineError, match="worker process died"):
+        compare_to_grid(train, test, config, **grids, jobs=2)
 
 
 def test_a_warm_alpha_sweep_takes_few_page_faults():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fairline.data import Dataset, FeatureTransform, synth_biased
+from fairline.data import Dataset, FeatureTransform, batches, synth_biased
 from fairline.errors import (
     CheckpointError,
     NumericError,
@@ -13,6 +13,7 @@ from fairline.errors import (
 from fairline.model import MlpArchitecture, forward, init_params
 from fairline.subspace import (
     AdamState,
+    BatchGradients,
     SubspaceModel,
     TrainConfig,
     batch_gradients,
@@ -21,6 +22,7 @@ from fairline.subspace import (
     predict,
     save_checkpoint,
     train_subspace,
+    _train_loop,
 )
 
 ARCH = MlpArchitecture(3, (4,))
@@ -413,3 +415,26 @@ def test_routed_gradient_matches_finite_differences_end_to_end():
             down[target][k] -= h
             fd = (total_loss(*up) - total_loss(*down)) / (2 * h)
             assert abs(grad[k] - fd) <= max(1e-4 * max(abs(fd), abs(grad[k])), 1e-7)
+
+
+def test_each_batch_holds_the_rows_of_its_indices_in_order():
+    # the loop gathers each epoch's rows once and slices its batches from
+    # them; a batch must still be exactly train's rows at its indices
+    train = small_dataset(n=70)
+    config = TrainConfig(epochs=2, batch_size=16, seed=3)
+    m = ARCH.param_count
+    seen = []
+
+    def step(arch, W, x, y, s, workspace):
+        seen.append((x.copy(), y.copy(), s.copy()))
+        zeros = np.zeros((1, m))
+        return BatchGradients(zeros[0], zeros, zeros, 0.0, None, None, True), ()
+
+    _train_loop(train, config, ARCH, (config.seed,), step, None)
+    want = [idx for epoch in range(2) for idx in batches(train, 16, config.seed, epoch)]
+    assert len(want[-1]) == 70 % 16  # a short last batch
+    assert len(seen) == len(want)
+    for (x, y, s), idx in zip(seen, want):
+        assert x.tobytes() == train.features[idx].tobytes()
+        assert y.tobytes() == train.labels[idx].tobytes()
+        assert s.tobytes() == train.sensitive[idx].tobytes()
