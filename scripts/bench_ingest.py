@@ -62,18 +62,22 @@ def measure() -> dict:
         }
 
 
+def record(label: str, cases: dict, out: Path) -> None:
+    """Print each case and append the session ({label, cases, environment})
+    to the JSON file out, creating it if missing."""
+    for name, case in cases.items():
+        print(f"{label} {name} min_s={case['min_s']:.4f} spread={case['spread']:.2f}")
+    report = json.loads(out.read_text()) if out.exists() else {"sessions": []}
+    report["sessions"].append({"label": label, "cases": cases, "environment": environment(SEED)})
+    out.write_text(json.dumps(report, indent=1) + "\n")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="name of the tree measured")
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_ingest.json")
     args = parser.parse_args(argv)
-    session = {"label": args.label, "cases": measure(),
-               "environment": environment(SEED)}
-    for name, case in session["cases"].items():
-        print(f"{args.label} {name} min_s={case['min_s']:.4f} spread={case['spread']:.2f}")
-    report = json.loads(args.out.read_text()) if args.out.exists() else {"sessions": []}
-    report["sessions"].append(session)
-    args.out.write_text(json.dumps(report, indent=1) + "\n")
+    record(args.label, measure(), args.out)
     return 0
 
 

@@ -148,7 +148,7 @@ def _train_runs(train: Dataset, tasks: list, jobs: int,
                                  initializer=_inherit, initargs=(train, arch)) as pool:
             return list(pool.map(_pooled_run, tasks))
     except BrokenProcessPool:
-        raise FairlineError("a fixed-grid worker process died before returning its model") from None
+        raise FairlineError("a training worker process died before returning its model") from None
     finally:
         if threads is not None:
             limit_blas_threads(threads)

@@ -5,8 +5,9 @@ codes: 0 success; 2 usage error (bad flags, config file, YODO_SEED or
 parameter values); 4 numeric failure (a non-finite value during training,
 or a served model whose predictions are not finite); 3 for any other
 package error (data, such as a CSV that is not UTF-8; checkpoint, such as
-one without a feature transform or with non-finite weights; a dead
-fixed-grid worker; shape, empty group, frontier range) and for OS errors.
+one without a feature transform or with non-finite weights; a compare
+worker that dies while training the line or a fixed model; shape, empty
+group, frontier range) and for OS errors.
 Input files may start with a UTF-8 byte-order mark. No package error
 escapes as a traceback. The library owns every parameter rule: each command
 passes its flag values to those checks before the data file is read, and

@@ -3,8 +3,9 @@
 All trainable weights live in one flat float64 parameter vector with a fixed
 canonical layout: layer 1 weights row-major (fan_in x fan_out), layer 1
 biases, layer 2 weights, ... So each layer is one (fan_in + 1) x fan_out
-row-major block, W's rows and then b. _layer_blocks is the only code that
-knows this layout and the only check that a vector fits the architecture;
+row-major block, W's rows and then b. MlpArchitecture.layer_spans is the
+only code that computes this layout, and _layer_blocks, which slices a vector
+at those spans, the only check that a vector fits the architecture;
 layer_views splits its blocks into (W, b) pairs. init_params fills the
 views of one flat vector, backward the blocks of another.
 
@@ -74,16 +75,27 @@ class MlpArchitecture:
         if self.input_dim < 1 or any(h < 1 for h in self.hidden_dims):
             raise ParameterError("all layer widths must be >= 1")
 
-    # Computed once per architecture: forward and backward read both on
+    # Computed once per architecture: forward and backward read them on
     # every call.
     @cached_property
     def layer_dims(self) -> tuple[int, ...]:
         return (self.input_dim, *self.hidden_dims, 1)
 
     @cached_property
-    def param_count(self) -> int:
+    def layer_spans(self) -> tuple[tuple[int, int, tuple[int, int]], ...]:
+        """Per layer, (start, stop, shape): where its (fan_in + 1, fan_out)
+        block lies in the flat parameter vector. The canonical layout."""
+        spans, start = [], 0
         dims = self.layer_dims
-        return sum(fi * fo + fo for fi, fo in zip(dims[:-1], dims[1:]))
+        for fi, fo in zip(dims[:-1], dims[1:]):
+            stop = start + (fi + 1) * fo
+            spans.append((start, stop, (fi + 1, fo)))
+            start = stop
+        return tuple(spans)
+
+    @cached_property
+    def param_count(self) -> int:
+        return self.layer_spans[-1][1]
 
 
 @dataclass
@@ -145,23 +157,17 @@ def _check_fits(workspace: Workspace, arch: MlpArchitecture, b: int) -> None:
 
 def _layer_blocks(arch: MlpArchitecture, params: np.ndarray) -> list[np.ndarray]:
     """Per layer, the (fan_in + 1, fan_out) view of params holding W's rows
-    and then b. No copies.
+    and then b, sliced at arch.layer_spans. No copies.
 
-    The one owner of the canonical layout; raises ShapeError when params is
-    not a flat vector of arch.param_count entries.
+    Raises ShapeError when params is not a flat vector of arch.param_count
+    entries.
     """
     if params.ndim != 1 or params.shape[0] != arch.param_count:
         raise ShapeError(
             f"parameter vector length {params.shape} does not match "
             f"architecture ({arch.param_count} parameters)"
         )
-    out = []
-    dims = arch.layer_dims
-    pos = 0
-    for fi, fo in zip(dims[:-1], dims[1:]):
-        out.append(params[pos:pos + (fi + 1) * fo].reshape(fi + 1, fo))
-        pos += (fi + 1) * fo
-    return out
+    return [params[start:stop].reshape(shape) for start, stop, shape in arch.layer_spans]
 
 
 def layer_views(arch: MlpArchitecture, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -158,9 +158,17 @@ def interpolate(w1: np.ndarray, w2: np.ndarray, alpha: float) -> np.ndarray:
         raise ShapeError(f"interpolate: length mismatch {w1.shape} vs {w2.shape}")
     if not 0.0 <= alpha <= 1.0:
         raise ParameterError(f"must be in [0, 1], got {alpha}", param="alpha")
+    # One allocation, then in place: the same bits as w1 + alpha * (w2 - w1),
+    # since IEEE multiplication and addition commute.
     if alpha <= 0.5:
-        return w1 + alpha * (w2 - w1)
-    return w2 + (1.0 - alpha) * (w1 - w2)
+        d = np.subtract(w2, w1)
+        d *= alpha
+        d += w1
+    else:
+        d = np.subtract(w1, w2)
+        d *= 1.0 - alpha
+        d += w2
+    return d
 
 
 @dataclass

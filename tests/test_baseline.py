@@ -151,7 +151,7 @@ def test_dead_worker_raises_fairline_error(monkeypatch):
 
     monkeypatch.setattr(baseline, "train_fixed", dies_at_half)  # forked workers inherit it
     train, _ = quick_data(n=400)
-    with pytest.raises(FairlineError, match="a fixed-grid worker process died"):
+    with pytest.raises(FairlineError, match="a training worker process died"):
         sweep_fixed(train, TrainConfig(epochs=1, seed=0), [0.0, 0.5, 1.0], arch=ARCH, jobs=2)
 
 

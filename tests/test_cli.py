@@ -694,7 +694,7 @@ def test_compare_dead_grid_worker_exits_3(synth_csv, tmp_path, capsys, monkeypat
                                              "--jobs", "2"]))
     err = capsys.readouterr().err
     assert code == 3
-    assert "error: a fixed-grid worker process died" in err
+    assert "error: a training worker process died" in err
     assert "Traceback" not in err
     assert not out.exists()
 
@@ -709,7 +709,7 @@ def test_compare_dead_line_worker_exits_3(synth_csv, tmp_path, capsys, monkeypat
                                              "--jobs", "2"]))
     err = capsys.readouterr().err
     assert code == 3
-    assert "error: a fixed-grid worker process died" in err
+    assert "error: a training worker process died" in err
     assert "Traceback" not in err
     assert not out.exists()
 

@@ -26,6 +26,20 @@ def test_param_count():
     assert arch.param_count == 4 * 256 + 256 + 256 * 1 + 1
 
 
+@pytest.mark.parametrize("hidden_dims", [(5,), (5, 4), (5, 4, 3)])
+def test_layer_spans_tile_the_parameter_vector(hidden_dims):
+    arch = MlpArchitecture(3, hidden_dims)
+    dims = arch.layer_dims
+    spans = arch.layer_spans
+    assert arch.param_count == spans[-1][1]
+    assert arch.param_count == sum(fi * fo + fo for fi, fo in zip(dims[:-1], dims[1:]))
+    assert spans[0][0] == 0
+    assert all(prev[1] == nxt[0] for prev, nxt in zip(spans, spans[1:]))
+    assert [shape for _, _, shape in spans] == [(fi + 1, fo)
+                                                for fi, fo in zip(dims[:-1], dims[1:])]
+    assert all(stop - start == rows * cols for start, stop, (rows, cols) in spans)
+
+
 def test_init_biases_zero_and_weights_bounded():
     arch = MlpArchitecture(4, (256,))
     params = init_params(arch, seed=0)

@@ -53,6 +53,21 @@ def test_interpolate_degenerate_identity(alpha, vals):
     assert np.array_equal(interpolate(w, w, alpha), w)
 
 
+@pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 0.75, 1.0])
+def test_interpolate_returns_a_fresh_array_and_leaves_the_endpoints(alpha):
+    # the lerp works in place on its own array: it must never write through
+    # w1 or w2, nor hand back one of them at alpha 0 or 1
+    w1 = np.random.default_rng(0).standard_normal(20)
+    w2 = np.random.default_rng(1).standard_normal(20)
+    before1, before2 = w1.tobytes(), w2.tobytes()
+    got = interpolate(w1, w2, alpha)
+    assert got is not w1 and got is not w2
+    assert not np.shares_memory(got, w1) and not np.shares_memory(got, w2)
+    assert w1.tobytes() == before1 and w2.tobytes() == before2
+    got[:] = 7.0
+    assert w1.tobytes() == before1 and w2.tobytes() == before2
+
+
 def test_interpolate_range_check():
     w = np.zeros(3)
     for a in (-0.1, 1.1):
@@ -195,6 +210,19 @@ def test_predict_matches_direct_forward():
     assert np.array_equal(predict(model, 0.3, x), predict(model, 0.3, x))
     with pytest.raises(ParameterError):
         predict(model, 1.2, x)
+
+
+def test_one_row_predict_is_forward_at_the_interpolated_weights():
+    model = train_subspace(small_dataset(), TrainConfig(epochs=1, batch_size=16, seed=2),
+                           arch=ARCH)
+    rng = np.random.default_rng(5)
+    x = small_dataset().features
+    for alpha, row in zip(rng.uniform(size=200), rng.integers(len(x), size=200)):
+        one = x[row:row + 1]
+        got = predict(model, alpha, one)
+        want = forward(ARCH, interpolate(model.w_acc, model.w_fair, alpha), one)[0]
+        assert got.shape == (1,)
+        assert got.tobytes() == want.tobytes()
 
 
 # ------------------------------------------------ empty-group skips

@@ -156,6 +156,24 @@ def test_sigmoid_bit_identical_to_two_branch_form():
     assert np.isnan(tensor.sigmoid(np.array([np.nan, -np.nan]))).all()
 
 
+def test_sigmoid_nan_bytes_match_the_where_form():
+    # the where form: e = exp(-|t|), numerator 1 where t >= 0, else e
+    t = np.array([np.nan, -np.nan])
+    e = np.exp(-np.abs(t))
+    want = np.minimum(np.maximum(np.where(t >= 0, 1.0, e) / (e + 1.0), tensor._SIG_LO),
+                      tensor._SIG_HI)
+    assert tensor.sigmoid(t).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 512])
+def test_sigmoid_of_a_vector_is_a_vector_of_its_shape(n):
+    t = np.linspace(-3.0, 3.0, n)
+    s = tensor.sigmoid(t)
+    assert isinstance(s, np.ndarray)
+    assert s.shape == (n,) and s.dtype == np.float64
+    assert not np.shares_memory(s, t)
+
+
 def _matmul_on_one_blas_thread(a, b):
     return tensor.limit_blas_threads(1), tensor.matmul(a, b).tobytes()
 
