@@ -13,13 +13,12 @@ takes the line itself when evaluation.compare_to_grid trains it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from numbers import Integral
 
 import numpy as np
 
 from . import checkpoint as ckpt
 from .data import Dataset
-from .errors import CheckpointError, FairlineError, ParameterError, ShapeError
+from .errors import CheckpointError, FairlineError, ParameterError, ShapeError, check_integer
 from .model import MlpArchitecture, Workspace, forward
 from .subspace import (
     BatchGradients, TrainConfig, _task_gradient, _train_loop, train_subspace)
@@ -44,7 +43,7 @@ def check_fairness_grid(grid, param: str = "fairness_grid") -> list[float]:
 
 def check_jobs(jobs) -> int:
     """The worker-count rule: an integer >= 1."""
-    if not (isinstance(jobs, Integral) and jobs >= 1):
+    if check_integer(jobs, "jobs") < 1:
         raise ParameterError(f"must be an integer >= 1, got {jobs!r}", param="jobs")
     return int(jobs)
 
@@ -70,29 +69,26 @@ def fixed_batch_gradients(arch: MlpArchitecture, weights: np.ndarray,
     as a (1, m) view, and loss_reg is None."""
     g, loss_ce, loss_fair = _task_gradient(arch, weights, x, y, s, metric,
                                            fairness_weight, workspace=workspace)
-    return BatchGradients(g, g[None], g[None], loss_ce, loss_fair, None, loss_fair is None)
+    return BatchGradients(g, g[None], g[None], loss_ce, loss_fair, None)
 
 
 def train_fixed(train: Dataset, config: TrainConfig, fairness_weight: float,
-                arch: MlpArchitecture | None = None, probe=None) -> FixedModel:
+                arch: MlpArchitecture | None = None) -> FixedModel:
     """Train a single weight vector at one fixed penalty strength.
 
     fairness_weight overrides config.fairness_weight. The run is the
     one-endpoint case of the subspace training loop: same batching, seeding,
     Adam settings and empty-group skip policy, with a (1, m) weight array
-    initialized from config.seed. probe, if given, is called as
-    probe(epoch, batch_index, bg) with the BatchGradients of every batch
-    before the update.
+    initialized from config.seed.
     """
     check_fairness_grid([fairness_weight], param="fairness_weight")
 
     def step(arch, W, x, y, s, workspace):
-        bg = fixed_batch_gradients(arch, W[0], x, y, s, fairness_weight,
-                                   config.fairness_metric, workspace=workspace)
-        return bg, (bg,)
+        return fixed_batch_gradients(arch, W[0], x, y, s, fairness_weight,
+                                     config.fairness_metric, workspace=workspace)
 
     arch, (weights,), meta, wall_time_s = _train_loop(
-        train, config, arch, (config.seed,), step, probe,
+        train, config, arch, (config.seed,), step,
         label=f"fixed A={fairness_weight:g} ")
     meta["fixed.fairness_weight"] = repr(float(fairness_weight))
     return FixedModel(arch, weights, float(fairness_weight), meta,

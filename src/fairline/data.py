@@ -39,6 +39,7 @@ from .errors import (
     SchemaError,
     ShapeError,
     ValidationError,
+    check_integer,
 )
 
 # Stdev below this is treated as a constant column, which standardizes to zeros.
@@ -198,16 +199,16 @@ class FeatureTransform:
         """The model-ready features of a raw matrix."""
         return (raw - self.mean) / self.scale
 
-    def decode(self, raw: np.ndarray, category_text) -> list[list[str]]:
-        """Per source column, each row's cell text: a number as its repr, a
-        one-hot block as category_text(category), called once per category."""
+    def decode(self, raw: np.ndarray) -> list[list[str]]:
+        """Per source column, each row's CSV cell: a number as its repr, a
+        one-hot block as its category, quoted only if it must be."""
         cols, j = [], 0
         for cats in self.vocab:
             if cats is None:
                 cols.append(list(map(repr, raw[:, j].tolist())))
                 j += 1
                 continue
-            text = [category_text(c) for c in cats]
+            text = [_csv_cell(c) for c in cats]
             cols.append([text[k] for k in raw[:, j:j + len(cats)].argmax(axis=1).tolist()])
             j += len(cats)
         return cols
@@ -464,7 +465,7 @@ def write_csv(ds: Dataset, path) -> None:
     label and group as the schema's positive value for 1 and, for 0, "0"
     (or "1" when the positive value is "0")."""
     schema = ds.transform.schema
-    cols = ds.transform.decode(ds.raw, _csv_cell)
+    cols = ds.transform.decode(ds.raw)
     for col, positive in ((ds.labels, schema.positive_label_value),
                           (ds.sensitive, schema.positive_sensitive_value)):
         one, zero = _csv_cell(positive), "1" if positive == "0" else "0"
@@ -490,9 +491,9 @@ def synth_biased(n: int, d: int, group_fraction: float, base_rate_gap: float,
     features. The standardized matrix is the Dataset's raw data, so
     write_csv writes it as is.
     """
-    if n < 40:
+    if check_integer(n, "n") < 40:
         raise ParameterError("must be >= 40", param="n")
-    if d < 2:
+    if check_integer(d, "d") < 2:
         raise ParameterError("must be >= 2", param="d")
     if not 0.0 < group_fraction < 1.0:
         raise ParameterError("must be in (0, 1)", param="group_fraction")
@@ -500,7 +501,7 @@ def synth_biased(n: int, d: int, group_fraction: float, base_rate_gap: float,
         raise ParameterError("must be in [0, 1]", param="base_rate_gap")
     if not noise > 0.0:
         raise ParameterError("must be > 0", param="noise")
-    if seed < 0:
+    if check_integer(seed, "seed") < 0:
         raise ParameterError("must be non-negative", param="seed")
 
     rng = np.random.default_rng(seed)
@@ -536,7 +537,7 @@ def split(ds: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Datase
     are refitted on the training rows' raw values and applied to both parts.
     """
     check_test_fraction(test_fraction)
-    if seed < 0:
+    if check_integer(seed, "seed") < 0:
         raise ParameterError("must be non-negative", param="seed")
     n = ds.n
     n_test = int(round(n * test_fraction))
@@ -567,11 +568,11 @@ def batches(ds: Dataset, batch_size: int, shuffle_seed: int, epoch: int) -> list
     The permutation is seeded by (shuffle_seed, epoch); the last slice may be
     short but is never dropped.
     """
-    if batch_size < 2:
+    if check_integer(batch_size, "batch_size") < 2:
         raise ParameterError("must be >= 2", param="batch_size")
-    if shuffle_seed < 0:
+    if check_integer(shuffle_seed, "shuffle_seed") < 0:
         raise ParameterError("must be non-negative", param="shuffle_seed")
-    if epoch < 0:
+    if check_integer(epoch, "epoch") < 0:
         raise ParameterError("must be non-negative", param="epoch")
     perm = np.random.default_rng([shuffle_seed, epoch]).permutation(ds.n)
     return [perm[i:i + batch_size] for i in range(0, ds.n, batch_size)]

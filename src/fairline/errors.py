@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer-parameter rule."""
+
+from numbers import Integral
 
 
 class FairlineError(Exception):
@@ -16,6 +18,15 @@ class ParameterError(FairlineError):
     def __init__(self, rule: str, param: str | None = None):
         super().__init__(rule if param is None else f"{param} {rule}")
         self.param, self.rule = param, rule
+
+
+def check_integer(value, param: str) -> int:
+    """The integer-parameter rule: value is an Integral, a Python or a numpy
+    integer, and comes back as an int. A float, even one with an integral
+    value, raises ParameterError naming param."""
+    if not isinstance(value, Integral):
+        raise ParameterError(f"must be an integer, got {value!r}", param=param)
+    return int(value)
 
 
 class EmptyGroupError(FairlineError):

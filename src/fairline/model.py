@@ -30,8 +30,9 @@ with M its ReLU mask as float64 0/1 and * elementwise and broadcast,
     [gW; gb] = a_l^T ((dz w_out^T) * M) = ((a_l * dz)^T M) * w_out^T
 
 so the (batch, width) back-projection dz w_out^T is never built for it.
-M is the last use of the top activation, so with a workspace backward writes
-M over it; relu_grad(1) = 1, so the ones column stays for the next forward.
+M is the last use of the top activation, so for a workspace cache backward
+writes M over it; relu_grad(1) = 1, so the ones column stays for the next
+forward.
 Only when a hidden layer lies below is that layer's dz_l built, as M * dz
 scaled by [w_out; b_out], in a gradient buffer; each layer below takes
 dz_l W^T back from the layer above, times its own mask, then one GEMM for its
@@ -39,19 +40,19 @@ block. The gradient arrays carry an extra column too, so that each
 elementwise pass runs over one contiguous array; no GEMM reads that column,
 so its values never reach a gradient.
 
-forward and backward take an optional Workspace: the [x | 1] input buffer,
+forward takes an optional Workspace: the [x | 1] input buffer,
 per-hidden-layer (rows, width + 1) activation buffers and, when there is
 more than one hidden layer, gradient buffers of the same shapes, which a
 training run allocates once and reuses for every batch. With a workspace
 each of these arrays is written into the workspace's first b rows; without
-one forward and backward allocate them. The results are bit-identical
-either way.
+one they are allocated. The ForwardCache records the workspace, and
+backward works in the workspace its cache names, so a forward/backward pair
+always shares one. The results are bit-identical either way.
 A ForwardCache from a workspace call points into the workspace, so it is
-valid only until the next forward or backward call on that workspace, and a
-backward with the workspace consumes it: its top hidden array then holds the
-float ReLU mask. backward without a workspace leaves the cache as it was.
-The gradient vector backward returns is always a new array, so a caller may
-keep it.
+valid only until the next forward or backward call on that workspace, and
+backward consumes it: its top hidden array then holds the float ReLU mask.
+backward leaves an allocating cache as it was. The gradient vector backward
+returns is always a new array, so a caller may keep it.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from functools import cached_property
 import numpy as np
 
 from . import tensor
-from .errors import ParameterError, ShapeError
+from .errors import ParameterError, ShapeError, check_integer
 
 
 @dataclass(frozen=True)
@@ -71,7 +72,9 @@ class MlpArchitecture:
     hidden_dims: tuple[int, ...] = (256,)
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
+        object.__setattr__(self, "input_dim", check_integer(self.input_dim, "input_dim"))
+        object.__setattr__(self, "hidden_dims",
+                           tuple(check_integer(h, "hidden_dims") for h in self.hidden_dims))
         if self.input_dim < 1 or any(h < 1 for h in self.hidden_dims):
             raise ParameterError("all layer widths must be >= 1")
 
@@ -105,13 +108,14 @@ class ForwardCache:
     Each layer input carries its trailing ones column: inputs is [x | 1] and
     each hidden array is [h | 1]. From a forward call with a workspace, the
     arrays are views into it (see the module docstring for how long they
-    stay valid), and a backward with that workspace writes the top hidden
-    layer's float 0/1 ReLU mask over hidden[-1].
+    stay valid), and backward writes the top hidden layer's float 0/1 ReLU
+    mask over hidden[-1].
     """
 
     inputs: np.ndarray  # (b, d + 1): [x | 1]
     hidden: list[np.ndarray]  # post-ReLU hidden activations, (b, width + 1) each
     pred: np.ndarray  # sigmoid output (b,)
+    workspace: Workspace | None  # the one forward wrote into, None if it allocated
 
 
 def _with_ones(rows: int, width: int) -> np.ndarray:
@@ -146,15 +150,6 @@ class Workspace:
         self.grads = [np.zeros((rows, h + 1)) for h in arch.hidden_dims] if deep else []
 
 
-def _check_fits(workspace: Workspace, arch: MlpArchitecture, b: int) -> None:
-    """Raises ShapeError unless workspace was built for arch and b rows or more."""
-    if workspace.arch != arch or b > workspace.rows:
-        raise ShapeError(
-            f"workspace for {workspace.arch} and {workspace.rows} rows does not "
-            f"fit {arch} and {b} rows"
-        )
-
-
 def _layer_blocks(arch: MlpArchitecture, params: np.ndarray) -> list[np.ndarray]:
     """Per layer, the (fan_in + 1, fan_out) view of params holding W's rows
     and then b, sliced at arch.layer_spans. No copies.
@@ -180,7 +175,7 @@ def layer_views(arch: MlpArchitecture, params: np.ndarray) -> list[tuple[np.ndar
 
 def init_params(arch: MlpArchitecture, seed: int) -> np.ndarray:
     """Glorot-uniform weights (+-sqrt(6 / (fan_in + fan_out))), zero biases."""
-    if seed < 0:
+    if check_integer(seed, "seed") < 0:
         raise ParameterError("must be non-negative", param="seed")
     rng = np.random.default_rng(seed)
     params = np.zeros(arch.param_count)
@@ -201,7 +196,9 @@ def forward(arch: MlpArchitecture, params: np.ndarray, x: np.ndarray,
         inputs = _with_ones(b, arch.input_dim)
         hidden = [_with_ones(b, h) for h in arch.hidden_dims]
     else:
-        _check_fits(workspace, arch, b)
+        if workspace.arch != arch or b > workspace.rows:
+            raise ShapeError(f"workspace for {workspace.arch} and {workspace.rows} rows "
+                             f"does not fit {arch} and {b} rows")
         inputs = workspace.inputs[:b]
         hidden = [buf[:b] for buf in workspace.hidden]
     inputs[:, :-1] = x
@@ -210,21 +207,21 @@ def forward(arch: MlpArchitecture, params: np.ndarray, x: np.ndarray,
         tensor.matmul(a, block, out=a_out[:, :-1])
         a = tensor.relu(a_out, out=a_out)
     pred = tensor.sigmoid(tensor.matmul(a, blocks[-1])[:, 0])
-    return pred, ForwardCache(inputs, hidden, pred)
+    return pred, ForwardCache(inputs, hidden, pred, workspace)
 
 
 def backward(arch: MlpArchitecture, params: np.ndarray, cache: ForwardCache,
-             dloss_dpred: np.ndarray, workspace: Workspace | None = None
-             ) -> np.ndarray:
+             dloss_dpred: np.ndarray) -> np.ndarray:
     """Full parameter gradient for a scalar loss with the given d(loss)/d(pred).
 
     Returns a new flat vector in the same canonical layout as params.
 
     Each layer's block gradient is one GEMM, a_l^T dz_l with a_l = [h_l | 1]
     the cached layer input; the top hidden layer's is ((a_l * dz)^T M) * w_out^T
-    over its float ReLU mask M (see the module docstring). With a workspace,
-    M is written over cache.hidden[-1], so the cache serves one backward;
-    without one, the cache is not written.
+    over its float ReLU mask M (see the module docstring). For a cache that
+    names a workspace, M is written over cache.hidden[-1] and the gradient
+    buffers are the workspace's, so the cache serves one backward; an
+    allocating cache is not written.
     """
     blocks = _layer_blocks(arch, params)
     b = cache.inputs.shape[0]
@@ -232,8 +229,6 @@ def backward(arch: MlpArchitecture, params: np.ndarray, cache: ForwardCache,
         raise ShapeError(
             f"dloss_dpred shape {dloss_dpred.shape} does not match batch size {b}"
         )
-    if workspace is not None:
-        _check_fits(workspace, arch, b)
     grads = np.empty_like(params)
     grad_blocks = _layer_blocks(arch, grads)
     acts = [cache.inputs, *cache.hidden]
@@ -245,20 +240,20 @@ def backward(arch: MlpArchitecture, params: np.ndarray, cache: ForwardCache,
 
     top = len(cache.hidden) - 1
     out = blocks[-1][:, 0]  # w_out, then b_out
-    # Nothing reads the top activation after this, so a workspace call writes
+    # Nothing reads the top activation after this, so a workspace cache takes
     # the mask over it; relu_grad(1) = 1 keeps its ones column for the next
-    # forward. Without a workspace the caller's cache is left as it was.
-    mask = tensor.relu_grad(acts[-1], out=acts[-1] if workspace is not None
+    # forward. An allocating cache is left as it was.
+    mask = tensor.relu_grad(acts[-1], out=acts[-1] if cache.workspace is not None
                             else np.empty_like(acts[-1]))
     g = tensor.matmul((acts[top] * dz[:, None]).T, mask[:, :-1], out=grad_blocks[top])
     g *= out[:-1]
     if top == 0:
         return grads
 
-    if workspace is None:
+    if cache.workspace is None:
         bufs = [np.zeros_like(h) for h in cache.hidden]
     else:
-        bufs = [buf[:b] for buf in workspace.grads]
+        bufs = [buf[:b] for buf in cache.workspace.grads]
     # dz_l goes into the top layer's gradient buffer, not over the mask: the
     # mask may be the activation, whose ones column must stay 1.0. dz_l's
     # extra column becomes dz * b_out: finite, and no GEMM reads it.

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from .data import Dataset, batches
-from .errors import EmptyGroupError, NumericError, ParameterError, ShapeError
+from .errors import EmptyGroupError, NumericError, ParameterError, ShapeError, check_integer
 from .losses import FAIRNESS_METRICS, bce, fairness_loss, squared_cosine
 from .model import MlpArchitecture, Workspace, backward, forward, init_params
 
@@ -50,9 +50,9 @@ class TrainConfig:
     shuffle_seed: int | None = None  # None: reuse seed
 
     def __post_init__(self):
-        if self.epochs < 1:
+        if check_integer(self.epochs, "epochs") < 1:
             raise ParameterError("must be >= 1", param="epochs")
-        if self.batch_size < 2:
+        if check_integer(self.batch_size, "batch_size") < 2:
             raise ParameterError("must be >= 2", param="batch_size")
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ParameterError("must be positive and finite", param="learning_rate")
@@ -63,11 +63,11 @@ class TrainConfig:
         if self.fairness_metric not in FAIRNESS_METRICS:
             raise ParameterError(f"must be one of {FAIRNESS_METRICS}",
                                  param="fairness_metric")
-        if self.seed < 0:
+        if check_integer(self.seed, "seed") < 0:
             raise ParameterError("must be non-negative", param="seed")
         if self.fixed_alpha is not None and not 0.0 <= self.fixed_alpha <= 1.0:
             raise ParameterError("must be in [0, 1]", param="fixed_alpha")
-        if self.shuffle_seed is not None and self.shuffle_seed < 0:
+        if self.shuffle_seed is not None and check_integer(self.shuffle_seed, "shuffle_seed") < 0:
             raise ParameterError("must be non-negative", param="shuffle_seed")
 
     def meta_snapshot(self) -> dict[str, str]:
@@ -182,7 +182,6 @@ class BatchGradients:
     loss_ce: float
     loss_fair: float | None  # None when the batch lacked a required group cell
     loss_reg: float | None  # None for k = 1: no diversity regularizer
-    fairness_skipped: bool
 
 
 def _task_gradient(arch: MlpArchitecture, theta: np.ndarray, x: np.ndarray,
@@ -205,7 +204,7 @@ def _task_gradient(arch: MlpArchitecture, theta: np.ndarray, x: np.ndarray,
         dpred += penalty * fl.grad_pred
     except EmptyGroupError:
         pass
-    return backward(arch, theta, cache, dpred, workspace=workspace), ce.value, loss_fair
+    return backward(arch, theta, cache, dpred), ce.value, loss_fair
 
 
 def batch_gradients(arch: MlpArchitecture, w_acc: np.ndarray, w_fair: np.ndarray,
@@ -228,12 +227,11 @@ def batch_gradients(arch: MlpArchitecture, w_acc: np.ndarray, w_fair: np.ndarray
     np.multiply(config.diversity_weight, reg.grad_w1, out=grads[0])
     np.multiply(config.diversity_weight, reg.grad_w2, out=grads[1])
     grads += task
-    return BatchGradients(g_theta, task, grads, loss_ce, loss_fair, reg.value,
-                          loss_fair is None)
+    return BatchGradients(g_theta, task, grads, loss_ce, loss_fair, reg.value)
 
 
 def _train_loop(train: Dataset, config: TrainConfig, arch: MlpArchitecture | None,
-                seeds: tuple[int, ...], step, probe, label: str = ""
+                seeds: tuple[int, ...], step, label: str = ""
                 ) -> tuple[MlpArchitecture, np.ndarray, dict[str, str], float]:
     """The epoch/batch loop shared by the subspace and the fixed trainer.
 
@@ -242,12 +240,11 @@ def _train_loop(train: Dataset, config: TrainConfig, arch: MlpArchitecture | Non
     serves every batch. Each epoch takes the rows in the order of its
     data.batches once, so each batch's x, y and s are contiguous slices:
     the rows, in order, of indexing by the batch's indices.
-    step(arch, W, x, y, s, workspace) returns
-    (bg, probe_args): bg is the batch's BatchGradients, whose grads Adam
-    applies to W, and probe_args follow (epoch, batch_index) in the probe
-    call. Returns the architecture, the trained W, the metadata shared by
-    both checkpoint kinds (the config, train's feature transform and the
-    batch counters), and the wall time.
+    step(arch, W, x, y, s, workspace) returns the batch's BatchGradients,
+    whose grads Adam applies to W; a batch whose loss_fair is None counts as
+    a fairness skip. Returns the architecture, the trained W, the metadata
+    shared by both checkpoint kinds (the config, train's feature transform
+    and the batch counters), and the wall time.
     """
     t0 = time.perf_counter()
     if arch is None:
@@ -262,39 +259,34 @@ def _train_loop(train: Dataset, config: TrainConfig, arch: MlpArchitecture | Non
     total_batches = 0
     skipped_batches = 0
     for epoch in range(config.epochs):
-        ce_sum = 0.0
-        fair_sum = 0.0
-        fair_n = 0
-        epoch_batches = 0
+        ce_sum = fair_sum = 0.0
         epoch_skips = 0
         order = batches(train, config.batch_size, shuffle_seed, epoch)
         perm = np.concatenate(order)
         xs, ys, ss = train.features[perm], train.labels[perm], train.sensitive[perm]
         hi = 0
-        for bi, idx in enumerate(order):
+        for idx in order:
             lo, hi = hi, hi + len(idx)
-            bg, probe_args = step(arch, W, xs[lo:hi], ys[lo:hi], ss[lo:hi], workspace)
+            bg = step(arch, W, xs[lo:hi], ys[lo:hi], ss[lo:hi], workspace)
             if not all(math.isfinite(v) for v in (bg.loss_ce, bg.loss_fair, bg.loss_reg)
                        if v is not None):
                 raise NumericError(f"non-finite loss at epoch {epoch}: ce={bg.loss_ce} "
                                    f"fair={bg.loss_fair} reg={bg.loss_reg}")
-            if probe is not None:
-                probe(epoch, bi, *probe_args)
             W = adam.apply(W, bg.grads, config.learning_rate)
-            epoch_batches += 1
-            epoch_skips += int(bg.fairness_skipped)
             ce_sum += bg.loss_ce
-            if bg.loss_fair is not None:
+            if bg.loss_fair is None:
+                epoch_skips += 1
+            else:
                 fair_sum += bg.loss_fair
-                fair_n += 1
-        total_batches += epoch_batches
+        fair_n = len(order) - epoch_skips
+        total_batches += len(order)
         skipped_batches += epoch_skips
         if not np.all(np.isfinite(W)):
             raise NumericError(f"non-finite weights after epoch {epoch}")
         reg_text = "" if bg.loss_reg is None else f" reg={bg.loss_reg:.6f}"
         logger.info(
             "%sepoch %d: mean_ce=%.6f mean_fair=%.6f%s fairness_skips=%d",
-            label, epoch, ce_sum / max(epoch_batches, 1),
+            label, epoch, ce_sum / len(order),
             fair_sum / fair_n if fair_n else float("nan"), reg_text, epoch_skips,
         )
 
@@ -309,29 +301,24 @@ def _train_loop(train: Dataset, config: TrainConfig, arch: MlpArchitecture | Non
 
 
 def train_subspace(train: Dataset, config: TrainConfig,
-                   arch: MlpArchitecture | None = None,
-                   probe=None) -> SubspaceModel:
+                   arch: MlpArchitecture | None = None) -> SubspaceModel:
     """Train the endpoint pair on one dataset.
 
     The accuracy endpoint initializes from config.seed, the fairness endpoint
     from config.seed + 1. Batches missing a group cell required by the
     fairness metric contribute no fairness term; the occurrence count lands in
     train_meta and a warning fires if more than 20% of batches skipped.
-
-    probe, if given, is called as probe(epoch, batch_index, alpha, bg) with
-    the BatchGradients of every batch before the update is applied.
     """
     alpha_rng = np.random.default_rng([config.seed, *_ALPHA_STREAM])
 
     def step(arch, W, x, y, s, workspace):
         alpha = (config.fixed_alpha if config.fixed_alpha is not None
                  else float(alpha_rng.uniform()))
-        bg = batch_gradients(arch, W[0], W[1], alpha, x, y, s, config,
-                             workspace=workspace)
-        return bg, (alpha, bg)
+        return batch_gradients(arch, W[0], W[1], alpha, x, y, s, config,
+                               workspace=workspace)
 
     arch, W, meta, wall_time_s = _train_loop(
-        train, config, arch, (config.seed, config.seed + 1), step, probe)
+        train, config, arch, (config.seed, config.seed + 1), step)
     total = int(meta["batches_total"])
     skipped = int(meta["fairness_skipped_batches"])
     skip_warning = total > 0 and skipped > SKIP_WARN_FRACTION * total

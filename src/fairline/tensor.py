@@ -142,12 +142,12 @@ def relu_grad(h, out=None):
     Multiplying a float64 array by the boolean mask gives the same bits as
     multiplying it by the float64 mask. The float mask is for a matmul,
     which sums over the mask's rows: the backward pass's top hidden layer,
-    whose block gradient is ((a_in * dz)^T M) * w_out^T. With a workspace,
-    backward writes that mask over the activation it is taken from
-    (out=h); relu_grad(1) = 1, so an activation's ones column stays. Every
-    layer below multiplies its back-projected gradient by the boolean mask,
-    then takes its block gradient as one matmul, a_in^T dz_l (see
-    fairline.model).
+    whose block gradient is ((a_in * dz)^T M) * w_out^T. For a forward
+    cache in a workspace, backward writes that mask over the activation it
+    is taken from (out=h); relu_grad(1) = 1, so an activation's ones column
+    stays. Every layer below multiplies its back-projected gradient by the
+    boolean mask, then takes its block gradient as one matmul, a_in^T dz_l
+    (see fairline.model).
 
     A float out is filled by a copy of the boolean mask, which reads faster
     than a compare that casts each element to float64; the bits are the same.

@@ -1,0 +1,33 @@
+import pytest
+
+import fairline.baseline
+import fairline.subspace
+
+
+def _record(monkeypatch, module, name, entry):
+    """Wraps module.name so that every call appends entry(args, result) to
+    the returned list, in call order."""
+    seen = []
+    real = getattr(module, name)
+
+    def recording(*args, **kwargs):
+        bg = real(*args, **kwargs)
+        seen.append(entry(args, bg))
+        return bg
+
+    monkeypatch.setattr(module, name, recording)
+    return seen
+
+
+@pytest.fixture
+def line_batches(monkeypatch):
+    """(alpha, BatchGradients) of every batch a line trains on, in order."""
+    return _record(monkeypatch, fairline.subspace, "batch_gradients",
+                   lambda args, bg: (args[3], bg))
+
+
+@pytest.fixture
+def fixed_batches(monkeypatch):
+    """The BatchGradients of every batch a fixed model trains on, in order."""
+    return _record(monkeypatch, fairline.baseline, "fixed_batch_gradients",
+                   lambda args, bg: bg)

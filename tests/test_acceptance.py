@@ -151,7 +151,7 @@ def test_criterion_1_gradient_correctness():
 # =====================================================================
 
 @criterion("criterion 2: gradient-routing identity (exact factors, exact products)")
-def test_criterion_2_routing_identity():
+def test_criterion_2_routing_identity(line_batches):
     rng = np.random.default_rng(2024)
     # the routed products and the factor sum are exact for every draw
     for _ in range(200):
@@ -180,18 +180,15 @@ def test_criterion_2_routing_identity():
     ds = fl.synth_biased(64, 3, 0.5, 0.3, 1.0, seed=0)
     arch = MlpArchitecture(3, (4,))
     cfg = fl.TrainConfig(epochs=1, batch_size=16, seed=3)
-    seen = []
-    fl.train_subspace(ds, cfg, arch=arch,
-                      probe=lambda e, b, a, bg: seen.append((a, bg)))
-    assert seen
-    for alpha, bg in seen:
+    fl.train_subspace(ds, cfg, arch=arch)
+    assert line_batches
+    for alpha, bg in line_batches:
         assert np.array_equal(bg.task[0], (1.0 - alpha) * bg.g_theta)
         assert np.array_equal(bg.task[1], alpha * bg.g_theta)
     for alpha, row in ((0.0, 1), (1.0, 0)):
-        got = []
-        fl.train_subspace(ds, replace(cfg, fixed_alpha=alpha), arch=arch,
-                          probe=lambda e, b, a, bg: got.append(bg))
-        assert all(np.all(bg.task[row] == 0.0) for bg in got)
+        line_batches.clear()
+        fl.train_subspace(ds, replace(cfg, fixed_alpha=alpha), arch=arch)
+        assert all(np.all(bg.task[row] == 0.0) for _, bg in line_batches)
 
 
 # =====================================================================

@@ -125,7 +125,7 @@ def test_sweep_in_worker_processes_matches_in_process():
     assert [m.weights.tobytes() for m in wide] == [m.weights.tobytes() for m in local[:3]]
 
 
-@pytest.mark.parametrize("jobs", [0, 1.5, -1, "2"])
+@pytest.mark.parametrize("jobs", [0, 1.5, -1, "2", 2.0])
 def test_jobs_rule_runs_before_any_training(jobs):
     # no dataset: a check that ran after training started would fail otherwise
     with pytest.raises(ParameterError) as exc:
@@ -192,34 +192,29 @@ def test_sweep_total_time_tracks_per_run_time():
     assert 0.4 * per_run < total < 2.5 * per_run
 
 
-def test_fixed_vs_subspace_batch0_gradient_agreement():
+def test_fixed_vs_subspace_batch0_gradient_agreement(line_batches, fixed_batches):
     # fixed training at A=1 and subspace training pinned at alpha=1 with the
     # diversity term off follow the same loss expression; giving the fixed run
     # the fairness endpoint's init seed and a shared shuffle seed makes the
     # batch-0 gradients comparable, and the alpha=1 routing factor is 1.
     train, _ = quick_data()
     seed = 11
-    grabbed = {}
     cfg_sub = TrainConfig(epochs=1, batch_size=128, seed=seed, fixed_alpha=1.0,
                           diversity_weight=0.0, shuffle_seed=seed)
     cfg_fix = TrainConfig(epochs=1, batch_size=128, seed=seed + 1, shuffle_seed=seed)
-    train_subspace(train, cfg_sub, arch=ARCH,
-                   probe=lambda e, b, a, bg: grabbed.setdefault("sub", bg))
-    train_fixed(train, cfg_fix, 1.0, arch=ARCH,
-                probe=lambda e, b, bg: grabbed.setdefault("fix", bg))
-    g_sub = grabbed["sub"].task[1]
-    g_fix = grabbed["fix"].g_theta
+    train_subspace(train, cfg_sub, arch=ARCH)
+    train_fixed(train, cfg_fix, 1.0, arch=ARCH)
+    g_sub = line_batches[0][1].task[1]
+    g_fix = fixed_batches[0].g_theta
     denom = np.maximum(np.abs(g_fix), 1e-12)
     assert np.max(np.abs(g_sub - g_fix) / denom) < 1e-10
 
 
-def test_fixed_probe_sees_the_one_row_record():
+def test_fixed_training_batches_carry_the_one_row_record(fixed_batches):
     train, _ = quick_data(n=400)
-    seen = []
-    train_fixed(train, TrainConfig(epochs=1, batch_size=128, seed=2), 0.5, arch=ARCH,
-                probe=lambda e, b, bg: seen.append(bg))
-    assert seen
-    for bg in seen:
+    train_fixed(train, TrainConfig(epochs=1, batch_size=128, seed=2), 0.5, arch=ARCH)
+    assert fixed_batches
+    for bg in fixed_batches:
         assert bg.task.shape == bg.grads.shape == (1, ARCH.param_count)
         assert np.array_equal(bg.task[0], bg.g_theta)
         assert np.array_equal(bg.grads[0], bg.g_theta)

@@ -291,7 +291,7 @@ def test_synth_swapped_encoding_mirrors_gap():
 @pytest.mark.parametrize("kwargs", [
     dict(n=10), dict(d=1), dict(group_fraction=0.0), dict(group_fraction=1.0),
     dict(base_rate_gap=-0.1), dict(base_rate_gap=1.5), dict(noise=0.0),
-    dict(seed=-1),
+    dict(seed=-1), dict(n=100.0), dict(d=3.0), dict(seed=1.5),
 ])
 def test_synth_parameter_errors(kwargs):
     base = dict(n=100, d=3, group_fraction=0.5, base_rate_gap=0.2, noise=1.0, seed=0)
@@ -357,6 +357,8 @@ def test_split_parameter_errors():
     for frac in (0.0, 1.0, -0.5, float("nan")):
         with pytest.raises(ParameterError, match="test_fraction"):
             split(ds, frac, seed=0)
+    with pytest.raises(ParameterError, match="seed"):
+        split(ds, 0.25, 1.5)
 
 
 def test_batches_sizes():
@@ -382,7 +384,8 @@ def test_batches_deterministic():
 
 def test_batches_argument_validation():
     ds = synth_biased(40, 2, 0.5, 0.2, 1.0, seed=0)
-    for batch_size, shuffle_seed, epoch in ((1, 0, 0), (4, -1, 0), (4, 0, -1)):
+    for batch_size, shuffle_seed, epoch in ((1, 0, 0), (4, -1, 0), (4, 0, -1),
+                                            (4.0, 0, 0), (4, 0.5, 0), (4, 0, 1.0)):
         with pytest.raises(ParameterError):
             batches(ds, batch_size, shuffle_seed, epoch)
 

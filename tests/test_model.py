@@ -5,7 +5,7 @@ import fairline.subspace
 from fairline import tensor
 from fairline.baseline import train_fixed
 from fairline.data import synth_biased
-from fairline.errors import ShapeError
+from fairline.errors import ParameterError, ShapeError
 from fairline.losses import bce
 from fairline.model import (
     MlpArchitecture,
@@ -38,6 +38,18 @@ def test_layer_spans_tile_the_parameter_vector(hidden_dims):
     assert [shape for _, _, shape in spans] == [(fi + 1, fo)
                                                 for fi, fo in zip(dims[:-1], dims[1:])]
     assert all(stop - start == rows * cols for start, stop, (rows, cols) in spans)
+
+
+@pytest.mark.parametrize("input_dim,hidden_dims,param", [
+    pytest.param(0, (4,), None, id="zero-input"),
+    pytest.param(3, (0,), None, id="zero-width"),
+    pytest.param(3.0, (4,), "input_dim", id="float-input"),
+    pytest.param(3, (4.5,), "hidden_dims", id="float-width"),
+])
+def test_architecture_rejects_bad_widths(input_dim, hidden_dims, param):
+    with pytest.raises(ParameterError) as exc:
+        MlpArchitecture(input_dim, hidden_dims)
+    assert exc.value.param == param
 
 
 def test_init_biases_zero_and_weights_bounded():
@@ -175,7 +187,7 @@ def test_backward_matches_finite_differences(seed, workspace_rows):
         return bce(pred, y).value
 
     pred, cache = forward(arch, params, x, workspace=ws)
-    analytic = backward(arch, params, cache, bce(pred, y).grad_pred, workspace=ws)
+    analytic = backward(arch, params, cache, bce(pred, y).grad_pred)
     _assert_close(analytic, _fd_gradient(loss, params))
 
 
@@ -221,14 +233,14 @@ def test_workspace_bit_identical_to_allocating_path(rows, hidden_dims):
     # step's backward leaves the top mask in the activation buffer that the
     # next step's forward writes
     _, cache_stale = forward(arch, params, rng.standard_normal((rows, 4)), workspace=ws)
-    backward(arch, params, cache_stale, rng.standard_normal(rows), workspace=ws)
+    backward(arch, params, cache_stale, rng.standard_normal(rows))
     for b in (6, rows, 6):
         x = rng.standard_normal((b, 4))
         g = rng.standard_normal(b)
         pred, cache = forward(arch, params, x)
         grad = backward(arch, params, cache, g)
         pred_ws, cache_ws = forward(arch, params, x, workspace=ws)
-        grad_ws = backward(arch, params, cache_ws, g, workspace=ws)
+        grad_ws = backward(arch, params, cache_ws, g)
         assert pred_ws.tobytes() == pred.tobytes()
         assert grad_ws.tobytes() == grad.tobytes()
 
@@ -265,7 +277,7 @@ def _check_workspace_buffers(hidden_dims):
         [((8, width + 1), np.float64) for width in hidden_dims if len(hidden_dims) > 1]
     # an earlier full batch leaves stale values in every workspace row
     _, stale = forward(arch, params, rng.standard_normal((8, 4)), workspace=ws)
-    backward(arch, params, stale, rng.standard_normal(8), workspace=ws)
+    backward(arch, params, stale, rng.standard_normal(8))
     x = rng.standard_normal((3, 4))
     pred, cache = forward(arch, params, x, workspace=ws)
     assert not hasattr(cache, "pre_acts")
@@ -276,7 +288,7 @@ def _check_workspace_buffers(hidden_dims):
     if hidden_dims:
         mask = (cache.hidden[-1] > 0.0).astype(np.float64)
     g = rng.standard_normal(3)
-    grad = backward(arch, params, cache, g, workspace=ws)
+    grad = backward(arch, params, cache, g)
     assert not any(np.shares_memory(grad, buf)
                    for buf in (ws.inputs, *ws.hidden, *ws.grads))
     # every ones column still reads 1.0, in every row
@@ -299,10 +311,10 @@ def _check_workspace_buffers(hidden_dims):
 
 # ------------------------------------------- backward against a reference
 
-def _reference_backward(arch, params, cache, dloss_dpred, workspace=None):
+def _reference_backward(arch, params, cache, dloss_dpred):
     """The backward pass that builds every hidden layer's dz_l: the outer
     product dz w_out^T under the output, the mask multiply, h_in.T @ dz_l
-    and the row sum. Allocates; workspace is accepted and ignored."""
+    and the row sum. Allocates, and leaves the cache as it was."""
     layers = layer_views(arch, params)
     grads = np.empty_like(params)
     grad_layers = layer_views(arch, grads)
@@ -330,7 +342,7 @@ def _assert_matches_reference(arch, params, x, g, workspace_rows):
     _, cache = forward(arch, params, x)
     ref = _reference_backward(arch, params, cache, g)
     _, cache = forward(arch, params, x, workspace=ws)
-    got = backward(arch, params, cache, g, workspace=ws)
+    got = backward(arch, params, cache, g)
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(got))
     return got
 
