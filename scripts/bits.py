@@ -73,6 +73,10 @@ def _library_checkpoints(tmp: Path):
     wide = fl.MlpArchitecture(4, (32, 16))
     yield sub("sub/32x16/dp", train, config(), arch=wide)
     yield fixed("fixed/32x16/dp/A=0.5", train, config(), 0.5, arch=wide)
+    # three hidden layers: the lower-layer backward loop runs twice
+    deep = fl.MlpArchitecture(4, (16, 8, 4))
+    yield sub("sub/16x8x4/dp", train, config(), arch=deep)
+    yield fixed("fixed/16x8x4/dp/A=0.5", train, config(), 0.5, arch=deep)
     yield sub("sub/linear/dp", train, config(), arch=fl.MlpArchitecture(4, ()))
     skewed, skewed_cfg = _skewed_dataset(), fl.TrainConfig(epochs=2, batch_size=4, seed=0)
     yield sub("skewed/sub", skewed, skewed_cfg)

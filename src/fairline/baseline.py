@@ -18,7 +18,8 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from .data import Dataset
-from .errors import CheckpointError, FairlineError, ParameterError, ShapeError, check_integer
+from .errors import (
+    CheckpointError, FairlineError, ParameterError, ShapeError, check_integer, check_real)
 from .model import MlpArchitecture, Workspace, forward
 from .subspace import (
     BatchGradients, TrainConfig, _task_gradient, _train_loop, train_subspace)
@@ -30,9 +31,10 @@ DEFAULT_FAIRNESS_GRID = tuple(k / 20 for k in range(21))
 
 
 def check_fairness_grid(grid, param: str = "fairness_grid") -> list[float]:
-    """The fairness-grid rule: non-empty, every value finite and >= 0; returns
-    floats. param names the values in the error."""
-    grid = [float(a) for a in grid]
+    """The fairness-grid rule: non-empty, every value a number or text that
+    float() parses, finite and >= 0; returns floats. param names the values
+    in the error."""
+    grid = [check_real(a, param, parse=True) for a in grid]
     if not grid:
         raise ParameterError("must be non-empty", param=param)
     for a in grid:
@@ -81,7 +83,7 @@ def train_fixed(train: Dataset, config: TrainConfig, fairness_weight: float,
     Adam settings and empty-group skip policy, with a (1, m) weight array
     initialized from config.seed.
     """
-    check_fairness_grid([fairness_weight], param="fairness_weight")
+    (fairness_weight,) = check_fairness_grid([fairness_weight], param="fairness_weight")
 
     def step(arch, W, x, y, s, workspace):
         return fixed_batch_gradients(arch, W[0], x, y, s, fairness_weight,
@@ -90,8 +92,8 @@ def train_fixed(train: Dataset, config: TrainConfig, fairness_weight: float,
     arch, (weights,), meta, wall_time_s = _train_loop(
         train, config, arch, (config.seed,), step,
         label=f"fixed A={fairness_weight:g} ")
-    meta["fixed.fairness_weight"] = repr(float(fairness_weight))
-    return FixedModel(arch, weights, float(fairness_weight), meta,
+    meta["fixed.fairness_weight"] = repr(fairness_weight)
+    return FixedModel(arch, weights, fairness_weight, meta,
                       wall_time_s=wall_time_s)
 
 
@@ -184,8 +186,8 @@ def load_fixed_checkpoint(path) -> FixedModel:
     arch, arrays, meta = ckpt.read_checkpoint(path, ckpt.KIND_SINGLE)
     raw = meta.get("fixed.fairness_weight")
     try:
-        (fairness_weight,) = check_fairness_grid([float(raw)], param="fixed.fairness_weight")
-    except (TypeError, ValueError, ParameterError):
+        (fairness_weight,) = check_fairness_grid([raw], param="fixed.fairness_weight")
+    except ParameterError:
         raise CheckpointError("fixed.fairness_weight is not a finite number >= 0: "
                               f"{raw!r}") from None
     return FixedModel(arch, arrays[0], fairness_weight, meta)

@@ -108,17 +108,18 @@ def _add_schema_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--epochs", type=int, default=8)
-    p.add_argument("--batch-size", type=int, default=512)
-    p.add_argument("--learning-rate", type=float, default=0.001)
-    p.add_argument("--fairness-weight", type=float, default=1.0,
+    default = TrainConfig(epochs=8)  # the epoch count is the CLI's own
+    p.add_argument("--epochs", type=int, default=default.epochs)
+    p.add_argument("--batch-size", type=int, default=default.batch_size)
+    p.add_argument("--learning-rate", type=float, default=default.learning_rate)
+    p.add_argument("--fairness-weight", type=float, default=default.fairness_weight,
                    help="penalty strength at the fairness endpoint (the A column)")
-    p.add_argument("--diversity-weight", type=float, default=1.0,
+    p.add_argument("--diversity-weight", type=float, default=default.diversity_weight,
                    help="weight of the endpoint-diversity regularizer")
-    p.add_argument("--metric", dest="fairness_metric", default="dp",
+    p.add_argument("--metric", dest="fairness_metric", default=default.fairness_metric,
                    help=f"fairness metric: {', '.join(FAIRNESS_METRICS)}")
     p.add_argument("--seed", type=int, default=_default_seed(),
-                   help="training seed (default from YODO_SEED if set)")
+                   help="training seed; YODO_SEED, if set, gives the default")
     p.add_argument("--include-sensitive", action="store_true",
                    help="also include the sensitive attribute as a feature "
                         "(the checkpoint's feature transform records it)")
@@ -167,8 +168,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Parser]]:
                    help="test CSV path, read by the checkpoint's schema and feature "
                         "transform")
     p.add_argument("--out", required=True, help="report CSV path")
-    p.add_argument("--grid", type=floats, default=None,
-                   help="comma-separated alphas in [0,1] (default: 0,0.05,...,1)")
+    p.add_argument("--grid", type=floats, default=DEFAULT_ALPHA_GRID,
+                   help="comma-separated alphas in [0,1]")
 
     p = sub.add_parser(
         "compare",
@@ -181,11 +182,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Parser]]:
                    help="reuse this subspace checkpoint instead of training "
                         "(no line is trained, so wall_time_ratio= is empty)")
     p.add_argument("--test-fraction", type=float, default=0.25)
-    p.add_argument("--grid", type=floats, default=None,
-                   help="comma-separated alphas (default: 0,0.05,...,1)")
-    p.add_argument("--fairness-grid", type=floats, default=None,
-                   help="comma-separated penalty strengths "
-                        "(default: 0,0.05,...,1)")
+    p.add_argument("--grid", type=floats, default=DEFAULT_ALPHA_GRID,
+                   help="comma-separated alphas in [0,1]")
+    p.add_argument("--fairness-grid", type=floats, default=DEFAULT_FAIRNESS_GRID,
+                   help="comma-separated penalty strengths")
     p.add_argument("--jobs", type=int, default=_usable_cores(),
                    help="worker processes that train the line and the "
                         "fixed-penalty grid, capped at the number of runs; the "
@@ -274,7 +274,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    grid = check_alpha_grid(DEFAULT_ALPHA_GRID if args.grid is None else args.grid)
+    grid = check_alpha_grid(args.grid)
     model = load_checkpoint(args.checkpoint)
     transform = FeatureTransform.from_meta(model.train_meta, model.arch.input_dim)
     test = load_csv(args.test, transform)
@@ -285,9 +285,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    alpha_grid = check_alpha_grid(DEFAULT_ALPHA_GRID if args.grid is None else args.grid)
-    fairness_grid = check_fairness_grid(
-        DEFAULT_FAIRNESS_GRID if args.fairness_grid is None else args.fairness_grid)
+    alpha_grid = check_alpha_grid(args.grid)
+    fairness_grid = check_fairness_grid(args.fairness_grid)
     check_jobs(args.jobs)
     config = _from_args(TrainConfig, args)
     check_test_fraction(args.test_fraction)

@@ -40,6 +40,7 @@ from .errors import (
     ShapeError,
     ValidationError,
     check_integer,
+    check_real,
 )
 
 # Stdev below this is treated as a constant column, which standardizes to zeros.
@@ -495,11 +496,11 @@ def synth_biased(n: int, d: int, group_fraction: float, base_rate_gap: float,
         raise ParameterError("must be >= 40", param="n")
     if check_integer(d, "d") < 2:
         raise ParameterError("must be >= 2", param="d")
-    if not 0.0 < group_fraction < 1.0:
+    if not 0.0 < check_real(group_fraction, "group_fraction") < 1.0:
         raise ParameterError("must be in (0, 1)", param="group_fraction")
-    if not 0.0 <= base_rate_gap <= 1.0:
+    if not 0.0 <= check_real(base_rate_gap, "base_rate_gap") <= 1.0:
         raise ParameterError("must be in [0, 1]", param="base_rate_gap")
-    if not noise > 0.0:
+    if not check_real(noise, "noise") > 0.0:
         raise ParameterError("must be > 0", param="noise")
     if check_integer(seed, "seed") < 0:
         raise ParameterError("must be non-negative", param="seed")
@@ -525,7 +526,7 @@ def synth_biased(n: int, d: int, group_fraction: float, base_rate_gap: float,
 
 def check_test_fraction(test_fraction: float) -> None:
     """split's rule for test_fraction: strictly between 0 and 1."""
-    if not 0.0 < test_fraction < 1.0:
+    if not 0.0 < check_real(test_fraction, "test_fraction") < 1.0:
         raise ParameterError("must be in (0, 1)", param="test_fraction")
 
 

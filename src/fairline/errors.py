@@ -1,6 +1,6 @@
-"""Exception types shared across the package, and the integer-parameter rule."""
+"""Exception types shared across the package, and the number-parameter rules."""
 
-from numbers import Integral
+from numbers import Integral, Real
 
 
 class FairlineError(Exception):
@@ -27,6 +27,19 @@ def check_integer(value, param: str) -> int:
     if not isinstance(value, Integral):
         raise ParameterError(f"must be an integer, got {value!r}", param=param)
     return int(value)
+
+
+def check_real(value, param: str, parse: bool = False) -> float:
+    """The real-parameter rule: value is a Real, a Python or numpy integer or
+    float, and comes back as a float. With parse, as a grid's values take it,
+    value may be anything float() converts, text included. Anything else
+    raises ParameterError naming param."""
+    if parse or isinstance(value, Real):
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ParameterError(f"must be a number, got {value!r}", param=param)
 
 
 class EmptyGroupError(FairlineError):

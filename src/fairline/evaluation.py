@@ -26,7 +26,7 @@ import numpy as np
 from .baseline import (
     DEFAULT_FAIRNESS_GRID, _grid_tasks, _train_runs, check_fairness_grid, check_jobs, sweep_fixed)
 from .data import Dataset, FeatureTransform, open_text
-from .errors import CheckpointError, FrontierRangeError, NumericError, ParameterError
+from .errors import CheckpointError, FrontierRangeError, NumericError, ParameterError, check_real
 from .losses import METRIC_GAPS, Cells, check_lengths, group_cells, group_gap
 from .model import MlpArchitecture, Workspace, forward
 from .subspace import SubspaceModel, TrainConfig, interpolate
@@ -40,14 +40,14 @@ HARD_THRESHOLD = 0.5
 
 # Rows per forward call when a whole split is served. 512 timed fastest for a
 # 256-wide hidden layer (256 read the same); the workspace is then about
-# 1.1 MB, the [x | 1] input and the (512, 257) activation buffer (a
-# one-hidden-layer workspace has no gradient buffer).
+# 1.1 MB, the [x | 1] input and the (512, 257) activation buffer.
 CHUNK = 512
 
 
 def check_alpha_grid(grid) -> list[float]:
-    """The alpha-grid rule: non-empty, every alpha in [0, 1]; returns floats."""
-    grid = [float(a) for a in grid]
+    """The alpha-grid rule: non-empty, every alpha a number or text that
+    float() parses, in [0, 1]; returns floats."""
+    grid = [check_real(a, "alpha_grid", parse=True) for a in grid]
     if not grid:
         raise ParameterError("must be non-empty", param="alpha_grid")
     for a in grid:

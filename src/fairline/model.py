@@ -32,27 +32,22 @@ with M its ReLU mask as float64 0/1 and * elementwise and broadcast,
 so the (batch, width) back-projection dz w_out^T is never built for it.
 M is the last use of the top activation, so for a workspace cache backward
 writes M over it; relu_grad(1) = 1, so the ones column stays for the next
-forward.
-Only when a hidden layer lies below is that layer's dz_l built, as M * dz
-scaled by [w_out; b_out], in a gradient buffer; each layer below takes
-dz_l W^T back from the layer above, times its own mask, then one GEMM for its
-block. The gradient arrays carry an extra column too, so that each
-elementwise pass runs over one contiguous array; no GEMM reads that column,
-so its values never reach a gradient.
+forward. Only with a hidden layer below is the top layer's dz_l built, as a
+new (batch, width) array M * dz * w_out^T; each layer below takes dz_l W^T
+back from the layer above, times its own mask, then one GEMM for its block.
 
-forward takes an optional Workspace: the [x | 1] input buffer,
-per-hidden-layer (rows, width + 1) activation buffers and, when there is
-more than one hidden layer, gradient buffers of the same shapes, which a
-training run allocates once and reuses for every batch. With a workspace
-each of these arrays is written into the workspace's first b rows; without
-one they are allocated. The ForwardCache records the workspace, and
-backward works in the workspace its cache names, so a forward/backward pair
-always shares one. The results are bit-identical either way.
+forward takes an optional Workspace: the [x | 1] input buffer and
+per-hidden-layer (rows, width + 1) activation buffers, which a training run
+allocates once and reuses for every batch. With a workspace each of these
+arrays is written into the workspace's first b rows, and the ForwardCache
+records the workspace; without one they are allocated. The results are
+bit-identical either way.
 A ForwardCache from a workspace call points into the workspace, so it is
 valid only until the next forward or backward call on that workspace, and
 backward consumes it: its top hidden array then holds the float ReLU mask.
-backward leaves an allocating cache as it was. The gradient vector backward
-returns is always a new array, so a caller may keep it.
+backward writes nothing else, and leaves an allocating cache as it was.
+The gradient vector backward returns is always a new array, so a caller
+may keep it.
 """
 
 from __future__ import annotations
@@ -127,18 +122,14 @@ def _with_ones(rows: int, width: int) -> np.ndarray:
 
 
 class Workspace:
-    """Reusable forward/backward buffers for one architecture and batch size.
+    """Reusable forward buffers for one architecture and batch size.
 
     inputs is the (rows, input_dim + 1) buffer for [x | 1], and hidden holds
     per hidden layer the (rows, width + 1) activation [h | 1], all float64;
     the ones columns are written here and never again. A batch of b <= rows
     rows uses the first b rows of each buffer. backward writes the top
     hidden layer's float 0/1 ReLU mask over its activation (relu_grad(1) = 1
-    keeps the ones column). So with one hidden layer, grads is empty; with
-    more, it holds per hidden layer a gradient buffer of the activation's
-    shape, for the gradient with respect to the pre-activation. A gradient
-    buffer's extra column is zeroed here so that it stays finite; its values
-    never reach a gradient.
+    keeps the ones column) and writes no other buffer.
     """
 
     def __init__(self, arch: MlpArchitecture, rows: int):
@@ -146,8 +137,6 @@ class Workspace:
         self.rows = rows
         self.inputs = _with_ones(rows, arch.input_dim)
         self.hidden = [_with_ones(rows, h) for h in arch.hidden_dims]
-        deep = len(arch.hidden_dims) > 1
-        self.grads = [np.zeros((rows, h + 1)) for h in arch.hidden_dims] if deep else []
 
 
 def _layer_blocks(arch: MlpArchitecture, params: np.ndarray) -> list[np.ndarray]:
@@ -219,9 +208,9 @@ def backward(arch: MlpArchitecture, params: np.ndarray, cache: ForwardCache,
     Each layer's block gradient is one GEMM, a_l^T dz_l with a_l = [h_l | 1]
     the cached layer input; the top hidden layer's is ((a_l * dz)^T M) * w_out^T
     over its float ReLU mask M (see the module docstring). For a cache that
-    names a workspace, M is written over cache.hidden[-1] and the gradient
-    buffers are the workspace's, so the cache serves one backward; an
-    allocating cache is not written.
+    names a workspace, M is written over cache.hidden[-1], so the cache
+    serves one backward; nothing else in the cache, and nothing in an
+    allocating cache, is written.
     """
     blocks = _layer_blocks(arch, params)
     b = cache.inputs.shape[0]
@@ -250,18 +239,10 @@ def backward(arch: MlpArchitecture, params: np.ndarray, cache: ForwardCache,
     if top == 0:
         return grads
 
-    if cache.workspace is None:
-        bufs = [np.zeros_like(h) for h in cache.hidden]
-    else:
-        bufs = [buf[:b] for buf in cache.workspace.grads]
-    # dz_l goes into the top layer's gradient buffer, not over the mask: the
-    # mask may be the activation, whose ones column must stay 1.0. dz_l's
-    # extra column becomes dz * b_out: finite, and no GEMM reads it.
-    dz_l = np.multiply(mask, dz[:, None], out=bufs[top])
-    dz_l *= out
+    dz_l = mask[:, :-1] * dz[:, None]
+    dz_l *= out[:-1]
     for li in range(top - 1, -1, -1):
-        dh = bufs[li]
-        tensor.matmul(dz_l[:, :-1], blocks[li + 1][:-1].T, out=dh[:, :-1])
-        dz_l = np.multiply(dh, tensor.relu_grad(acts[li + 1]), out=dh)
-        tensor.matmul(acts[li].T, dz_l[:, :-1], out=grad_blocks[li])
+        dz_l = (tensor.matmul(dz_l, blocks[li + 1][:-1].T)
+                * tensor.relu_grad(acts[li + 1][:, :-1]))
+        tensor.matmul(acts[li].T, dz_l, out=grad_blocks[li])
     return grads

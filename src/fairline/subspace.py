@@ -24,7 +24,8 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from .data import Dataset, batches
-from .errors import EmptyGroupError, NumericError, ParameterError, ShapeError, check_integer
+from .errors import (
+    EmptyGroupError, NumericError, ParameterError, ShapeError, check_integer, check_real)
 from .losses import FAIRNESS_METRICS, bce, fairness_loss, squared_cosine
 from .model import MlpArchitecture, Workspace, backward, forward, init_params
 
@@ -54,10 +55,11 @@ class TrainConfig:
             raise ParameterError("must be >= 1", param="epochs")
         if check_integer(self.batch_size, "batch_size") < 2:
             raise ParameterError("must be >= 2", param="batch_size")
-        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+        lr = check_real(self.learning_rate, "learning_rate")
+        if not (np.isfinite(lr) and lr > 0):
             raise ParameterError("must be positive and finite", param="learning_rate")
         for name in ("fairness_weight", "diversity_weight"):
-            v = getattr(self, name)
+            v = check_real(getattr(self, name), name)
             if not (np.isfinite(v) and v >= 0):
                 raise ParameterError("must be >= 0 and finite", param=name)
         if self.fairness_metric not in FAIRNESS_METRICS:
@@ -65,7 +67,8 @@ class TrainConfig:
                                  param="fairness_metric")
         if check_integer(self.seed, "seed") < 0:
             raise ParameterError("must be non-negative", param="seed")
-        if self.fixed_alpha is not None and not 0.0 <= self.fixed_alpha <= 1.0:
+        if (self.fixed_alpha is not None
+                and not 0.0 <= check_real(self.fixed_alpha, "fixed_alpha") <= 1.0):
             raise ParameterError("must be in [0, 1]", param="fixed_alpha")
         if self.shuffle_seed is not None and check_integer(self.shuffle_seed, "shuffle_seed") < 0:
             raise ParameterError("must be non-negative", param="shuffle_seed")

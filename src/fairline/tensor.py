@@ -133,8 +133,7 @@ def relu(t, out=None):
 
 def relu_grad(h, out=None):
     """Subgradient of relu as a 0/1 mask, applied to relu's output h: a
-    boolean array, or written into out when given (a float64 out holds
-    1.0 and 0.0).
+    boolean array, or written into a float64 out when given, as 1.0 and 0.0.
 
     h > 0 exactly where relu's input was > 0: an input of 0, -0 or NaN gives
     0 either way, so the subgradient is defined as 0 at an input of 0.
@@ -146,13 +145,13 @@ def relu_grad(h, out=None):
     cache in a workspace, backward writes that mask over the activation it
     is taken from (out=h); relu_grad(1) = 1, so an activation's ones column
     stays. Every layer below multiplies its back-projected gradient by the
-    boolean mask, then takes its block gradient as one matmul, a_in^T dz_l
-    (see fairline.model).
+    boolean mask of its activation without the ones column, then takes its
+    block gradient as one matmul, a_in^T dz_l (see fairline.model).
 
     A float out is filled by a copy of the boolean mask, which reads faster
     than a compare that casts each element to float64; the bits are the same.
     """
-    if out is None or out.dtype == np.bool_:
-        return np.greater(h, 0.0, out=out)
+    if out is None:
+        return np.greater(h, 0.0)
     np.copyto(out, np.greater(h, 0.0))
     return out

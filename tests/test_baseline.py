@@ -70,8 +70,8 @@ def test_train_fixed_rejects_bad_weight():
         train_fixed(train, cfg, -0.5, arch=ARCH)
 
 
-@pytest.mark.parametrize("grid", [[], [float("nan")], [0.0, float("inf")], [-0.5]],
-                         ids=["empty", "nan", "inf", "negative"])
+@pytest.mark.parametrize("grid", [[], [float("nan")], [0.0, float("inf")], [-0.5], ["a"]],
+                         ids=["empty", "nan", "inf", "negative", "not-a-number"])
 def test_fairness_grid_rule_runs_before_any_training(grid):
     with pytest.raises(ParameterError) as exc:
         check_fairness_grid(grid)

@@ -61,3 +61,7 @@ def test_schema_flag_defaults_are_the_default_schema():
     for command in ("train", "compare"):
         args = cli.parse_args([command, "--data", "d.csv", "--out", "o"])
         assert cli._from_args(CsvSchema, args) == CsvSchema()
+        # and the training flags' are TrainConfig's, but for the CLI's own
+        # epoch count and YODO_SEED seed
+        assert cli._from_args(TrainConfig, args) == \
+            TrainConfig(epochs=8, seed=cli._default_seed())

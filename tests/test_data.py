@@ -292,6 +292,7 @@ def test_synth_swapped_encoding_mirrors_gap():
     dict(n=10), dict(d=1), dict(group_fraction=0.0), dict(group_fraction=1.0),
     dict(base_rate_gap=-0.1), dict(base_rate_gap=1.5), dict(noise=0.0),
     dict(seed=-1), dict(n=100.0), dict(d=3.0), dict(seed=1.5),
+    dict(group_fraction="0.5"), dict(noise=None),
 ])
 def test_synth_parameter_errors(kwargs):
     base = dict(n=100, d=3, group_fraction=0.5, base_rate_gap=0.2, noise=1.0, seed=0)
@@ -354,7 +355,7 @@ def test_split_single_group_partition_fails_after_retries():
 
 def test_split_parameter_errors():
     ds = synth_biased(100, 3, 0.5, 0.2, 1.0, seed=0)
-    for frac in (0.0, 1.0, -0.5, float("nan")):
+    for frac in (0.0, 1.0, -0.5, float("nan"), "0.2"):
         with pytest.raises(ParameterError, match="test_fraction"):
             split(ds, frac, seed=0)
     with pytest.raises(ParameterError, match="seed"):

@@ -162,8 +162,8 @@ def test_alpha_sweep_rejects_out_of_range():
         alpha_sweep(model, ds, [0.0, 1.2])
 
 
-@pytest.mark.parametrize("grid", [[], [float("nan")], [0.5, float("inf")], [-0.1]],
-                         ids=["empty", "nan", "inf", "negative"])
+@pytest.mark.parametrize("grid", [[], [float("nan")], [0.5, float("inf")], [-0.1], ["a"]],
+                         ids=["empty", "nan", "inf", "negative", "not-a-number"])
 def test_alpha_grid_rule(grid):
     with pytest.raises(ParameterError) as exc:
         check_alpha_grid(grid)
@@ -172,6 +172,7 @@ def test_alpha_grid_rule(grid):
     with pytest.raises(ParameterError):
         alpha_sweep(model, ds, grid)
     assert check_alpha_grid((0, 1)) == [0.0, 1.0]
+    assert check_alpha_grid(("0.5", np.float32(0.25))) == [0.5, 0.25]
 
 
 @pytest.mark.parametrize("grids", [dict(alpha_grid=[float("nan")]),

@@ -257,7 +257,7 @@ def test_backward_without_a_workspace_leaves_the_cache(hidden_dims):
 
 
 def test_workspace_holds_the_cached_activations():
-    for hidden_dims in ((5, 4), (5,), ()):
+    for hidden_dims in ((5, 4), (6, 5, 4), (5,), ()):
         _check_workspace_buffers(hidden_dims)
 
 
@@ -268,18 +268,16 @@ def _check_workspace_buffers(hidden_dims):
     ws = Workspace(arch, 8)
     # an [x | 1] input buffer and per hidden layer a [h | 1] activation
     # buffer; the pre-activation is computed into the activation buffer,
-    # never kept. Gradient buffers of the same shapes exist only when a
-    # hidden layer lies below the top one
+    # never kept. Nothing else is held
     assert (ws.inputs.shape, ws.inputs.dtype) == ((8, 5), np.float64)
     assert [(buf.shape, buf.dtype) for buf in ws.hidden] == \
         [((8, width + 1), np.float64) for width in hidden_dims]
-    assert [(buf.shape, buf.dtype) for buf in ws.grads] == \
-        [((8, width + 1), np.float64) for width in hidden_dims if len(hidden_dims) > 1]
+    assert set(vars(ws)) == {"arch", "rows", "inputs", "hidden"}
     # an earlier full batch leaves stale values in every workspace row
     _, stale = forward(arch, params, rng.standard_normal((8, 4)), workspace=ws)
     backward(arch, params, stale, rng.standard_normal(8))
     x = rng.standard_normal((3, 4))
-    pred, cache = forward(arch, params, x, workspace=ws)
+    _, cache = forward(arch, params, x, workspace=ws)
     assert not hasattr(cache, "pre_acts")
     assert np.shares_memory(cache.inputs, ws.inputs)
     assert cache.inputs[:, :-1].tobytes() == x.tobytes()
@@ -287,26 +285,21 @@ def _check_workspace_buffers(hidden_dims):
         assert np.shares_memory(h, h_buf)
     if hidden_dims:
         mask = (cache.hidden[-1] > 0.0).astype(np.float64)
+    # backward writes no buffer but the top activation: the input and every
+    # lower activation keep forward's bytes, in every row
+    kept = [buf.tobytes() for buf in (ws.inputs, *ws.hidden[:-1])]
     g = rng.standard_normal(3)
     grad = backward(arch, params, cache, g)
-    assert not any(np.shares_memory(grad, buf)
-                   for buf in (ws.inputs, *ws.hidden, *ws.grads))
+    assert not any(np.shares_memory(grad, buf) for buf in (ws.inputs, *ws.hidden))
+    assert [buf.tobytes() for buf in (ws.inputs, *ws.hidden[:-1])] == kept
     # every ones column still reads 1.0, in every row
     for buf in (ws.inputs, *ws.hidden):
         assert np.all(buf[:, -1] == 1.0)
     if not hidden_dims:
         return
     # the top activation buffer now holds its float 0/1 ReLU mask, ones
-    # column included, and, when a hidden layer lies below, the top gradient
-    # buffer holds the mask times dz w_out^T
+    # column included
     assert ws.hidden[-1][:3].tobytes() == mask.tobytes()
-    if len(hidden_dims) > 1:
-        dz = g * tensor.sigmoid_grad(pred)
-        dz_top = mask[:, :-1] * np.multiply.outer(dz, layer_views(arch, params)[-1][0][:, 0])
-        assert ws.grads[-1][:3, :-1].tobytes() == dz_top.tobytes()
-    # the gradient buffers' extra column stays finite
-    for buf in ws.grads:
-        assert np.all(np.isfinite(buf[:, -1]))
 
 
 # ------------------------------------------- backward against a reference

@@ -85,6 +85,7 @@ def test_interpolate_range_check():
     dict(diversity_weight=-0.5), dict(fairness_metric="nope"),
     dict(seed=-1), dict(fixed_alpha=1.5), dict(shuffle_seed=-2),
     dict(epochs=2.0), dict(batch_size=16.0), dict(seed=1.5), dict(shuffle_seed=2.5),
+    dict(learning_rate="0.1"), dict(fairness_weight=None), dict(fixed_alpha="0.3"),
 ])
 def test_train_config_validation(kwargs):
     base = dict(epochs=1)
