@@ -1,12 +1,16 @@
 #!/usr/bin/env python3
 """Time CSV ingest and CSV writing at the acceptance size.
 
-Three cases, each called once to warm up and then RUNS (15) times:
+Four cases, each called once to warm up and then RUNS (15) times:
 
 - load_csv_fit_8000: load_csv of an 8000-row synth CSV (6 numeric features)
   under the default schema, fitting the transform, as `train` reads --data;
 - load_csv_transform_2000: load_csv of the 2000-row held-out split through
   the training split's transform, as `sweep` reads --test;
+- load_csv_onehot_fit_8000: load_csv of the same 8000 rows with one more
+  column of three categories, fitting: numpy's reader refuses the file at
+  its first row and the csv.reader path reads it, the path of every file
+  with a one-hot column, which no benchmark workload reads;
 - write_csv_8000: write_csv of the 8000-row dataset, as `synth` writes it.
 
 Each case records the min and the max/min spread of its run times. The
@@ -14,7 +18,7 @@ session (its --label, the cases, and the environment: Python, numpy, BLAS
 and its thread count, nproc) is appended to the JSON file --out, so runs of
 two trees in alternating sessions, with one --out, sit side by side. The
 tree's own src/ is imported; files go to a temporary directory removed on
-exit. About 2 s on 2 cores.
+exit. About 3 s on 2 cores.
 
 Usage: python scripts/bench_ingest.py --label NAME [--out BENCH_ingest.json]
 """
@@ -52,12 +56,17 @@ def measure() -> dict:
     ds = fl.synth_biased(8000, 6, 0.5, 0.4, 1.0, seed=SEED)
     train, test = fl.split(ds, 0.25, seed=SEED)
     with tempfile.TemporaryDirectory() as tmp:
-        full, held_out, out = (Path(tmp) / name for name in ("full.csv", "test.csv", "w.csv"))
+        full, held_out, onehot, out = (Path(tmp) / name for name in
+                                       ("full.csv", "test.csv", "onehot.csv", "w.csv"))
         write_csv(ds, full)
         write_csv(test, held_out)
+        header, *rows = full.read_text().splitlines()
+        onehot.write_text("".join(f"{line}\n" for line in [
+            f"{header},c", *(f"{row},{'abc'[i % 3]}" for i, row in enumerate(rows))]))
         return {
             "load_csv_fit_8000": _timed(lambda: fl.load_csv(full, fl.CsvSchema())),
             "load_csv_transform_2000": _timed(lambda: fl.load_csv(held_out, train.transform)),
+            "load_csv_onehot_fit_8000": _timed(lambda: fl.load_csv(onehot, fl.CsvSchema())),
             "write_csv_8000": _timed(lambda: write_csv(ds, out)),
         }
 

@@ -109,9 +109,12 @@ def _add_schema_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
     default = TrainConfig(epochs=8)  # the epoch count is the CLI's own
-    p.add_argument("--epochs", type=int, default=default.epochs)
-    p.add_argument("--batch-size", type=int, default=default.batch_size)
-    p.add_argument("--learning-rate", type=float, default=default.learning_rate)
+    p.add_argument("--epochs", type=int, default=default.epochs,
+                   help="passes over the training rows")
+    p.add_argument("--batch-size", type=int, default=default.batch_size,
+                   help="rows per training step")
+    p.add_argument("--learning-rate", type=float, default=default.learning_rate,
+                   help="Adam step size")
     p.add_argument("--fairness-weight", type=float, default=default.fairness_weight,
                    help="penalty strength at the fairness endpoint (the A column)")
     p.add_argument("--diversity-weight", type=float, default=default.diversity_weight,
@@ -144,7 +147,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Parser]]:
     p.add_argument("--gap", type=float, default=0.4,
                    help="positive-rate gap between the groups")
     p.add_argument("--noise", type=float, default=1.0, help="feature noise scale")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=_default_seed(),
+                   help="data seed; YODO_SEED, if set, gives the default")
     p.add_argument("--out", required=True, help="output CSV path")
 
     p = sub.add_parser("train", help="train a subspace model and save a checkpoint", **kw)
@@ -181,7 +185,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Parser]]:
     p.add_argument("--checkpoint", default=None,
                    help="reuse this subspace checkpoint instead of training "
                         "(no line is trained, so wall_time_ratio= is empty)")
-    p.add_argument("--test-fraction", type=float, default=0.25)
+    p.add_argument("--test-fraction", type=float, default=0.25,
+                   help="fraction of rows held out for evaluation")
     p.add_argument("--grid", type=floats, default=DEFAULT_ALPHA_GRID,
                    help="comma-separated alphas in [0,1]")
     p.add_argument("--fairness-grid", type=floats, default=DEFAULT_FAIRNESS_GRID,

@@ -55,21 +55,26 @@ class TrainConfig:
             raise ParameterError("must be >= 1", param="epochs")
         if check_integer(self.batch_size, "batch_size") < 2:
             raise ParameterError("must be >= 2", param="batch_size")
+        # Real fields are kept as the Python float check_real returns, so a
+        # numpy-typed value trains and is recorded as an equal float would be.
         lr = check_real(self.learning_rate, "learning_rate")
         if not (np.isfinite(lr) and lr > 0):
             raise ParameterError("must be positive and finite", param="learning_rate")
+        object.__setattr__(self, "learning_rate", lr)
         for name in ("fairness_weight", "diversity_weight"):
             v = check_real(getattr(self, name), name)
             if not (np.isfinite(v) and v >= 0):
                 raise ParameterError("must be >= 0 and finite", param=name)
+            object.__setattr__(self, name, v)
         if self.fairness_metric not in FAIRNESS_METRICS:
             raise ParameterError(f"must be one of {FAIRNESS_METRICS}",
                                  param="fairness_metric")
         if check_integer(self.seed, "seed") < 0:
             raise ParameterError("must be non-negative", param="seed")
-        if (self.fixed_alpha is not None
-                and not 0.0 <= check_real(self.fixed_alpha, "fixed_alpha") <= 1.0):
-            raise ParameterError("must be in [0, 1]", param="fixed_alpha")
+        if self.fixed_alpha is not None:
+            object.__setattr__(self, "fixed_alpha", check_real(self.fixed_alpha, "fixed_alpha"))
+            if not 0.0 <= self.fixed_alpha <= 1.0:
+                raise ParameterError("must be in [0, 1]", param="fixed_alpha")
         if self.shuffle_seed is not None and check_integer(self.shuffle_seed, "shuffle_seed") < 0:
             raise ParameterError("must be non-negative", param="shuffle_seed")
 
@@ -332,7 +337,12 @@ def train_subspace(train: Dataset, config: TrainConfig,
 
 
 def predict(model: SubspaceModel, alpha: float, x: np.ndarray) -> np.ndarray:
-    """Forward pass at the interpolated weights for the chosen trade-off."""
+    """Forward pass at the interpolated weights for the chosen trade-off.
+
+    A row's prediction can differ by a few ulp with the number of rows in
+    x: BLAS multiplies one row by a matrix-vector kernel and more rows by a
+    matrix-matrix one, which sum in another order. So predict(model, a,
+    x[i:i + 1]) need not equal predict(model, a, x)[i] bit for bit."""
     theta = interpolate(model.w_acc, model.w_fair, alpha)
     pred, _ = forward(model.arch, theta, x)
     return pred

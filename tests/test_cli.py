@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import warnings
 from dataclasses import replace
 
@@ -727,6 +728,31 @@ def test_help_exits_zero(command, capsys):
         run([command, "--help"])
     assert exc.value.code == 0
     assert "--help" in capsys.readouterr().out
+
+
+def _flag_help(command, capsys):
+    """command's --help text per flag, by the flag's first name, with its
+    line breaks folded into spaces."""
+    with pytest.raises(SystemExit):
+        run([command, "--help"])
+    entries = re.split(r"\n(?=  -)", capsys.readouterr().out)
+    return {entry.split()[0]: " ".join(entry.split()) for entry in entries[1:]}
+
+
+@pytest.mark.parametrize("command", ["train", "compare"])
+def test_help_shows_the_training_defaults(command, capsys):
+    flags = _flag_help(command, capsys)
+    assert "(default: 8)" in flags["--epochs"]
+    assert "(default: 512)" in flags["--batch-size"]
+    assert "(default: 0.001)" in flags["--learning-rate"]
+    if command == "compare":
+        assert "(default: 0.25)" in flags["--test-fraction"]
+
+
+def test_synth_help_shows_the_seed_default(capsys, monkeypatch):
+    monkeypatch.setenv("YODO_SEED", "7")
+    seed = _flag_help("synth", capsys)["--seed"]
+    assert "YODO_SEED" in seed and "(default: 7)" in seed
 
 
 def test_unknown_command_usage_error(capsys):

@@ -1,6 +1,7 @@
 import csv
 import json
 import tempfile
+import warnings
 from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
@@ -13,6 +14,8 @@ from fairline.data import (
     CsvSchema,
     Dataset,
     FeatureTransform,
+    _read_numeric,
+    _read_rows,
     batches,
     load_csv,
     split,
@@ -474,3 +477,170 @@ def test_load_csv_that_is_not_utf8_is_data_error(tmp_path):
                      + "3,café,1,0\n".encode("latin-1"))
     with pytest.raises(DataError, match=f"^{path}: not UTF-8 text"):
         load_csv(path, SCHEMA)
+
+
+# Differential test of load_csv's two readers: whatever a file holds,
+# load_csv gives what the csv.reader path alone gives, the same Dataset bits
+# or the same fault. The file is a clean table that both readers accept,
+# with a few cells changed to pieces that either reader might take
+# differently.
+_SPACE = st.sampled_from(["", "", "", " ", "\t", "\u00a0", "\u2003", "\u3000", "\x0b",
+                          "\x1c", "\x85", "\u200b"])  # U+200B is not whitespace
+_NUMBER = st.floats(-1e6, 1e6).map(repr) | st.integers(-99, 99).map(str)
+_CATEGORY_CELL = st.sampled_from(["a", "b", "c d"])
+_EXTRA = st.sampled_from(["id", "zz", "a much longer identifier"])
+
+
+def _odd_pieces(kind, cell):
+    """Families of cells to put in place of cell, of a column of this kind
+    (the header's, or a cell's in a column of kind)."""
+    families = [
+        [cell],  # only the surrounding whitespace changes
+        [f'"{cell}"', f'"{cell}', f'{cell}"', f'"{cell},x"', f'"{cell}"x', '""'],
+        ["", " ", cell + ",", "," + cell, "#" + cell],
+        [cell + "\x00", "\x00" + cell],
+    ]
+    if kind == "number":
+        families += [["nan", "-inf", "Infinity", "1e999"],
+                     ["1_0", "١٢", "٣.5", "0x1", ".5", "5.", "-0.0", "+1e-3", "1e", "1 2", "a"]]
+    return families
+
+
+def _clean_cell(draw, kind, schema, row):
+    if kind in ("number", "category", "extra"):
+        return draw({"number": _NUMBER, "category": _CATEGORY_CELL, "extra": _EXTRA}[kind])
+    positive = schema.positive_label_value if kind == "label" else schema.positive_sensitive_value
+    # the first four rows hold each value twice, so a clean file of two rows
+    # or more has a positive label and both groups, and of four rows or more
+    # still has them after one changed cell. Later rows may also hold values
+    # that only start with the positive one, one long enough to be cut short
+    # by a fixed-width field.
+    if row < 4:
+        return (positive, "0")[row % 2]
+    return draw(st.sampled_from([positive, "0"] * 3 + [f" {positive}\t", positive + " x",
+                                                      positive * 2, positive + " " * 12 + "x"]))
+
+
+def _reference(path, encoding):
+    """load_csv by the csv.reader path alone."""
+    fit = isinstance(encoding, CsvSchema)
+    schema = encoding if fit else encoding.schema
+    raw, labels, sensitive, transform = _read_rows(path, schema, None if fit else encoding)
+    return Dataset(raw, labels, sensitive, transform.fit(raw) if fit else transform)
+
+
+def _outcome(read, path, encoding):
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ds = read(path, encoding)
+    except Exception as exc:  # noqa: BLE001 - the fault itself is compared
+        return type(exc), str(exc), getattr(exc, "line_number", None)
+    return (ds.raw.shape, ds.raw.tobytes(), ds.labels.tobytes(), ds.sensitive.tobytes(),
+            ds.transform.to_meta())
+
+
+def _fitted_on_clean_rows(path, names, kinds, schema):
+    """The transform load_csv fits under schema on a clean file of the
+    feature columns among names: every category once, both labels, both
+    groups."""
+    features = [name for name, kind in zip(names, kinds) if kind in ("number", "category")]
+    rows = [[str(i) if kinds[names.index(f)] == "number" else cat for f in features]
+            + [label, group] for i, (cat, label, group) in enumerate(zip(
+                ["a", "b", "c d"], [schema.positive_label_value, "0", "0"],
+                ["0", schema.positive_sensitive_value, "0"]))]
+    path.write_text("\n".join(",".join(r) for r in [features + ["label", "group"], *rows]),
+                    encoding="utf-8")
+    return load_csv(path, schema).transform
+
+
+@settings(max_examples=1000, deadline=None)
+@given(data=st.data(), n=st.integers(1, 8), n_numeric=st.sampled_from([1, 2, 2, 0]),
+       n_category=st.sampled_from([0, 0, 0, 1]), n_extra=st.sampled_from([0, 1]),
+       positives=st.sampled_from([("1", "1"), ("yes", "F")]),
+       include_sensitive=st.booleans(), served=st.booleans())
+def test_load_csv_reads_every_file_as_the_csv_reader_path(
+        data, n, n_numeric, n_category, n_extra, positives, include_sensitive, served):
+    schema = CsvSchema("label", "group", *positives, include_sensitive)
+    # an extra column is one the transform ignores, so only a served file has one
+    served = served and n_numeric + n_category > 0
+    kinds = data.draw(st.permutations(["number"] * n_numeric + ["category"] * n_category
+                                      + ["extra"] * (n_extra * served) + ["label", "group"]))
+    names = [kind if kind in ("label", "group") else f"{kind[0]}{j}"
+             for j, kind in enumerate(kinds)]
+    table = [list(names)] + [[_clean_cell(data.draw, kind, schema, i) for kind in kinds]
+                             for i in range(n)]
+    for _ in range(data.draw(st.sampled_from([1, 1, 1, 0, 2]))):
+        i, j = data.draw(st.integers(0, n)), data.draw(st.integers(0, len(kinds) - 1))
+        family = data.draw(st.sampled_from(
+            _odd_pieces("header" if i == 0 else kinds[j], table[i][j])))
+        table[i][j] = data.draw(st.sampled_from(family))
+        if data.draw(st.booleans()):
+            table[i][j] = data.draw(_SPACE) + table[i][j] + data.draw(_SPACE)
+    endings = [data.draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in table]
+    blanks = [""] + [data.draw(st.sampled_from(["", "", "", "\n", "\r\n", "\r"]))
+                     for _ in table[1:]]
+    text = "".join(blank + ",".join(row) + end
+                   for blank, row, end in zip(blanks, table, endings))
+    if data.draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        # served: read through a transform fitted on a clean file with the
+        # same feature columns, so an extra column is ignored
+        encoding = _fitted_on_clean_rows(path, names, kinds, schema) if served else schema
+        path.write_bytes(b"\xef\xbb\xbf" * data.draw(st.booleans()) + text.encode("utf-8"))
+        assert _outcome(load_csv, path, encoding) == _outcome(_reference, path, encoding)
+
+
+@pytest.mark.parametrize("text, served", [
+    ("a,label,group\n1,1,0\n2,1 x,1\n3,0,1\n", False),
+    ("a,label,group\n1,1,0\n2,1" + " " * 12 + "x,1\n3,0,1\n", False),
+    ('a,label,group\n1,1,0\n2,"1",1\n3,0,1\n', False),
+    ('"a",label,group\n1,1,0\n2,0,1\n', False),
+    ('"a,b",label,group\n1,1,0\n2,0,1\n', False),
+    ("a,label,group\n1,1,0\n2,0,1\n3,1\x00,1\n", False),
+    ("a,label,group\n1,1,0\n2,0,1\x00\n3,0,1\n", False),
+    ("\na,label,group\n1,1,0\n2,0,1\n", False),
+    ("a,label,group\n1,1,0\nnan,0,1\n", False),
+    ("a,label,group\n1,1,0\n1e999,0,1\n", False),
+    ("a,label,group\n1_0,1,0\n٣,0,1\n", False),
+    ("a,label,group\n 1\u2003,1,0\n\u00a02 ,0,1\n", False),
+    ('a,e,label,group\n1,"",1,0\n2,x,0,1\n', True),
+    ("a,e,label,group\n1, ,1,0\n2,x,0,1\n", True),
+    ('a,e,label,group\n1,"x,y",1,0\n2,x,0,1\n', True),
+    ("a,label,group\n" + "0" * 200_000 + ",1,0\n2,0,1\n", False),
+], ids=["label-extends-positive", "label-longer-than-field", "quoted-label", "quoted-header",
+        "quoted-comma-in-header", "nul-in-label", "nul-in-group", "blank-line-above-header",
+        "nan", "overflow", "float-only-syntax", "unicode-whitespace", "quoted-empty-ignored",
+        "blank-ignored", "quoted-comma-ignored", "cell-over-csv-field-limit"])
+def test_load_csv_reads_known_hard_files_as_the_csv_reader_path(tmp_path, text, served):
+    encoding = SCHEMA
+    if served:
+        encoding = load_csv(write(tmp_path, "a,label,group\n1,1,0\n2,0,1\n", "fit.csv"),
+                            SCHEMA).transform
+    path = write(tmp_path, text)
+    assert _outcome(load_csv, path, encoding) == _outcome(_reference, path, encoding)
+
+
+@pytest.mark.parametrize("body", ["", "\n\r\n\r"], ids=["header-only", "blank-lines"])
+def test_file_without_rows_is_validation_error_and_warns_nothing(tmp_path, body):
+    path = write(tmp_path, "a,label,group\n" + body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="no data rows"):
+            load_csv(path, SCHEMA)
+
+
+def test_numeric_files_take_the_loadtxt_reader(tmp_path):
+    ds = synth_biased(200, 3, 0.5, 0.2, 1.0, seed=0)
+    train, test = split(ds, 0.25, seed=0)
+    write_csv(ds, tmp_path / "full.csv")
+    write_csv(test, tmp_path / "test.csv")
+    assert _read_numeric(tmp_path / "full.csv", SCHEMA, None) is not None
+    assert _read_numeric(tmp_path / "test.csv", SCHEMA, train.transform) is not None
+    # a one-hot column is left to the csv.reader path, fitted or served
+    categorical = write(tmp_path, "a,c,label,group\n1,x,1,0\n2,y,0,1\n")
+    assert _read_numeric(categorical, SCHEMA, None) is None
+    fitted = load_csv(categorical, SCHEMA).transform
+    assert _read_numeric(categorical, SCHEMA, fitted) is None

@@ -130,6 +130,19 @@ def test_meta_snapshot_pinned():
     }
 
 
+def test_numpy_reals_record_the_metadata_of_equal_python_floats():
+    # a float32 0.3 is the float 0.30000001192092896, which training uses
+    typed = TrainConfig(epochs=1, learning_rate=np.float64(0.01),
+                        fairness_weight=np.float32(0.5), diversity_weight=np.int64(2),
+                        fixed_alpha=np.float32(0.3))
+    plain = TrainConfig(epochs=1, learning_rate=0.01, fairness_weight=0.5,
+                        diversity_weight=2.0, fixed_alpha=0.30000001192092896)
+    assert typed.meta_snapshot() == plain.meta_snapshot()
+    assert typed.meta_snapshot()["config.fixed_alpha"] == "0.30000001192092896"
+    assert all(type(getattr(typed, name)) is float for name in
+               ("learning_rate", "fairness_weight", "diversity_weight", "fixed_alpha"))
+
+
 # ------------------------------------------------- gradient routing
 
 def test_routing_factors_applied_exactly(line_batches):
@@ -235,6 +248,24 @@ def test_one_row_predict_is_forward_at_the_interpolated_weights():
         want = forward(ARCH, interpolate(model.w_acc, model.w_fair, alpha), one)[0]
         assert got.shape == (1,)
         assert got.tobytes() == want.tobytes()
+
+
+
+def test_one_row_predict_is_within_a_few_ulp_of_the_multi_row_predict():
+    # BLAS multiplies one row by a matrix-vector kernel and several rows by a
+    # matrix-matrix one, which sum in another order, so row i of a multi-row
+    # predict and a 1-row predict of row i need not be the same bits. At this
+    # size (400 rows, 2 epochs, hidden width 256, 100 rows x 11 alphas), seeds
+    # 0-23 read at most 5 ulp apart, mostly 2, on OpenBLAS 0.3.31 (SkylakeX).
+    for seed in (0, 1, 2):
+        ds = synth_biased(400, 6, 0.5, 0.4, 1.0, seed=seed)
+        model = train_subspace(ds, TrainConfig(epochs=2, batch_size=64, seed=seed))
+        x = ds.features[:100]
+        for alpha in np.linspace(0.0, 1.0, 11):
+            rows = predict(model, alpha, x)
+            one = np.concatenate([predict(model, alpha, x[i:i + 1]) for i in range(len(x))])
+            ulp = np.spacing(np.maximum(rows, one))
+            assert np.all(np.abs(one - rows) <= 16 * ulp)
 
 
 # ------------------------------------------------ empty-group skips
