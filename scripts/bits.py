@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
-"""Print the sha256 of a fixed set of checkpoints, CSVs and reports.
+"""Print the sha256 of a fixed set of checkpoints, fixed models, CSVs and
+reports.
 
 Run it on two trees and diff the output to check that a change keeps
-checkpoints, CSVs and reports bit-identical. Each line is `name sha256`;
-the compare runs also print their `frontier_gap=` line. Files go to a
+checkpoints, fixed models, CSVs and reports bit-identical. Each line is
+`name sha256`; the compare runs also print their `frontier_gap=` line.
+Nothing reads a fixed model back from a file, so one is pinned by its
+weight bytes and its sorted `key=value` metadata lines. Files go to a
 temporary directory that is removed on exit. The tree's own `src/` is
 imported, so no install or PYTHONPATH is needed. About 10 s on 2 cores.
 
@@ -58,9 +61,9 @@ def _library_checkpoints(tmp: Path):
         return name, _sha(path)
 
     def fixed(name, ds, cfg, weight, arch=None):
-        path = tmp / "fixed.ckpt"
-        fl.save_fixed_checkpoint(fl.train_fixed(ds, cfg, weight, arch=arch), path)
-        return name, _sha(path)
+        model = fl.train_fixed(ds, cfg, weight, arch=arch)
+        meta = "".join(f"{k}={v}\n" for k, v in sorted(model.train_meta.items()))
+        return name, hashlib.sha256(model.weights.tobytes() + meta.encode()).hexdigest()
 
     for m in METRICS:
         for a in (None, 0.3):

@@ -8,7 +8,6 @@ them at inference time.
 from .baseline import (
     DEFAULT_FAIRNESS_GRID,
     FixedModel,
-    load_fixed_checkpoint,
     predict_fixed,
     save_fixed_checkpoint,
     sweep_fixed,

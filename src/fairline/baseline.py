@@ -18,8 +18,7 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from .data import Dataset
-from .errors import (
-    CheckpointError, FairlineError, ParameterError, ShapeError, check_integer, check_real)
+from .errors import FairlineError, ParameterError, ShapeError, check_integer, check_real
 from .model import MlpArchitecture, Workspace, forward
 from .subspace import (
     BatchGradients, TrainConfig, _task_gradient, _train_loop, train_subspace)
@@ -173,21 +172,16 @@ def _pooled_run(task):
 
 
 def predict_fixed(model: FixedModel, x: np.ndarray) -> np.ndarray:
+    """The model's predictions on x. Outside tests only the benchmark's
+    trace list (perfbench/spans.py) names it; compare serves grid models
+    through evaluation._serve."""
     pred, _ = forward(model.arch, model.weights, x)
     return pred
 
 
 def save_fixed_checkpoint(model: FixedModel, path) -> None:
+    """Write the model as a kind-1 checkpoint, which nothing reads back.
+    Outside tests only the benchmark's train-line check (perfbench/
+    workloads.py) calls it, to compare a fixed model's bytes run to run."""
     ckpt.write_checkpoint(path, ckpt.KIND_SINGLE, model.arch, [model.weights],
                           model.train_meta)
-
-
-def load_fixed_checkpoint(path) -> FixedModel:
-    arch, arrays, meta = ckpt.read_checkpoint(path, ckpt.KIND_SINGLE)
-    raw = meta.get("fixed.fairness_weight")
-    try:
-        (fairness_weight,) = check_fairness_grid([raw], param="fixed.fairness_weight")
-    except ParameterError:
-        raise CheckpointError("fixed.fairness_weight is not a finite number >= 0: "
-                              f"{raw!r}") from None
-    return FixedModel(arch, arrays[0], fairness_weight, meta)

@@ -1,12 +1,14 @@
-"""Binary checkpoint container shared by subspace and fixed models.
+"""Binary checkpoint container of a subspace model's endpoint pair.
 
 Layout (all integers little-endian u32, floats little-endian f64):
 
     magic "YODO" | version | kind | n_dims | dims... |
     per array: length, values... | metadata | crc32
 
-kind 0 stores two arrays (the endpoint pair), kind 1 stores one (a fixed
-model); a reader refuses an array that holds a NaN or an infinity. dims is
+kind 0 stores two arrays (the endpoint pair) and is the only kind read
+back: read_checkpoint refuses any other kind, and an array that holds a NaN
+or an infinity. kind 1 stores one array (a fixed model); only
+baseline.save_fixed_checkpoint writes it, and nothing reads it. dims is
 the full layer-size chain, input width first, output width (always 1) last.
 The metadata block is UTF-8 "key=value" lines sorted by key and runs from
 the end of the arrays to the trailing CRC-32, which covers all preceding
@@ -27,9 +29,6 @@ MAGIC = b"YODO"
 VERSION = 1
 KIND_PAIR = 0
 KIND_SINGLE = 1
-
-# The arrays each kind stores, by name, in file order.
-_ARRAY_NAMES = {KIND_PAIR: ("w_acc", "w_fair"), KIND_SINGLE: ("weights",)}
 
 _U32 = struct.Struct("<I")
 
@@ -102,8 +101,9 @@ class _Reader:
         return arr.astype(np.float64)
 
 
-def read_checkpoint(path, expected_kind: int
-                    ) -> tuple[MlpArchitecture, list[np.ndarray], dict[str, str]]:
+def read_checkpoint(path) -> tuple[MlpArchitecture, list[np.ndarray], dict[str, str]]:
+    """The architecture, [w_acc, w_fair] and metadata of the kind-0 file at
+    path; any fault in it raises CheckpointError."""
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < len(MAGIC) + 12:
@@ -119,8 +119,8 @@ def read_checkpoint(path, expected_kind: int
     if version != VERSION:
         raise CheckpointError(f"unsupported format version {version}")
     kind = r.u32()
-    if kind != expected_kind:
-        raise CheckpointError(f"checkpoint kind {kind}, expected {expected_kind}")
+    if kind != KIND_PAIR:
+        raise CheckpointError(f"checkpoint kind {kind}, expected {KIND_PAIR}")
     n_dims = r.u32()
     if n_dims < 2:
         raise CheckpointError(f"invalid layer count {n_dims}")
@@ -130,7 +130,7 @@ def read_checkpoint(path, expected_kind: int
     arch = MlpArchitecture(dims[0], tuple(dims[1:-1]))
 
     arrays = []
-    for name in _ARRAY_NAMES[kind]:
+    for name in ("w_acc", "w_fair"):
         length = r.u32()
         if length != arch.param_count:
             raise CheckpointError(

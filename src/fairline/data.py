@@ -365,15 +365,17 @@ def load_csv(path, schema_or_transform: CsvSchema | FeatureTransform) -> Dataset
     matches, or a single group, raises ValidationError. The file is UTF-8,
     with or without a byte-order mark; other bytes raise DataError naming the
     path. Cells are stripped of surrounding whitespace; a ragged row, an
-    empty cell, a non-finite number and an unknown category raise
-    RowParseError with the file line on which the row ends.
+    empty cell, a cell over csv.field_size_limit(), a non-finite number and
+    an unknown category raise RowParseError with the file line on which the
+    row ends.
 
     Two readers give the same Dataset. A file whose feature columns are all
-    numbers is first read by numpy's C reader (_read_numeric): no NUL byte,
-    no quoted header and no cell that opens a quote, every label and group
-    cell present, positive labels and both groups, every number finite, and
-    a transform, if given, with no one-hot column. Its numbers are the bits
-    float() gives: numpy parses each with the same PyOS_string_to_double.
+    numbers is first read by numpy's C reader (_read_numeric): no quote in
+    the header or in a label, group or ignored cell, no line that could hold
+    a cell over csv.field_size_limit(), every label and group cell present,
+    positive labels and both groups, every number finite, and a transform,
+    if given, with no one-hot column. Its numbers are the bits float()
+    gives: numpy parses each with the same PyOS_string_to_double.
     Any other file, every faulty one among them, is read by csv.reader
     (_read_rows), the only reader that raises, and the only one of a one-hot
     column.
@@ -381,12 +383,12 @@ def load_csv(path, schema_or_transform: CsvSchema | FeatureTransform) -> Dataset
     _read_rows reads the file column by column: the rows are transposed once
     into stripped columns, each column is checked for empty cells as a whole,
     and each numeric cell is parsed by one float() call. Faults come in this
-    order: the first ragged row or empty cell in file order, then the label
-    and group checks, then per feature column, in the transform's order, its
-    first non-finite number or unknown category. A byte that is not UTF-8
-    raises when the reader reaches it: before any empty cell is reported,
-    and before an earlier ragged row when both fall in one read chunk of the
-    decoder.
+    order: the first ragged row, over-long cell or empty cell in file order,
+    then the label and group checks, then per feature column, in the
+    transform's order, its first non-finite number or unknown category. A
+    byte that is not UTF-8 raises when the reader reaches it: before any
+    empty cell is reported, and before an earlier ragged row when both fall
+    in one read chunk of the decoder.
     """
     fit = isinstance(schema_or_transform, CsvSchema)
     schema = schema_or_transform if fit else schema_or_transform.schema
@@ -398,31 +400,24 @@ def load_csv(path, schema_or_transform: CsvSchema | FeatureTransform) -> Dataset
     return Dataset(raw, labels, sensitive, transform)
 
 
-# A label or group cell is read into a string field this many characters
-# longer than the positive value, an ignored cell into one this long; a
-# label or group cell that fills its field may have been cut short, so its
-# file is left to _read_rows. An ignored cell's first characters tell all
-# that counts: whether it is empty and whether it opens a quote.
-_CELL_SLACK = 8
-
-
 def _read_numeric(path, schema: CsvSchema, transform: FeatureTransform | None):
     """(raw, labels, sensitive, unfitted transform) of the file at path, read
     by np.loadtxt, or None where that read could differ from _read_rows' or
     _read_rows would raise. transform is None to infer an all-numeric one.
 
     The open file streams line by line into np.loadtxt, one field per header
-    column: float64 for a feature column, a string for any other. numpy
-    keeps a string cell's surrounding whitespace, so label, group and ignored
-    cells are stripped here by str.strip. It drops a string's trailing NULs,
-    so a file with a NUL byte is refused before it is parsed. It does not
-    unquote, so a header with a quote, or a string cell that opens one, is
-    refused; a number with a quote does not parse."""
+    column: float64 for a feature column, a Python string (an object field)
+    for any other, so a string cell is read whole, NULs and all. numpy keeps
+    a string cell's surrounding whitespace, so label, group and ignored cells
+    are stripped here by str.strip. It does not unquote, so a header or a
+    string cell with a quote is refused; a number with a quote does not
+    parse. A line long enough to hold a cell over csv.reader's field size
+    limit is refused, so that _read_rows raises its fault."""
     if transform is not None and any(cats is not None for cats in transform.vocab):
         return None
     label, group = schema.label_column, schema.sensitive_column
     try:
-        if not _plain_bytes(path):
+        if not _short_lines(path):
             return None
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             first = fh.readline()
@@ -434,10 +429,7 @@ def _read_numeric(path, schema: CsvSchema, transform: FeatureTransform | None):
                     or {label, group} & set(columns)
                     or not (columns or schema.include_sensitive)):
                 return None
-            positive = {label: schema.positive_label_value,
-                        group: schema.positive_sensitive_value}
-            dtype = np.dtype([(f"f{j}", np.float64 if h in columns
-                               else f"U{len(positive.get(h, '')) + _CELL_SLACK}")
+            dtype = np.dtype([(f"f{j}", np.float64 if h in columns else object)
                               for j, h in enumerate(header)])
             for line in fh:  # both readers skip blank lines; loadtxt warns on no rows
                 if line not in ("\n", "\r\n", "\r"):
@@ -454,11 +446,10 @@ def _read_numeric(path, schema: CsvSchema, transform: FeatureTransform | None):
         if h in columns:
             continue
         cells[h] = list(map(str.strip, col.tolist()))
-        if ("" in cells[h] or np.char.startswith(col, '"').any()
-                or (h in positive and np.char.str_len(col).max() == col.itemsize // 4)):
+        if "" in cells[h] or '"' in "".join(cells[h]):
             return None
-    labels = _binary(cells[label], positive[label])
-    sensitive = _binary(cells[group], positive[group])
+    labels = _binary(cells[label], schema.positive_label_value)
+    sensitive = _binary(cells[group], schema.positive_sensitive_value)
     raw = np.column_stack([by_name[c] for c in columns]
                           + [sensitive] * schema.include_sensitive)
     if not (labels.any() and 0 < sensitive.sum() < len(sensitive)
@@ -469,16 +460,15 @@ def _read_numeric(path, schema: CsvSchema, transform: FeatureTransform | None):
     return raw, labels, sensitive, transform
 
 
-def _plain_bytes(path) -> bool:
-    """Whether the file at path has no NUL byte and no run of bytes without
-    a line break long enough to hold a cell over csv.reader's field size
-    limit. It is read in blocks of half the limit, one of which such a run
-    covers whole."""
+def _short_lines(path) -> bool:
+    """Whether the file at path has no run of bytes without a line break
+    long enough to hold a cell over csv.reader's field size limit. It is
+    read in blocks of half the limit, one of which such a run covers
+    whole."""
     block = max(1, csv.field_size_limit() // 2)
     with open(path, "rb") as fh:
         for chunk in iter(partial(fh.read, block), b""):
-            if b"\0" in chunk or (len(chunk) == block
-                                   and b"\n" not in chunk and b"\r" not in chunk):
+            if len(chunk) == block and b"\n" not in chunk and b"\r" not in chunk:
                 return False
     return True
 
@@ -494,6 +484,8 @@ def _read_rows(path, schema: CsvSchema, transform: FeatureTransform | None):
             header = next(reader)
         except StopIteration:
             raise SchemaError(f"{path}: empty file, header row required") from None
+        except csv.Error as exc:  # a cell over csv.field_size_limit()
+            raise RowParseError(reader.line_num, str(exc)) from None
         header = [h.strip() for h in header]
         if len(set(header)) != len(header):
             raise SchemaError(f"duplicate column names in header {header}")
@@ -502,16 +494,20 @@ def _read_rows(path, schema: CsvSchema, transform: FeatureTransform | None):
                 raise SchemaError(f"column '{col}' not found in header {header}")
         rows: list[list[str]] = []
         lines: list[int] = []
-        for row in reader:
-            if len(row) != len(header):
-                if not row:
-                    continue
-                # an empty cell on an earlier line is the first fault
-                _check_missing(header, _columns(rows), lines)
-                raise RowParseError(reader.line_num,
-                                    f"expected {len(header)} cells, got {len(row)}")
-            rows.append(row)
-            lines.append(reader.line_num)
+        try:
+            for row in reader:
+                if len(row) != len(header):
+                    if not row:
+                        continue
+                    # an empty cell on an earlier line is the first fault
+                    _check_missing(header, _columns(rows), lines)
+                    raise RowParseError(reader.line_num,
+                                        f"expected {len(header)} cells, got {len(row)}")
+                rows.append(row)
+                lines.append(reader.line_num)
+        except csv.Error as exc:
+            _check_missing(header, _columns(rows), lines)
+            raise RowParseError(reader.line_num, str(exc)) from None
     if not rows:
         raise ValidationError(f"{path}: no data rows")
     cols = _columns(rows)

@@ -354,5 +354,5 @@ def save_checkpoint(model: SubspaceModel, path) -> None:
 
 
 def load_checkpoint(path) -> SubspaceModel:
-    arch, arrays, meta = ckpt.read_checkpoint(path, ckpt.KIND_PAIR)
+    arch, arrays, meta = ckpt.read_checkpoint(path)
     return SubspaceModel(arch, arrays[0], arrays[1], meta)

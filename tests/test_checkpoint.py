@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairline.baseline import FixedModel, load_fixed_checkpoint, save_fixed_checkpoint
 from fairline.errors import CheckpointError, ParameterError
 from fairline.model import MlpArchitecture, init_params
 from fairline.subspace import SubspaceModel, load_checkpoint, save_checkpoint
@@ -34,45 +33,17 @@ def test_metadata_with_other_line_breaks_round_trips(tmp_path, sep):
     assert load_checkpoint(path).train_meta == meta
 
 
-def test_unparsable_fixed_fairness_weight_is_checkpoint_error(tmp_path):
-    path = tmp_path / "f.ckpt"
-    save_fixed_checkpoint(FixedModel(ARCH, init_params(ARCH, 0), 0.5, META), path)
-    body = path.read_bytes()[:-4].replace(b"fixed.fairness_weight=0.5",
-                                          b"fixed.fairness_weight=0x5")
-    path.write_bytes(body + _crc_tail(body))
-    with pytest.raises(CheckpointError, match="fixed.fairness_weight"):
-        load_fixed_checkpoint(path)
-
-
-@pytest.mark.parametrize("line", [b"", b"fixed.fairness_weight=nan\n",
-                                  b"fixed.fairness_weight=-2\n", b"fixed.fairness_weight=inf\n"],
-                         ids=["missing", "nan", "negative", "inf"])
-def test_fixed_fairness_weight_outside_the_grid_rule_is_checkpoint_error(tmp_path, line):
-    # baseline.check_fairness_grid's rule; a missing key is not the ERM anchor
-    path = tmp_path / "f.ckpt"
-    save_fixed_checkpoint(FixedModel(ARCH, init_params(ARCH, 0), 0.5, META), path)
-    body = path.read_bytes()[:-4].replace(b"fixed.fairness_weight=0.5\n", line)
-    path.write_bytes(body + _crc_tail(body))
-    with pytest.raises(CheckpointError, match="fixed.fairness_weight"):
-        load_fixed_checkpoint(path)
-
-
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
-@pytest.mark.parametrize("array", ["w_acc", "w_fair", "weights"])
+@pytest.mark.parametrize("array", ["w_acc", "w_fair"])
 def test_non_finite_weight_is_checkpoint_error(tmp_path, array, value):
     w = init_params(ARCH, 0)
     w[3] = value
     path = tmp_path / "m.ckpt"
-    if array == "weights":
-        save_fixed_checkpoint(FixedModel(ARCH, w, 0.5, META), path)
-        load = load_fixed_checkpoint
-    else:
-        other = init_params(ARCH, 1)
-        pair = (w, other) if array == "w_acc" else (other, w)
-        save_checkpoint(SubspaceModel(ARCH, *pair, META), path)
-        load = load_checkpoint
+    other = init_params(ARCH, 1)
+    pair = (w, other) if array == "w_acc" else (other, w)
+    save_checkpoint(SubspaceModel(ARCH, *pair, META), path)
     with pytest.raises(CheckpointError, match=f"array {array} holds non-finite values"):
-        load(path)
+        load_checkpoint(path)
 
 
 @pytest.mark.parametrize("meta", [{"note": "\ud800"}, {"\ud800": "v"}], ids=["value", "key"])
@@ -87,12 +58,6 @@ def test_metadata_not_utf8_encodable_is_parameter_error(tmp_path, meta):
 def _pair_blob(tmp_path_factory) -> bytes:
     path = tmp_path_factory.mktemp("pair") / "m.ckpt"
     save_checkpoint(SubspaceModel(ARCH, init_params(ARCH, 0), init_params(ARCH, 1), META), path)
-    return path.read_bytes()
-
-
-def _single_blob(tmp_path_factory) -> bytes:
-    path = tmp_path_factory.mktemp("single") / "f.ckpt"
-    save_fixed_checkpoint(FixedModel(ARCH, init_params(ARCH, 0), 0.5, META), path)
     return path.read_bytes()
 
 
@@ -117,9 +82,7 @@ def mutations(draw, blob: bytes) -> bytes:
     return bytes(body) + _crc_tail(bytes(body))
 
 
-@pytest.mark.parametrize("make_blob, load", [(_pair_blob, load_checkpoint),
-                                             (_single_blob, load_fixed_checkpoint)],
-                         ids=["pair", "single"])
+@pytest.mark.parametrize("make_blob, load", [(_pair_blob, load_checkpoint)], ids=["pair"])
 def test_mutated_checkpoint_raises_only_checkpoint_error(tmp_path_factory, make_blob, load):
     blob = make_blob(tmp_path_factory)
     path = tmp_path_factory.mktemp("fuzz") / "x.ckpt"

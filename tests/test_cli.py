@@ -12,6 +12,7 @@ from fairline import baseline, cli
 from fairline.cli import main, parse_args
 from fairline.data import CsvSchema, FeatureTransform, load_csv, split, write_csv
 from fairline.evaluation import alpha_sweep, read_report, write_report
+from fairline.model import MlpArchitecture
 from fairline.subspace import TrainConfig, load_checkpoint, save_checkpoint, train_subspace
 
 
@@ -182,6 +183,19 @@ def test_train_positive_label_that_matches_no_cell_exits_3(synth_csv, tmp_path, 
     err = capsys.readouterr().err
     assert code == 3
     assert "error: label column 'label' has no cell equal to the positive label 'yes'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, line", [
+    ("a" * 200_000 + ",label,group\n1,1,0\n2,0,1\n", 1),
+    ("a,label,group\n1,1,0\n\n" + "2" * 200_000 + ",0,1\n", 4),
+], ids=["header", "body"])
+def test_train_cell_over_csv_field_limit_exits_3(text, line, tmp_path, capsys):
+    data, out = tmp_path / "big.csv", tmp_path / "model.ckpt"
+    data.write_text(text)
+    assert run(["train", "--data", str(data), "--out", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: line {line}: field larger than")
     assert not out.exists()
 
 
@@ -596,6 +610,23 @@ def test_overflowing_checkpoint_prints_only_its_error_line(command, fixture, syn
         assert run(argv) == 4
     assert capsys.readouterr().err.splitlines() == [
         "error: the served model's predictions at alpha=0.0 are not finite"]
+
+
+@pytest.mark.parametrize("command", ["sweep", "compare"])
+def test_fixed_checkpoint_is_refused_by_kind(command, synth_csv, tmp_path, capsys):
+    # only the line's kind 0 is read back; a fixed model's kind 1 is never served
+    ckpt, out = tmp_path / "fixed.ckpt", tmp_path / "r.csv"
+    arch = MlpArchitecture(6, (8,))
+    baseline.save_fixed_checkpoint(
+        baseline.FixedModel(arch, np.zeros(arch.param_count), 0.5), ckpt)
+    argv = (["sweep", "--checkpoint", str(ckpt), "--test", str(synth_csv), "--out", str(out)]
+            if command == "sweep" else
+            compare_args(synth_csv, out, ["--checkpoint", str(ckpt), "--grid", "0,1",
+                                          "--fairness-grid", "1.0"]))
+    capsys.readouterr()
+    assert run(argv) == 3
+    assert capsys.readouterr().err == "error: checkpoint kind 1, expected 0\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("case", ["sensitive-in-checkpoint", "sensitive-in-compare",
