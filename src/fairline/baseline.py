@@ -173,8 +173,8 @@ def _pooled_run(task):
 
 def predict_fixed(model: FixedModel, x: np.ndarray) -> np.ndarray:
     """The model's predictions on x. Outside tests only the benchmark's
-    trace list (perfbench/spans.py) names it; compare serves grid models
-    through evaluation._serve."""
+    trace list (perfbench/spans.py) names it; compare scores grid models
+    through evaluation._score."""
     pred, _ = forward(model.arch, model.weights, x)
     return pred
 

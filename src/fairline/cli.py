@@ -9,19 +9,20 @@ one without a feature transform or with non-finite weights; a compare
 worker that dies while training the line or a fixed model; shape, empty
 group, frontier range) and for OS errors.
 Input files may start with a UTF-8 byte-order mark. No package error
-escapes as a traceback. The library owns every parameter rule: each command
-passes its flag values to those checks before the data file is read, and
-main names the flag of a ParameterError's parameter. A config file
-(key=value lines, keys spelled like the long flags without dashes, booleans
-1/true/yes or 0/false/no) is read as flags ahead of the command line's own,
-so explicit flags win. YODO_SEED supplies the
-default seed. train and compare read their CSV by the schema flags; sweep
-has none, and reads its CSV by the feature transform the checkpoint recorded
-at training, schema included, so a train --test-out file and the raw
-training file both sweep as trained. compare is a thin caller of
-evaluation.compare_to_grid on the split it makes itself; it trains the
-line and the fixed-penalty grid in --jobs worker processes, by default one
-per usable core.
+escapes as a traceback. A command runs with numpy's overflow and invalid
+warnings off (library callers keep numpy's defaults), so a numeric failure
+prints only its error line. The library owns every parameter rule: each
+command passes its flag values to those checks before the data file is
+read, and main names the flag of a ParameterError's parameter. A config
+file (key=value lines, keys spelled like the long flags without dashes,
+booleans 1/true/yes or 0/false/no) is read as flags ahead of the command
+line's own, so explicit flags win. YODO_SEED supplies the default seed.
+train and compare read their CSV by the schema flags; sweep has none, and
+reads its CSV by the feature transform the checkpoint recorded at training,
+schema included, so a train --test-out file and the raw training file both
+sweep as trained. compare is a thin caller of evaluation.compare_to_grid
+on the split it makes itself; it trains the line and the fixed-penalty grid
+in --jobs worker processes, by default one per usable core.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ import logging
 import os
 import sys
 from dataclasses import fields
+
+import numpy as np
 
 from .baseline import DEFAULT_FAIRNESS_GRID, check_fairness_grid, check_jobs
 from .data import (
@@ -324,7 +327,8 @@ def main(argv=None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     try:
         args = parse_args(argv)
-        return args.run(args)
+        with np.errstate(over="ignore", invalid="ignore"):  # forked workers inherit it
+            return args.run(args)
     except (FairlineError, OSError) as exc:
         if isinstance(exc, ParameterError) and exc.param is not None:
             exc = ParameterError(exc.rule, param=_flag_for(exc.param))

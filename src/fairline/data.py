@@ -191,9 +191,14 @@ class FeatureTransform:
     def fit(self, raw: np.ndarray) -> "FeatureTransform":
         """This encoding with raw's statistics: each numeric column's mean and
         population stdev (a stdev <= STD_GUARD counts as 1, so a constant
-        column maps to 0); one-hot and group columns keep mean 0, scale 1."""
+        column maps to 0); one-hot and group columns keep mean 0, scale 1. A
+        numeric column whose mean or stdev overflows raises ValidationError."""
         mean, std = raw.mean(axis=0), raw.std(axis=0)
         numeric = self._numeric()
+        bad = np.flatnonzero(numeric & ~(np.isfinite(mean) & np.isfinite(std)))
+        if bad.size:
+            raise ValidationError(f"numeric column '{self.feature_names()[bad[0]]}': "
+                                  "its mean or stdev is not finite")
         return replace(self, mean=np.where(numeric, mean, 0.0),
                        scale=np.where(numeric & (std > STD_GUARD), std, 1.0))
 
@@ -388,7 +393,7 @@ def load_csv(path, schema_or_transform: CsvSchema | FeatureTransform) -> Dataset
     transform's order, its first non-finite number or unknown category. A
     byte that is not UTF-8 raises when the reader reaches it: before any
     empty cell is reported, and before an earlier ragged row when both fall
-    in one read chunk of the decoder.
+    in one read chunk of the decoder. Fitting's overflow fault comes last.
     """
     fit = isinstance(schema_or_transform, CsvSchema)
     schema = schema_or_transform if fit else schema_or_transform.schema

@@ -4,14 +4,14 @@ line-versus-grid comparison.
 Relaxed metrics are computed in one global pass over the full prediction
 vector (no batching). Hard metrics threshold at HARD_THRESHOLD, inclusive.
 
-alpha_sweep and compare_to_grid serve a whole split per alpha or per fixed
-model. They forward it in CHUNK-row pieces through one model Workspace and
-write one prediction vector, both reused for every alpha or model, so a
-sweep allocates no split-sized activations. The predictions are
+alpha_sweep and compare_to_grid score a whole split per alpha or per fixed
+model through _score. It forwards the split in CHUNK-row pieces through one
+model Workspace into one prediction vector, both reused for every point, so
+a sweep allocates no split-sized activations; the predictions are
 bit-identical to one allocating forward over all rows. The split's group
-cells are taken once too, and each prediction vector is evaluated from them
-without building the gap metrics' gradients; the records equal
-evaluate_predictions' on the same predictions.
+cells are taken once, and each point's record equals evaluate_predictions'
+on the same predictions. Overflow in a served model raises NumericError
+after numpy's default RuntimeWarnings; the CLI turns those warnings off.
 """
 
 from __future__ import annotations
@@ -120,30 +120,23 @@ def _meta_seed(meta: dict[str, str]) -> int | None:
         raise CheckpointError(f"config.seed is not an integer: {raw!r}") from None
 
 
-def _serve(arch: MlpArchitecture, weights, x: np.ndarray, names):
-    """For each parameter vector in weights, yield its predictions on every
-    row of x, bit-identical to forward(arch, params, x)[0].
-
-    Each vector is forwarded in CHUNK-row pieces through one Workspace, and
-    every yield is the same array: read it before asking for the next.
-    Predictions that are not all finite (huge weights overflow to inf - inf
-    in the logit) raise NumericError, naming the vector by its entry in
-    names.
-    """
+def _score(arch: MlpArchitecture, x: np.ndarray, y: np.ndarray, s: np.ndarray,
+           points) -> list[MetricsRecord]:
+    """The MetricsRecord on rows (x, y, s) of each (name, params, values)
+    point, with the fields in values set. Predictions that are not all
+    finite raise NumericError naming the point."""
     n = x.shape[0]
-    workspace = Workspace(arch, min(CHUNK, n))
-    pred = np.empty(n)
-    for name, params in zip(names, weights):
-        # Overflow is reported as the NumericError below, not as numpy
-        # warnings ahead of it. Not held across the yield, which returns
-        # control to the caller.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for lo in range(0, n, CHUNK):
-                pred[lo:lo + CHUNK] = forward(arch, params, x[lo:lo + CHUNK],
-                                              workspace=workspace)[0]
+    workspace, pred = Workspace(arch, min(CHUNK, n)), np.empty(n)
+    cells = _row_set_cells(y, s)
+    records = []
+    for name, params, values in points:
+        for lo in range(0, n, CHUNK):
+            pred[lo:lo + CHUNK] = forward(arch, params, x[lo:lo + CHUNK],
+                                          workspace=workspace)[0]
         if not np.isfinite(pred).all():
             raise NumericError(f"the served model's predictions at {name} are not finite")
-        yield pred
+        records.append(replace(_evaluate(pred, y, cells), **values))
+    return records
 
 
 def alpha_sweep(model: SubspaceModel, test: Dataset,
@@ -151,14 +144,13 @@ def alpha_sweep(model: SubspaceModel, test: Dataset,
     """Evaluate the single checkpoint at every grid alpha on identical data.
 
     Each alpha's predictions equal predict(model, alpha, test.features).
+    Non-finite predictions raise NumericError, naming the alpha.
     """
     grid = check_alpha_grid(grid)
     seed = _meta_seed(model.train_meta)
-    cells = _row_set_cells(test.labels, test.sensitive)
-    preds = _serve(model.arch, (interpolate(model.w_acc, model.w_fair, a) for a in grid),
-                   test.features, (f"alpha={a!r}" for a in grid))
-    return [replace(_evaluate(pred, test.labels, cells), alpha=a, seed=seed)
-            for a, pred in zip(grid, preds)]
+    return _score(model.arch, test.features, test.labels, test.sensitive,
+                  ((f"alpha={a!r}", interpolate(model.w_acc, model.w_fair, a),
+                    {"alpha": a, "seed": seed}) for a in grid))
 
 
 def pareto_frontier(points: list[MetricsRecord], fairness_field: str
@@ -239,11 +231,11 @@ def compare_to_grid(train: Dataset, test: Dataset, config: TrainConfig,
 
     Trains the line on train unless model is given, sweeps it over
     alpha_grid, trains one fixed model per fairness_grid value (sweep_fixed
-    with its seeding and jobs), and evaluates everything on test. With
-    jobs > 1 a line to train is the first task of the fixed grid's worker
-    pool, so that both cores stay busy; with jobs = 1 it trains in this
-    process ahead of the grid. A given model must record
-    config.fairness_metric and train's feature transform, else
+    with its seeding and jobs, at the line's architecture), and evaluates
+    everything on test. With jobs > 1 a line to train is the first task of
+    the fixed grid's worker pool, so that both cores stay busy; with
+    jobs = 1 it trains in this process ahead of the grid. A given model
+    must record config.fairness_metric and train's feature transform, else
     CheckpointError names the metric it records, says it records no
     transform or names the first transform key that differs, before any
     fixed model is trained; it is swept before the grid trains too.
@@ -269,14 +261,12 @@ def compare_to_grid(train: Dataset, test: Dataset, config: TrainConfig,
     else:
         _check_model(model, config.fairness_metric, train.transform)
         line_records = alpha_sweep(model, test, alpha_grid)
-        fixed_models = sweep_fixed(train, config, fairness_grid, jobs=jobs)
-    cells = _row_set_cells(test.labels, test.sensitive)
-    preds = _serve(fixed_models[0].arch, (fm.weights for fm in fixed_models),
-                   test.features, (f"A={fm.fairness_weight!r}" for fm in fixed_models))
-    fixed_records = [replace(_evaluate(pred, test.labels, cells),
-                             fairness_weight=fm.fairness_weight,
-                             seed=_meta_seed(fm.train_meta))
-                     for fm, pred in zip(fixed_models, preds)]
+        fixed_models = sweep_fixed(train, config, fairness_grid, arch=model.arch, jobs=jobs)
+    fixed_records = _score(
+        fixed_models[0].arch, test.features, test.labels, test.sensitive,
+        ((f"A={fm.fairness_weight!r}", fm.weights,
+          {"fairness_weight": fm.fairness_weight, "seed": _meta_seed(fm.train_meta)})
+         for fm in fixed_models))
     fixed_total_s = sum(fm.wall_time_s for fm in fixed_models)
     logger.info("fixed training: %d models, %.3fs total", len(fixed_models),
                 fixed_total_s)

@@ -199,6 +199,37 @@ def test_train_cell_over_csv_field_limit_exits_3(text, line, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
+@pytest.mark.parametrize("command", ["train", "compare"])
+def test_statistics_that_overflow_exit_3_naming_the_column(command, tmp_path, capsys):
+    data, out = tmp_path / "big.csv", tmp_path / "out"
+    data.write_text("a,b,label,group\n" + "".join(
+        f"{i},{(-1) ** i * 1e300!r},{i % 2},{i // 4}\n" for i in range(8)))
+    assert run([command, "--data", str(data), "--out", str(out), "--epochs", "1"]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "error: numeric column 'b': its mean or stdev is not finite"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "compare"])
+def test_training_overflow_prints_only_its_error_line(command, synth_csv, tmp_path, capfd):
+    # capfd: compare's pooled workers write to the stderr descriptor they
+    # inherit. The "error" filter turns a warning in any process into a
+    # traceback, since pytest records warnings instead of printing them.
+    argv = [command, "--data", str(synth_csv), "--out", str(tmp_path / "out"),
+            "--learning-rate", "1e308", "--epochs", "2"]
+    if command == "compare":
+        argv += ["--jobs", "2", "--fairness-grid", "0,1"]
+    capfd.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv) == 4
+    err = capfd.readouterr().err
+    assert "RuntimeWarning" not in err
+    errors = [ln for ln in err.splitlines() if ln.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith("error: non-finite loss at epoch")
+
+
 def test_test_out_round_trips_quoted_categories(tmp_path):
     rng = np.random.default_rng(0)
     data = tmp_path / "data.csv"

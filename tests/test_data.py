@@ -623,6 +623,19 @@ def test_load_csv_reads_known_hard_files_as_the_csv_reader_path(tmp_path, text, 
     assert _outcome(load_csv, path, encoding) == _outcome(_reference, path, encoding)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
+@pytest.mark.parametrize("text, column", [
+    ("a,b,label,group\n1,1e300,1,0\n2,-1e300,0,1\n", "b"),
+    ("a,b,label,group\n1e308,1,1,0\n1e308,2,0,1\n", "a"),
+], ids=["stdev", "mean"])
+def test_statistics_that_overflow_are_validation_error_in_both_readers(
+        tmp_path, text, column):
+    path = write(tmp_path, text)
+    for read in (load_csv, _reference):
+        with pytest.raises(ValidationError, match=f"numeric column '{column}': its mean or"):
+            read(path, SCHEMA)
+
+
 @pytest.mark.parametrize("body", ["", "\n\r\n\r"], ids=["header-only", "blank-lines"])
 def test_file_without_rows_is_validation_error_and_warns_nothing(tmp_path, body):
     path = write(tmp_path, "a,label,group\n" + body)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairline import baseline
+from fairline import baseline, evaluation
 from fairline.baseline import predict_fixed, sweep_fixed
 from fairline.data import split, synth_biased
 from fairline.errors import (
@@ -19,7 +19,7 @@ from fairline.evaluation import (
     HARD_THRESHOLD,
     REPORT_HEADER,
     MetricsRecord,
-    _serve,
+    _score,
     alpha_sweep,
     check_alpha_grid,
     compare_to_grid,
@@ -355,27 +355,61 @@ def test_read_report_not_utf8_is_parameter_error(tmp_path):
 
 # ------------------------------------------------- chunked serving
 
+@pytest.fixture()
+def scored(monkeypatch):
+    """The bytes of every prediction vector _score evaluates, in order. Each
+    record is a placeholder, so a split too small for the metrics scores."""
+    preds = []
+
+    def record(pred, y, cells):
+        preds.append(pred.tobytes())
+        return rec(0.0, 0.0)
+
+    monkeypatch.setattr(evaluation, "_evaluate", record)
+    return preds
+
+
 @pytest.mark.parametrize("n", [1, 100, CHUNK, 2 * CHUNK + 37],
                          ids=["one-row", "under-chunk", "one-chunk", "chunks-and-rest"])
 @pytest.mark.parametrize("hidden", [(256,), (32, 16)], ids=["256", "32-16"])
-def test_serve_is_byte_equal_to_one_allocating_forward(n, hidden):
+def test_serve_is_byte_equal_to_one_allocating_forward(n, hidden, scored):
     arch = MlpArchitecture(6, hidden)
     x = np.random.default_rng(n).standard_normal((n, 6))
     weights = [init_params(arch, 0), init_params(arch, 1), init_params(arch, 0)]
-    # the workspace and the prediction vector are reused across the vectors
-    served = [pred.tobytes() for pred in _serve(arch, weights, x, range(3))]
-    assert served == [forward(arch, w, x)[0].tobytes() for w in weights]
+    # the workspace and the prediction vector are reused across the points
+    records = _score(arch, x, np.zeros(n), np.zeros(n),
+                     [(i, w, {"seed": i}) for i, w in enumerate(weights)])
+    assert scored == [forward(arch, w, x)[0].tobytes() for w in weights]
+    assert [r.seed for r in records] == [0, 1, 2]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
-def test_serve_refuses_predictions_that_are_not_finite():
+def test_serve_refuses_predictions_that_are_not_finite(scored):
     arch = MlpArchitecture(6, (32,))
-    x = np.random.default_rng(0).standard_normal((CHUNK + 1, 6))
-    weights = [init_params(arch, 0), init_params(arch, 1) * 1e300]
-    served = _serve(arch, weights, x, ["A=0.0", "A=0.5"])
-    assert np.isfinite(next(served)).all()
+    n = CHUNK + 1
+    x = np.random.default_rng(0).standard_normal((n, 6))
+    points = [("A=0.0", init_params(arch, 0), {}), ("A=0.5", init_params(arch, 1) * 1e300, {})]
     with pytest.raises(NumericError, match="predictions at A=0.5 are not finite"):
-        next(served)
+        _score(arch, x, np.zeros(n), np.zeros(n), points)
+    assert len(scored) == 1 and np.isfinite(np.frombuffer(scored[0])).all()
+
+
+def test_compare_to_grid_trains_the_grid_at_the_lines_architecture(monkeypatch):
+    train, test = split(synth_biased(400, 3, 0.5, 0.3, 1.0, seed=0), 0.25, 0)
+    config = TrainConfig(epochs=1, batch_size=64, seed=0)
+    arch = MlpArchitecture(3, (8,))
+    model = train_subspace(train, config, arch=arch)
+    archs, train_fixed = [], baseline.train_fixed
+
+    def spy(*args, **kwargs):
+        fm = train_fixed(*args, **kwargs)
+        archs.append(fm.arch)
+        return fm
+
+    monkeypatch.setattr(baseline, "train_fixed", spy)
+    compare_to_grid(train, test, config, alpha_grid=[0.0, 1.0], fairness_grid=[0.0, 1.0],
+                    model=model)
+    assert archs == [arch, arch]
 
 
 def test_alpha_sweep_and_compare_to_grid_equal_a_predict_loop():
