@@ -11,12 +11,13 @@ group, frontier range) and for OS errors.
 Input files may start with a UTF-8 byte-order mark. No package error
 escapes as a traceback. A command runs with numpy's overflow and invalid
 warnings off (library callers keep numpy's defaults), so a numeric failure
-prints only its error line. The library owns every parameter rule: each
-command passes its flag values to those checks before the data file is
-read, and main names the flag of a ParameterError's parameter. A config
-file (key=value lines, keys spelled like the long flags without dashes,
-booleans 1/true/yes or 0/false/no) is read as flags ahead of the command
-line's own, so explicit flags win. YODO_SEED supplies the default seed.
+prints only its error line. The library owns every parameter rule, which
+each command applies before the data file is read. A flag's dest is the
+library parameter it sets; main names the flag whose dest is a
+ParameterError's parameter. A config file (key=value lines, keys spelled
+like the long flags without dashes, booleans 1/true/yes or 0/false/no) is
+read as flags ahead of the command line's own, so explicit flags win.
+YODO_SEED gives the default seed; a bad one is an error only where used.
 train and compare read their CSV by the schema flags; sweep has none, and
 reads its CSV by the feature transform the checkpoint recorded at training,
 schema included, so a train --test-out file and the raw training file both
@@ -28,10 +29,10 @@ in --jobs worker processes, by default one per usable core.
 from __future__ import annotations
 
 import argparse
+import inspect
 import logging
 import os
 import sys
-from dataclasses import fields
 
 import numpy as np
 
@@ -51,23 +52,15 @@ USAGE_ERROR = 2
 DATA_ERROR = 3
 NUMERIC_ERROR = 4
 
-# Library parameter names whose flag is not "--" + the name with "-" for "_".
-_PARAM_FLAGS = {"base_rate_gap": "--gap", "fairness_metric": "--metric",
-                "alpha_grid": "--grid", "fairness_grid": "--fairness-grid",
-                "positive_label_value": "--positive-label",
-                "positive_sensitive_value": "--positive-sensitive"}
 
-
-def _flag_for(param: str) -> str:
-    return _PARAM_FLAGS.get(param, "--" + param.replace("_", "-"))
-
-
-def _default_seed() -> int:
+def _default_seed() -> int | None:
+    """YODO_SEED (0 when unset), or None when it is not a non-negative integer."""
     raw = os.environ.get("YODO_SEED", "")
     try:
-        return int(raw) if raw else 0
+        seed = int(raw) if raw else 0
     except ValueError:
-        raise ParameterError(f"YODO_SEED must be an integer, got {raw!r}") from None
+        return None
+    return seed if seed >= 0 else None
 
 
 def _usable_cores() -> int:
@@ -147,7 +140,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Parser]]:
     p.add_argument("--d", type=int, default=6, help="number of features")
     p.add_argument("--group-fraction", type=float, default=0.5,
                    help="fraction of rows in group 1")
-    p.add_argument("--gap", type=float, default=0.4,
+    p.add_argument("--gap", dest="base_rate_gap", metavar="GAP", type=float, default=0.4,
                    help="positive-rate gap between the groups")
     p.add_argument("--noise", type=float, default=1.0, help="feature noise scale")
     p.add_argument("--seed", type=int, default=_default_seed(),
@@ -175,8 +168,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Parser]]:
                    help="test CSV path, read by the checkpoint's schema and feature "
                         "transform")
     p.add_argument("--out", required=True, help="report CSV path")
-    p.add_argument("--grid", type=floats, default=DEFAULT_ALPHA_GRID,
-                   help="comma-separated alphas in [0,1]")
+    p.add_argument("--grid", dest="alpha_grid", metavar="GRID", type=floats,
+                   default=DEFAULT_ALPHA_GRID, help="comma-separated alphas in [0,1]")
 
     p = sub.add_parser(
         "compare",
@@ -190,8 +183,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Parser]]:
                         "(no line is trained, so wall_time_ratio= is empty)")
     p.add_argument("--test-fraction", type=float, default=0.25,
                    help="fraction of rows held out for evaluation")
-    p.add_argument("--grid", type=floats, default=DEFAULT_ALPHA_GRID,
-                   help="comma-separated alphas in [0,1]")
+    p.add_argument("--grid", dest="alpha_grid", metavar="GRID", type=floats,
+                   default=DEFAULT_ALPHA_GRID, help="comma-separated alphas in [0,1]")
     p.add_argument("--fairness-grid", type=floats, default=DEFAULT_FAIRNESS_GRID,
                    help="comma-separated penalty strengths")
     p.add_argument("--jobs", type=int, default=_usable_cores(),
@@ -246,18 +239,22 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     path = config.parse_known_args(argv)[0].config
     if path is not None and argv[0] in commands:
         argv = [argv[0], *_config_flags(path, argv[0], commands[argv[0]].flags), *argv[1:]]
-    return parser.parse_args(argv)
+    args = parser.parse_args(argv)
+    if getattr(args, "seed", 0) is None:  # no --seed was given, and YODO_SEED is no seed
+        raise ParameterError("YODO_SEED must be a non-negative integer, "
+                             f"got {os.environ['YODO_SEED']!r}")
+    return args
 
 
-def _from_args(cls, args):
-    """cls built from the flags whose dests are its field names; a field with
-    no flag on this command keeps its default."""
-    return cls(**{f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)})
+def _from_args(build, args):
+    """build called with the flags whose dests are its parameter names; a
+    parameter with no flag on this command keeps its default."""
+    params = inspect.signature(build).parameters
+    return build(**{name: getattr(args, name) for name in params if hasattr(args, name)})
 
 
 def cmd_synth(args) -> int:
-    ds = synth_biased(args.n, args.d, args.group_fraction, args.gap,
-                      args.noise, args.seed)
+    ds = _from_args(synth_biased, args)
     write_csv(ds, args.out)
     logger.info("wrote %d rows to %s", ds.n, args.out)
     return 0
@@ -282,7 +279,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    grid = check_alpha_grid(args.grid)
+    grid = check_alpha_grid(args.alpha_grid)
     model = load_checkpoint(args.checkpoint)
     transform = FeatureTransform.from_meta(model.train_meta, model.arch.input_dim)
     test = load_csv(args.test, transform)
@@ -293,7 +290,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    alpha_grid = check_alpha_grid(args.grid)
+    alpha_grid = check_alpha_grid(args.alpha_grid)
     fairness_grid = check_fairness_grid(args.fairness_grid)
     check_jobs(args.jobs)
     config = _from_args(TrainConfig, args)
@@ -331,7 +328,9 @@ def main(argv=None) -> int:
             return args.run(args)
     except (FairlineError, OSError) as exc:
         if isinstance(exc, ParameterError) and exc.param is not None:
-            exc = ParameterError(exc.rule, param=_flag_for(exc.param))
+            flags = build_parser()[1][args.command].flags.items()
+            flag = next((f"--{key}" for key, a in flags if a.dest == exc.param), exc.param)
+            exc = ParameterError(exc.rule, param=flag)
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code(exc)
 

@@ -599,6 +599,12 @@ def synth_biased(n: int, d: int, group_fraction: float, base_rate_gap: float,
     linear model separates labels while group membership leaks into the
     features. The standardized matrix is the Dataset's raw data, so
     write_csv writes it as is.
+
+    A group that comes out empty raises ParameterError naming group_fraction
+    (too extreme for this n and seed). A noise so large that a generated
+    column's mean or stdev is not finite in float64 raises ParameterError
+    naming noise: that bound is not derived up front but caught from the
+    fit's own finiteness check.
     """
     if check_integer(n, "n") < 40:
         raise ParameterError("must be >= 40", param="n")
@@ -618,7 +624,8 @@ def synth_biased(n: int, d: int, group_fraction: float, base_rate_gap: float,
     rate = np.where(sensitive == 0.0, 0.5 + base_rate_gap / 2, 0.5 - base_rate_gap / 2)
     labels = (rng.random(n) < rate).astype(np.float64)
     if not (np.any(sensitive == 0.0) and np.any(sensitive == 1.0)):
-        raise ValidationError("group_fraction too extreme for n: a group came out empty")
+        raise ParameterError(f"too extreme for n={n} and seed={seed}: a group came out empty",
+                             param="group_fraction")
 
     u_label = np.ones(d) / np.sqrt(d)
     u_group = np.array([1.0 if i % 2 == 0 else -1.0 for i in range(d)])
@@ -629,7 +636,12 @@ def synth_biased(n: int, d: int, group_fraction: float, base_rate_gap: float,
         + noise * rng.standard_normal((n, d))
     )
     transform = FeatureTransform.numeric([f"x{i + 1}" for i in range(d)])
-    return Dataset(transform.fit(features).apply(features), labels, sensitive, transform)
+    try:
+        fitted = transform.fit(features)
+    except ValidationError:
+        raise ParameterError("too large: a generated column's mean or stdev is not finite",
+                             param="noise") from None
+    return Dataset(fitted.apply(features), labels, sensitive, transform)
 
 
 def check_test_fraction(test_fraction: float) -> None:

@@ -52,6 +52,19 @@ def test_synth_invalid_gap_names_flag(tmp_path, capsys):
     assert "--gap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--noise", "1e200"], "error: --noise too large: a generated column's mean or stdev"),
+    (["--noise", "inf"], "error: --noise too large: a generated column's mean or stdev"),
+    (["--n", "40", "--group-fraction", "0.001"],
+     "error: --group-fraction too extreme for n=40 and seed=0: a group came out empty"),
+], ids=["noise-1e200", "noise-inf", "empty-group"])
+def test_synth_fault_of_the_generated_data_names_its_flag(argv, message, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert run(["synth", *argv, "--seed", "0", "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_synth_rule_without_cli_copy_names_flag(tmp_path, capsys):
     # only synth_biased checks n; the CLI names the flag in its error
     out = tmp_path / "x.csv"
@@ -951,6 +964,45 @@ def test_seed_env_var_not_an_integer_is_usage_error(tmp_path, monkeypatch, capsy
     assert run(["synth", "--n", "100", "--out", str(out)]) == 2
     assert "error: YODO_SEED" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_seed_env_var_negative_is_usage_error_naming_it(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("YODO_SEED", "-3")
+    out = tmp_path / "a.csv"
+    assert run(["synth", "--n", "100", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error: YODO_SEED must be a non-negative integer, got '-3'" in err
+    assert "--seed" not in err
+    assert not out.exists()
+
+
+def test_bad_seed_env_var_is_not_read_by_sweep(checkpoint, synth_csv, tmp_path, monkeypatch):
+    # sweep has no --seed
+    monkeypatch.setenv("YODO_SEED", "abc")
+    assert run(["sweep", "--checkpoint", str(checkpoint), "--test", str(synth_csv),
+                "--out", str(tmp_path / "r.csv")]) == 0
+
+
+def test_bad_seed_env_var_does_not_break_help(monkeypatch, capsys):
+    monkeypatch.setenv("YODO_SEED", "abc")
+    with pytest.raises(SystemExit) as exc:
+        run(["synth", "--help"])
+    assert exc.value.code == 0
+    assert "YODO_SEED" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("given", ["flag", "config"])
+def test_bad_seed_env_var_is_not_read_when_a_seed_is_given(given, tmp_path, monkeypatch):
+    monkeypatch.delenv("YODO_SEED", raising=False)
+    expected = tmp_path / "expected.csv"
+    assert run(["synth", "--n", "100", "--seed", "3", "--out", str(expected)]) == 0
+    monkeypatch.setenv("YODO_SEED", "abc")
+    cfg = tmp_path / "c.conf"
+    cfg.write_text("seed=3\n")
+    seed = ["--seed", "3"] if given == "flag" else ["--config", str(cfg)]
+    out = tmp_path / "a.csv"
+    assert run(["synth", "--n", "100", *seed, "--out", str(out)]) == 0
+    assert out.read_bytes() == expected.read_bytes()
 
 
 def test_seed_env_var_default(tmp_path, monkeypatch):

@@ -1,11 +1,12 @@
-"""Every flag the CLI names in an error must exist, and every library
-parameter a command takes from its flags must have one.
+"""Every library parameter a command takes from its flags must be the dest
+of one of that command's flags.
 
-cli.main rewrites a ParameterError's parameter name into a flag through
-cli._flag_for, and cli._from_args builds TrainConfig and CsvSchema from the
-flags whose dests are their field names. A renamed flag or a new field would
-otherwise only show as an error naming a flag that does not exist, or as a
-field that silently keeps its default.
+A flag's dest is the library parameter it sets: cli._from_args builds
+TrainConfig, CsvSchema and synth_biased's call from the flags whose dests
+are their parameter names, and cli.main names a ParameterError's parameter
+by the flag whose dest it is. A renamed dest or a new parameter would
+otherwise only show as a parameter that silently keeps its default, or as
+an error that names the library parameter instead of its flag.
 """
 
 import inspect
@@ -19,13 +20,8 @@ _, COMMANDS = cli.build_parser()
 
 
 def _dest(command: str, param: str) -> str | None:
-    action = COMMANDS[command].flags.get(cli._flag_for(param)[2:])
-    return None if action is None else action.dest
-
-
-def test_every_mapped_flag_exists():
-    flags = {f"--{key}" for parser in COMMANDS.values() for key in parser.flags}
-    assert set(cli._PARAM_FLAGS.values()) <= flags
+    dests = {action.dest for action in COMMANDS[command].flags.values()}
+    return param if param in dests else None
 
 
 def test_every_training_parameter_maps_to_its_flag():
@@ -41,8 +37,8 @@ def test_every_synth_parameter_maps_to_a_synth_flag():
 
 
 def test_grid_and_split_parameters_map_to_their_flags():
-    assert _dest("sweep", "alpha_grid") == "grid"
-    assert _dest("compare", "alpha_grid") == "grid"
+    assert _dest("sweep", "alpha_grid") == "alpha_grid"
+    assert _dest("compare", "alpha_grid") == "alpha_grid"
     assert _dest("compare", "fairness_grid") == "fairness_grid"
     assert _dest("train", "test_fraction") == "test_fraction"
     assert _dest("compare", "test_fraction") == "test_fraction"

@@ -296,11 +296,14 @@ def test_synth_swapped_encoding_mirrors_gap():
     dict(base_rate_gap=-0.1), dict(base_rate_gap=1.5), dict(noise=0.0),
     dict(seed=-1), dict(n=100.0), dict(d=3.0), dict(seed=1.5),
     dict(group_fraction="0.5"), dict(noise=None),
+    # faults of the generated data: an empty group, a column whose stdev
+    # is not finite in float64
+    dict(group_fraction=1e-6), dict(noise=1e200), dict(noise=float("inf")),
 ])
 def test_synth_parameter_errors(kwargs):
     base = dict(n=100, d=3, group_fraction=0.5, base_rate_gap=0.2, noise=1.0, seed=0)
     base.update(kwargs)
-    with pytest.raises(ParameterError) as exc:
+    with pytest.raises(ParameterError) as exc, np.errstate(over="ignore", invalid="ignore"):
         synth_biased(**base)
     assert exc.value.param == next(iter(kwargs))  # the name the CLI maps to a flag
 
