@@ -30,10 +30,9 @@ DEFAULT_FAIRNESS_GRID = tuple(k / 20 for k in range(21))
 
 
 def check_fairness_grid(grid, param: str = "fairness_grid") -> list[float]:
-    """The fairness-grid rule: non-empty, every value a number or text that
-    float() parses, finite and >= 0; returns floats. param names the values
-    in the error."""
-    grid = [check_real(a, param, parse=True) for a in grid]
+    """The fairness-grid rule: non-empty, every value a number, finite and
+    >= 0; returns floats. param names the values in the error."""
+    grid = [check_real(a, param) for a in grid]
     if not grid:
         raise ParameterError("must be non-empty", param=param)
     for a in grid:

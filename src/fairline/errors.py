@@ -29,15 +29,14 @@ def check_integer(value, param: str) -> int:
     return int(value)
 
 
-def check_real(value, param: str, parse: bool = False) -> float:
+def check_real(value, param: str) -> float:
     """The real-parameter rule: value is a Real, a Python or numpy integer or
-    float, and comes back as a float. With parse, as a grid's values take it,
-    value may be anything float() converts, text included. Anything else
-    raises ParameterError naming param."""
-    if parse or isinstance(value, Real):
+    float, and comes back as a float. Anything else, text included, or an
+    integer too large for a float, raises ParameterError naming param."""
+    if isinstance(value, Real):
         try:
             return float(value)
-        except (TypeError, ValueError, OverflowError):
+        except OverflowError:
             pass
     raise ParameterError(f"must be a number, got {value!r}", param=param)
 

@@ -39,15 +39,15 @@ DEFAULT_ALPHA_GRID = tuple(k / 20 for k in range(21))
 HARD_THRESHOLD = 0.5
 
 # Rows per forward call when a whole split is served. 512 timed fastest for a
-# 256-wide hidden layer (256 read the same); the workspace is then about
-# 1.1 MB, the [x | 1] input and the (512, 257) activation buffer.
+# 256-wide hidden layer (256 read the same); the workspace, CHUNK + 1 rows, is
+# then about 1.1 MB: the [x | 1] input and the (513, 257) activation buffer.
 CHUNK = 512
 
 
 def check_alpha_grid(grid) -> list[float]:
-    """The alpha-grid rule: non-empty, every alpha a number or text that
-    float() parses, in [0, 1]; returns floats."""
-    grid = [check_real(a, "alpha_grid", parse=True) for a in grid]
+    """The alpha-grid rule: non-empty, every alpha a number in [0, 1];
+    returns floats."""
+    grid = [check_real(a, "alpha_grid") for a in grid]
     if not grid:
         raise ParameterError("must be non-empty", param="alpha_grid")
     for a in grid:
@@ -126,13 +126,16 @@ def _score(arch: MlpArchitecture, x: np.ndarray, y: np.ndarray, s: np.ndarray,
     point, with the fields in values set. Predictions that are not all
     finite raise NumericError naming the point."""
     n = x.shape[0]
-    workspace, pred = Workspace(arch, min(CHUNK, n)), np.empty(n)
+    # Chunks start at multiples of CHUNK, and a lone last row joins the chunk
+    # before it: BLAS serves a 1-row product with another kernel, whose bits
+    # differ from those of the same row in a forward over all rows.
+    bounds = [*range(0, max(n - 1, 1), CHUNK), n]
+    workspace, pred = Workspace(arch, min(CHUNK + 1, n)), np.empty(n)
     cells = _row_set_cells(y, s)
     records = []
     for name, params, values in points:
-        for lo in range(0, n, CHUNK):
-            pred[lo:lo + CHUNK] = forward(arch, params, x[lo:lo + CHUNK],
-                                          workspace=workspace)[0]
+        for lo, hi in zip(bounds, bounds[1:]):
+            pred[lo:hi] = forward(arch, params, x[lo:hi], workspace=workspace)[0]
         if not np.isfinite(pred).all():
             raise NumericError(f"the served model's predictions at {name} are not finite")
         records.append(replace(_evaluate(pred, y, cells), **values))

@@ -48,7 +48,6 @@ class TrainConfig:
     fairness_metric: str = "dp"
     seed: int = 0
     fixed_alpha: float | None = None  # None: sample uniformly per batch
-    shuffle_seed: int | None = None  # None: reuse seed
 
     def __post_init__(self):
         if check_integer(self.epochs, "epochs") < 1:
@@ -75,8 +74,6 @@ class TrainConfig:
             object.__setattr__(self, "fixed_alpha", check_real(self.fixed_alpha, "fixed_alpha"))
             if not 0.0 <= self.fixed_alpha <= 1.0:
                 raise ParameterError("must be in [0, 1]", param="fixed_alpha")
-        if self.shuffle_seed is not None and check_integer(self.shuffle_seed, "shuffle_seed") < 0:
-            raise ParameterError("must be non-negative", param="shuffle_seed")
 
     def meta_snapshot(self) -> dict[str, str]:
         """Deterministic key=value view of the config for checkpoint metadata:
@@ -261,7 +258,6 @@ def _train_loop(train: Dataset, config: TrainConfig, arch: MlpArchitecture | Non
         raise ShapeError("architecture input_dim does not match the dataset")
     W = np.stack([init_params(arch, seed) for seed in seeds])
     adam = AdamState.zeros(W.shape)
-    shuffle_seed = config.seed if config.shuffle_seed is None else config.shuffle_seed
     workspace = Workspace(arch, min(config.batch_size, train.n))
 
     total_batches = 0
@@ -269,7 +265,7 @@ def _train_loop(train: Dataset, config: TrainConfig, arch: MlpArchitecture | Non
     for epoch in range(config.epochs):
         ce_sum = fair_sum = 0.0
         epoch_skips = 0
-        order = batches(train, config.batch_size, shuffle_seed, epoch)
+        order = batches(train, config.batch_size, config.seed, epoch)
         perm = np.concatenate(order)
         xs, ys, ss = train.features[perm], train.labels[perm], train.sensitive[perm]
         hi = 0

@@ -1,15 +1,18 @@
-"""Every fairline name the benchmark and the scripts use must still exist.
+"""Every fairline name the benchmark, the scripts and README's library
+example use must still exist.
 
 perfbench/ and scripts/ import fairline and call it by attribute (fl.<name>,
 cli.main) or import names from it (from fairline.data import write_csv).
 Of these files, the tests under tests/ import only perfbench/spans.py, so a
 deletion or rename in src/ would otherwise break only the benchmark run or
-a script. This reads every .py file under those directories as a syntax
-tree and resolves each such name against the package.
+a script; README's python code blocks are run by nobody. This reads every
+.py file under those directories, and each such block, as a syntax tree and
+resolves each such name against the package.
 """
 
 import ast
 import importlib
+import re
 from pathlib import Path
 from types import ModuleType
 
@@ -17,6 +20,11 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted(p for d in ("perfbench", "scripts") for p in (ROOT / d).rglob("*.py"))
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```$",
+                           (ROOT / "README.md").read_text(encoding="utf-8"), re.M | re.S)
+# name -> Python source: each file, then each README block
+CODE = {p.relative_to(ROOT).as_posix(): p.read_text(encoding="utf-8") for p in SOURCES}
+CODE.update((f"README.md#python-{i}", block) for i, block in enumerate(README_BLOCKS, 1))
 
 
 def _attribute(obj, name: str):
@@ -30,9 +38,9 @@ def _attribute(obj, name: str):
         return None
 
 
-def _unresolved(path: Path) -> list[str]:
-    """The fairline names path uses that do not resolve, as written there."""
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+def _unresolved(source: str, name: str) -> list[str]:
+    """The fairline names source uses that do not resolve, as written there."""
+    tree = ast.parse(source, filename=name)
     bound = {}  # local name -> the fairline module it is bound to
     missing = []
     for node in ast.walk(tree):
@@ -61,10 +69,18 @@ def _unresolved(path: Path) -> list[str]:
 
 
 def test_the_walk_sees_the_benchmark_and_the_scripts():
-    names = {p.relative_to(ROOT).as_posix() for p in SOURCES}
-    assert {"perfbench/workloads.py", "scripts/bits.py"} <= names
+    assert {"perfbench/workloads.py", "scripts/bits.py"} <= set(CODE)
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=[p.relative_to(ROOT).as_posix() for p in SOURCES])
-def test_every_fairline_name_used_resolves(path):
-    assert _unresolved(path) == []
+def test_the_walk_sees_the_readme_library_example():
+    assert any("fl.train_subspace(" in block for block in README_BLOCKS)
+
+
+def test_a_renamed_name_is_reported():
+    assert _unresolved("import fairline as fl\nfl.alpha_sweeps(m, t)\n", "x.py") == [
+        "fl.alpha_sweeps (line 2)"]
+
+
+@pytest.mark.parametrize("name", CODE)
+def test_every_fairline_name_used_resolves(name):
+    assert _unresolved(CODE[name], name) == []

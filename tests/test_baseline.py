@@ -9,16 +9,17 @@ from fairline import baseline
 from fairline.baseline import (
     DEFAULT_FAIRNESS_GRID,
     check_fairness_grid,
+    fixed_batch_gradients,
     predict_fixed,
     save_fixed_checkpoint,
     sweep_fixed,
     train_fixed,
 )
-from fairline.data import split, synth_biased
+from fairline.data import batches, split, synth_biased
 from fairline.errors import CheckpointError, FairlineError, NumericError, ParameterError
 from fairline.evaluation import evaluate_predictions
-from fairline.model import MlpArchitecture
-from fairline.subspace import TrainConfig, train_subspace
+from fairline.model import MlpArchitecture, init_params
+from fairline.subspace import TrainConfig, batch_gradients, train_subspace
 from fairline.tensor import blas_threads
 
 ARCH = MlpArchitecture(3, (8,))
@@ -69,8 +70,10 @@ def test_train_fixed_rejects_bad_weight():
         train_fixed(train, cfg, -0.5, arch=ARCH)
 
 
-@pytest.mark.parametrize("grid", [[], [float("nan")], [0.0, float("inf")], [-0.5], ["a"]],
-                         ids=["empty", "nan", "inf", "negative", "not-a-number"])
+@pytest.mark.parametrize("grid", [[], [float("nan")], [0.0, float("inf")], [-0.5], ["a"],
+                                  ["0", "0.5"], [10**400]],
+                         ids=["empty", "nan", "inf", "negative", "not-a-number", "text",
+                              "beyond-float"])
 def test_fairness_grid_rule_runs_before_any_training(grid):
     with pytest.raises(ParameterError) as exc:
         check_fairness_grid(grid)
@@ -191,20 +194,19 @@ def test_sweep_total_time_tracks_per_run_time():
     assert 0.4 * per_run < total < 2.5 * per_run
 
 
-def test_fixed_vs_subspace_batch0_gradient_agreement(line_batches, fixed_batches):
-    # fixed training at A=1 and subspace training pinned at alpha=1 with the
-    # diversity term off follow the same loss expression; giving the fixed run
-    # the fairness endpoint's init seed and a shared shuffle seed makes the
-    # batch-0 gradients comparable, and the alpha=1 routing factor is 1.
+def test_fixed_vs_subspace_batch0_gradient_agreement():
+    # fixed training at A=1 and the line at alpha=1 with the diversity term
+    # off follow the same loss expression: on the same batch, the fairness
+    # endpoint's task gradient (routing factor alpha = 1) is the fixed
+    # model's gradient at the same weights.
     train, _ = quick_data()
     seed = 11
-    cfg_sub = TrainConfig(epochs=1, batch_size=128, seed=seed, fixed_alpha=1.0,
-                          diversity_weight=0.0, shuffle_seed=seed)
-    cfg_fix = TrainConfig(epochs=1, batch_size=128, seed=seed + 1, shuffle_seed=seed)
-    train_subspace(train, cfg_sub, arch=ARCH)
-    train_fixed(train, cfg_fix, 1.0, arch=ARCH)
-    g_sub = line_batches[0][1].task[1]
-    g_fix = fixed_batches[0].g_theta
+    idx = batches(train, 128, seed, 0)[0]
+    x, y, s = train.features[idx], train.labels[idx], train.sensitive[idx]
+    cfg = TrainConfig(epochs=1, batch_size=128, seed=seed, diversity_weight=0.0)
+    w_fair = init_params(ARCH, seed + 1)
+    g_sub = batch_gradients(ARCH, init_params(ARCH, seed), w_fair, 1.0, x, y, s, cfg).task[1]
+    g_fix = fixed_batch_gradients(ARCH, w_fair, x, y, s, 1.0, cfg.fairness_metric).g_theta
     denom = np.maximum(np.abs(g_fix), 1e-12)
     assert np.max(np.abs(g_sub - g_fix) / denom) < 1e-10
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fairline.checkpoint import KIND_PAIR, MAGIC, VERSION
 from fairline.errors import CheckpointError, ParameterError
 from fairline.model import MlpArchitecture, init_params
 from fairline.subspace import SubspaceModel, load_checkpoint, save_checkpoint
@@ -53,6 +54,32 @@ def test_metadata_not_utf8_encodable_is_parameter_error(tmp_path, meta):
     with pytest.raises(ParameterError, match="UTF-8"):
         save_checkpoint(model, path)
     assert not path.exists()
+
+
+# one array's block: its length in float64s, then its bytes
+WHOLE_ARRAY = struct.pack("<I", ARCH.param_count) + init_params(ARCH, 0).astype("<f8").tobytes()
+
+
+def _crafted(dims=ARCH.layer_dims, payload=2 * WHOLE_ARRAY, meta=b"note=x\n") -> bytes:
+    """A kind-0 file of the given layer sizes, array block and metadata
+    block under a valid CRC, so that the parser behind the CRC check runs."""
+    body = (MAGIC + struct.pack("<3I", VERSION, KIND_PAIR, len(dims))
+            + struct.pack(f"<{len(dims)}I", *dims) + payload + meta)
+    return body + _crc_tail(body)
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    (dict(dims=(2,)), "invalid layer count 1"),
+    (dict(meta=b"note=x\nnovalue\n"), "malformed metadata line: 'novalue'"),
+    (dict(payload=WHOLE_ARRAY + WHOLE_ARRAY[:-8], meta=b""), "truncated checkpoint"),
+], ids=["one-layer-size", "metadata-line-without-equals", "truncated-array"])
+def test_crafted_checkpoint_fault_is_checkpoint_error(tmp_path, kwargs, match):
+    path = tmp_path / "m.ckpt"
+    path.write_bytes(_crafted())
+    assert load_checkpoint(path).train_meta == {"note": "x"}
+    path.write_bytes(_crafted(**kwargs))
+    with pytest.raises(CheckpointError, match=match):
+        load_checkpoint(path)
 
 
 def _pair_blob(tmp_path_factory) -> bytes:

@@ -212,6 +212,19 @@ def test_train_cell_over_csv_field_limit_exits_3(text, line, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, message", [
+    ("", "{data}: empty file, header row required"),
+    ("a,label,a,group\n1,1,2,0\n2,0,3,1\n",
+     "duplicate column names in header ['a', 'label', 'a', 'group']"),
+], ids=["empty-file", "duplicate-header"])
+def test_train_unusable_header_exits_3(text, message, tmp_path, capsys):
+    data, out = tmp_path / "d.csv", tmp_path / "model.ckpt"
+    data.write_text(text)
+    assert run(["train", "--data", str(data), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.splitlines() == ["error: " + message.format(data=data)]
+    assert not out.exists()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
 @pytest.mark.parametrize("command", ["train", "compare"])
 def test_statistics_that_overflow_exit_3_naming_the_column(command, tmp_path, capsys):
@@ -893,6 +906,15 @@ def test_config_file_unknown_key_rejected(tmp_path, capsys):
     code = run(["synth", "--config", str(cfg), "--out", str(tmp_path / "d.csv")])
     assert code == 2
     assert "frobs" in capsys.readouterr().err
+
+
+def test_config_file_line_without_equals_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "synth.conf"
+    cfg.write_text("# defaults\nn=123\nseed 9\n")
+    out = tmp_path / "d.csv"
+    assert run(["synth", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"error: {cfg}:3: expected key=value, got 'seed 9'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_config_schema_key_is_unknown(tmp_path, capsys):

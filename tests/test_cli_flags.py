@@ -25,7 +25,7 @@ def _dest(command: str, param: str) -> str | None:
 
 
 def test_every_training_parameter_maps_to_its_flag():
-    skip = {"train": {"shuffle_seed"}, "compare": {"shuffle_seed", "fixed_alpha"}}
+    skip = {"train": set(), "compare": {"fixed_alpha"}}
     wrong = [(command, f.name) for command in skip for f in fields(TrainConfig)
              if f.name not in skip[command] and _dest(command, f.name) != f.name]
     assert wrong == []

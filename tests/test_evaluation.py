@@ -162,8 +162,10 @@ def test_alpha_sweep_rejects_out_of_range():
         alpha_sweep(model, ds, [0.0, 1.2])
 
 
-@pytest.mark.parametrize("grid", [[], [float("nan")], [0.5, float("inf")], [-0.1], ["a"]],
-                         ids=["empty", "nan", "inf", "negative", "not-a-number"])
+@pytest.mark.parametrize("grid", [[], [float("nan")], [0.5, float("inf")], [-0.1], ["a"],
+                                  ["0.5"], [10**400]],
+                         ids=["empty", "nan", "inf", "negative", "not-a-number", "text",
+                              "beyond-float"])
 def test_alpha_grid_rule(grid):
     with pytest.raises(ParameterError) as exc:
         check_alpha_grid(grid)
@@ -172,7 +174,7 @@ def test_alpha_grid_rule(grid):
     with pytest.raises(ParameterError):
         alpha_sweep(model, ds, grid)
     assert check_alpha_grid((0, 1)) == [0.0, 1.0]
-    assert check_alpha_grid(("0.5", np.float32(0.25))) == [0.5, 0.25]
+    assert check_alpha_grid((np.int64(1), np.float32(0.25))) == [1.0, 0.25]
 
 
 @pytest.mark.parametrize("grids", [dict(alpha_grid=[float("nan")]),
@@ -339,6 +341,14 @@ def test_read_report_bad_row_is_parameter_error(tmp_path, row, match):
         read_report(path)
 
 
+@pytest.mark.parametrize("text", ["", "a,label,group\n1,1,0\n"], ids=["empty", "data-csv"])
+def test_read_report_of_another_file_is_parameter_error(tmp_path, text):
+    path = tmp_path / "r.csv"
+    path.write_text(text)
+    with pytest.raises(ParameterError, match="not a report file"):
+        read_report(path)
+
+
 def test_read_report_accepts_a_byte_order_mark(tmp_path):
     plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
     write_report([full_record(i) for i in range(3)], plain)
@@ -431,6 +441,27 @@ def test_alpha_sweep_and_compare_to_grid_equal_a_predict_loop():
         evaluate(predict_fixed(fm, test.features), fairness_weight=fm.fairness_weight,
                  seed=int(fm.train_meta["config.seed"]))
         for fm in sweep_fixed(train, config, [0.0, 1.0])]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_alpha_sweep_serves_a_lone_last_row_in_a_multi_row_chunk(seed, monkeypatch):
+    # 513 rows: a last CHUNK of one row would take BLAS's matrix-vector
+    # kernel, whose sums differ in the last bits from the same row's in a
+    # forward over all rows; on OpenBLAS a few alphas of each seed differ.
+    test = synth_biased(CHUNK + 1, 6, 0.5, 0.4, 1.0, seed=seed)
+    arch = MlpArchitecture(6)
+    model = SubspaceModel(arch, init_params(arch, seed), init_params(arch, seed + 1))
+    preds, evaluate = [], evaluation._evaluate
+
+    def spy(pred, y, cells):
+        preds.append(pred.copy())
+        return evaluate(pred, y, cells)
+
+    monkeypatch.setattr(evaluation, "_evaluate", spy)
+    alpha_sweep(model, test)
+    assert len(preds) == len(DEFAULT_ALPHA_GRID)
+    for a, pred in zip(DEFAULT_ALPHA_GRID, preds):
+        assert pred.tobytes() == predict(model, a, test.features).tobytes(), a
 
 
 def _small_compare():

@@ -83,9 +83,10 @@ def test_interpolate_range_check():
     dict(epochs=0), dict(batch_size=1), dict(learning_rate=0.0),
     dict(learning_rate=float("nan")), dict(fairness_weight=-1.0),
     dict(diversity_weight=-0.5), dict(fairness_metric="nope"),
-    dict(seed=-1), dict(fixed_alpha=1.5), dict(shuffle_seed=-2),
-    dict(epochs=2.0), dict(batch_size=16.0), dict(seed=1.5), dict(shuffle_seed=2.5),
+    dict(seed=-1), dict(fixed_alpha=1.5),
+    dict(epochs=2.0), dict(batch_size=16.0), dict(seed=1.5),
     dict(learning_rate="0.1"), dict(fairness_weight=None), dict(fixed_alpha="0.3"),
+    dict(learning_rate=10**400), dict(fairness_weight="0.5"),
 ])
 def test_train_config_validation(kwargs):
     base = dict(epochs=1)
@@ -98,10 +99,10 @@ def test_train_config_validation(kwargs):
 def test_numpy_integers_train_like_python_integers():
     i = np.int64
     ds = synth_biased(i(100), i(3), 0.5, 0.4, 1.0, seed=i(1))
-    cfg = TrainConfig(epochs=i(1), batch_size=i(32), seed=i(2), shuffle_seed=np.uint8(3))
+    cfg = TrainConfig(epochs=i(1), batch_size=i(32), seed=np.uint8(2))
     got = train_subspace(ds, cfg, arch=MlpArchitecture(i(3), (np.int32(4),)))
     want = train_subspace(synth_biased(100, 3, 0.5, 0.4, 1.0, seed=1),
-                          TrainConfig(epochs=1, batch_size=32, seed=2, shuffle_seed=3),
+                          TrainConfig(epochs=1, batch_size=32, seed=2),
                           arch=ARCH)
     assert got.arch == ARCH
     assert got.w_acc.tobytes() == want.w_acc.tobytes()
@@ -115,18 +116,17 @@ def test_meta_snapshot_pinned():
         "config.epochs": "1", "config.batch_size": "512",
         "config.learning_rate": "0.001", "config.fairness_weight": "1.0",
         "config.diversity_weight": "1.0", "config.fairness_metric": "dp",
-        "config.seed": "0", "config.fixed_alpha": "", "config.shuffle_seed": "",
+        "config.seed": "0", "config.fixed_alpha": "",
     }
     cfg = TrainConfig(epochs=3, batch_size=128, learning_rate=0.1 + 0.2,
                       fairness_weight=0.5, diversity_weight=2.0,
-                      fairness_metric="eodd", seed=5, fixed_alpha=0.3,
-                      shuffle_seed=17)
+                      fairness_metric="eodd", seed=5, fixed_alpha=0.3)
     assert cfg.meta_snapshot() == {
         "config.epochs": "3", "config.batch_size": "128",
         "config.learning_rate": "0.30000000000000004",
         "config.fairness_weight": "0.5", "config.diversity_weight": "2.0",
         "config.fairness_metric": "eodd", "config.seed": "5",
-        "config.fixed_alpha": "0.3", "config.shuffle_seed": "17",
+        "config.fixed_alpha": "0.3",
     }
 
 
