@@ -51,9 +51,8 @@ def _skewed_dataset(n=40, n_group1=2) -> fl.Dataset:
 def _library_checkpoints(tmp: Path):
     train = fl.split(fl.synth_biased(1200, 4, 0.5, 0.4, 1.0, seed=3), 0.25, seed=3)[0]
 
-    def config(metric="dp", fixed_alpha=None):
-        return fl.TrainConfig(epochs=3, batch_size=128, seed=5, fairness_metric=metric,
-                              fixed_alpha=fixed_alpha)
+    def config(metric="dp"):
+        return fl.TrainConfig(epochs=3, batch_size=128, seed=5, fairness_metric=metric)
 
     def sub(name, ds, cfg, arch=None):
         path = tmp / "sub.ckpt"
@@ -66,8 +65,7 @@ def _library_checkpoints(tmp: Path):
         return name, hashlib.sha256(model.weights.tobytes() + meta.encode()).hexdigest()
 
     for m in METRICS:
-        for a in (None, 0.3):
-            yield sub(f"sub/{m}/a={a}", train, config(m, a))
+        yield sub(f"sub/{m}", train, config(m))
     for m in METRICS:
         for w in FIXED_WEIGHTS:
             yield fixed(f"fixed/{m}/A={w:g}", train, config(m), w)

@@ -151,8 +151,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Parser]]:
     p.set_defaults(run=cmd_train)
     p.add_argument("--data", required=True, help="training CSV path")
     p.add_argument("--out", required=True, help="checkpoint output path")
-    p.add_argument("--fixed-alpha", type=float, default=None,
-                   help="train at one fixed mixing ratio instead of sampling")
     p.add_argument("--test-fraction", type=float, default=0.0,
                    help="hold out this fraction of rows (0 trains on everything)")
     p.add_argument("--test-out", default=None,

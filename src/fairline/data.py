@@ -60,7 +60,9 @@ _GROUP_SHIFT = 2.5
 class CsvSchema:
     """Which columns carry the label / sensitive attribute, which raw values
     map to 1, and whether the group is a feature too. CsvSchema() is the
-    default schema: columns label and group, 1 for 1. load_csv strips every
+    default schema: columns label and group, 1 for 1. The four names and
+    values must be text and include_sensitive a Python or numpy bool, kept
+    as a bool; anything else raises ParameterError. load_csv strips every
     cell, so a positive value that is empty or has surrounding whitespace,
     which no cell could match, raises ParameterError, as does a label column
     that is also the sensitive column."""
@@ -72,11 +74,18 @@ class CsvSchema:
     include_sensitive: bool = False
 
     def __post_init__(self):
-        for name in ("positive_label_value", "positive_sensitive_value"):
+        for name in ("label_column", "sensitive_column", "positive_label_value",
+                     "positive_sensitive_value"):
             value = getattr(self, name)
-            if not value or value != value.strip():
+            if not isinstance(value, str):
+                raise ParameterError(f"must be text, got {value!r}", param=name)
+            if name.startswith("positive") and (not value or value != value.strip()):
                 raise ParameterError(f"must be non-empty without surrounding whitespace, "
                                      f"got {value!r}", param=name)
+        if not isinstance(self.include_sensitive, (bool, np.bool_)):
+            raise ParameterError(f"must be a bool, got {self.include_sensitive!r}",
+                                 param="include_sensitive")
+        object.__setattr__(self, "include_sensitive", bool(self.include_sensitive))
         if self.label_column == self.sensitive_column:
             raise ParameterError(f"must differ from the sensitive column, got "
                                  f"{self.label_column!r} for both", param="label_column")
@@ -246,18 +255,15 @@ class FeatureTransform:
             schema = {f.name: obj.get(f.name, f.default) for f in fields(CsvSchema)}
             mean = np.array(obj["mean"], dtype=np.float64)
             scale = np.array(obj["scale"], dtype=np.float64)
-            ok = (all(isinstance(name, str) for name in columns)
-                  and all(cats is None or (isinstance(cats, list) and cats
-                                           and all(isinstance(c, str) for c in cats)
-                                           and cats == sorted(set(cats)))
-                          for cats in vocab)
-                  and all(isinstance(schema[f.name], type(f.default))
-                          for f in fields(CsvSchema)))
-            schema = CsvSchema(**schema) if ok else None
+            if not (all(isinstance(name, str) for name in columns)
+                    and all(cats is None or (isinstance(cats, list) and cats
+                                             and all(isinstance(c, str) for c in cats)
+                                             and cats == sorted(set(cats)))
+                            for cats in vocab)):
+                raise ValueError("bad column list")
+            schema = CsvSchema(**schema)
         except (ValueError, TypeError, KeyError, RecursionError, ParameterError) as exc:
             raise CheckpointError(f"malformed feature transform: {exc}") from None
-        if not ok:
-            raise CheckpointError("malformed feature transform: bad column list or schema")
         if (len(set(columns)) != len(columns)
                 or {schema.label_column, schema.sensitive_column} & set(columns)):
             raise CheckpointError("malformed feature transform: a feature column is named "

@@ -22,18 +22,18 @@ class ParameterError(FairlineError):
 
 def check_integer(value, param: str) -> int:
     """The integer-parameter rule: value is an Integral, a Python or a numpy
-    integer, and comes back as an int. A float, even one with an integral
-    value, raises ParameterError naming param."""
-    if not isinstance(value, Integral):
+    integer, and comes back as an int. A bool, or a float even with an
+    integral value, raises ParameterError naming param."""
+    if not isinstance(value, Integral) or isinstance(value, bool):
         raise ParameterError(f"must be an integer, got {value!r}", param=param)
     return int(value)
 
 
 def check_real(value, param: str) -> float:
     """The real-parameter rule: value is a Real, a Python or numpy integer or
-    float, and comes back as a float. Anything else, text included, or an
-    integer too large for a float, raises ParameterError naming param."""
-    if isinstance(value, Real):
+    float, and comes back as a float. Anything else, a bool or text included,
+    or an integer too large for a float, raises ParameterError naming param."""
+    if isinstance(value, Real) and not isinstance(value, bool):
         try:
             return float(value)
         except OverflowError:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -40,6 +40,8 @@ SKIP_WARN_FRACTION = 0.2
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """One training run's settings. Each batch draws its own alpha from U[0, 1]."""
+
     epochs: int
     batch_size: int = 512
     learning_rate: float = 0.001
@@ -47,45 +49,34 @@ class TrainConfig:
     diversity_weight: float = 1.0  # weight of the endpoint-diversity regularizer
     fairness_metric: str = "dp"
     seed: int = 0
-    fixed_alpha: float | None = None  # None: sample uniformly per batch
 
     def __post_init__(self):
-        if check_integer(self.epochs, "epochs") < 1:
+        # Numbers are kept as the Python int or float their rule returns, so a
+        # numpy-typed value trains and is recorded as an equal plain one would be.
+        for name, rule in (("epochs", check_integer), ("batch_size", check_integer),
+                           ("learning_rate", check_real), ("fairness_weight", check_real),
+                           ("diversity_weight", check_real), ("seed", check_integer)):
+            object.__setattr__(self, name, rule(getattr(self, name), name))
+        if self.epochs < 1:
             raise ParameterError("must be >= 1", param="epochs")
-        if check_integer(self.batch_size, "batch_size") < 2:
+        if self.batch_size < 2:
             raise ParameterError("must be >= 2", param="batch_size")
-        # Real fields are kept as the Python float check_real returns, so a
-        # numpy-typed value trains and is recorded as an equal float would be.
-        lr = check_real(self.learning_rate, "learning_rate")
-        if not (np.isfinite(lr) and lr > 0):
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ParameterError("must be positive and finite", param="learning_rate")
-        object.__setattr__(self, "learning_rate", lr)
         for name in ("fairness_weight", "diversity_weight"):
-            v = check_real(getattr(self, name), name)
-            if not (np.isfinite(v) and v >= 0):
+            if not (np.isfinite(getattr(self, name)) and getattr(self, name) >= 0):
                 raise ParameterError("must be >= 0 and finite", param=name)
-            object.__setattr__(self, name, v)
         if self.fairness_metric not in FAIRNESS_METRICS:
             raise ParameterError(f"must be one of {FAIRNESS_METRICS}",
                                  param="fairness_metric")
-        if check_integer(self.seed, "seed") < 0:
+        if self.seed < 0:
             raise ParameterError("must be non-negative", param="seed")
-        if self.fixed_alpha is not None:
-            object.__setattr__(self, "fixed_alpha", check_real(self.fixed_alpha, "fixed_alpha"))
-            if not 0.0 <= self.fixed_alpha <= 1.0:
-                raise ParameterError("must be in [0, 1]", param="fixed_alpha")
 
     def meta_snapshot(self) -> dict[str, str]:
         """Deterministic key=value view of the config for checkpoint metadata:
-        one config.<field> key per field, floats by repr, None as empty."""
-        return {f"config.{f.name}": _meta_text(getattr(self, f.name))
-                for f in fields(self)}
-
-
-def _meta_text(value) -> str:
-    if value is None:
-        return ""
-    return repr(value) if isinstance(value, float) else str(value)
+        one config.<field> key per field, floats by repr."""
+        return {f"config.{name}": repr(v) if isinstance(v, float) else str(v)
+                for name, v in asdict(self).items()}
 
 
 @dataclass
@@ -161,8 +152,12 @@ def interpolate(w1: np.ndarray, w2: np.ndarray, alpha: float) -> np.ndarray:
     """
     if w1.shape != w2.shape:
         raise ShapeError(f"interpolate: length mismatch {w1.shape} vs {w2.shape}")
-    if not 0.0 <= alpha <= 1.0:
-        raise ParameterError(f"must be in [0, 1], got {alpha}", param="alpha")
+    try:
+        in_range = 0.0 <= alpha <= 1.0
+    except TypeError:  # not a number; catching it costs a valid alpha nothing
+        in_range = False
+    if not in_range:
+        raise ParameterError(f"must be in [0, 1], got {alpha!r}", param="alpha")
     # One allocation, then in place: the same bits as w1 + alpha * (w2 - w1),
     # since IEEE multiplication and addition commute.
     if alpha <= 0.5:
@@ -297,7 +292,6 @@ def _train_loop(train: Dataset, config: TrainConfig, arch: MlpArchitecture | Non
     meta = config.meta_snapshot()
     meta.update(train.transform.to_meta())
     meta.update({
-        "epochs_completed": str(config.epochs),
         "batches_total": str(total_batches),
         "fairness_skipped_batches": str(skipped_batches),
     })
@@ -316,10 +310,8 @@ def train_subspace(train: Dataset, config: TrainConfig,
     alpha_rng = np.random.default_rng([config.seed, *_ALPHA_STREAM])
 
     def step(arch, W, x, y, s, workspace):
-        alpha = (config.fixed_alpha if config.fixed_alpha is not None
-                 else float(alpha_rng.uniform()))
-        return batch_gradients(arch, W[0], W[1], alpha, x, y, s, config,
-                               workspace=workspace)
+        return batch_gradients(arch, W[0], W[1], float(alpha_rng.uniform()), x, y, s,
+                               config, workspace=workspace)
 
     arch, W, meta, wall_time_s = _train_loop(
         train, config, arch, (config.seed, config.seed + 1), step)

@@ -27,6 +27,21 @@ def line_batches(monkeypatch):
 
 
 @pytest.fixture
+def force_alpha(monkeypatch, line_batches):
+    """force(alpha): every later batch a line trains on uses alpha in place
+    of its own draw, and line_batches records that alpha."""
+    recording = fairline.subspace.batch_gradients
+
+    def force(alpha):
+        def forced(arch, w_acc, w_fair, _drawn, *args, **kwargs):
+            return recording(arch, w_acc, w_fair, alpha, *args, **kwargs)
+
+        monkeypatch.setattr(fairline.subspace, "batch_gradients", forced)
+
+    return force
+
+
+@pytest.fixture
 def fixed_batches(monkeypatch):
     """The BatchGradients of every batch a fixed model trains on, in order."""
     return _record(monkeypatch, fairline.baseline, "fixed_batch_gradients",

@@ -151,7 +151,7 @@ def test_criterion_1_gradient_correctness():
 # =====================================================================
 
 @criterion("criterion 2: gradient-routing identity (exact factors, exact products)")
-def test_criterion_2_routing_identity(line_batches):
+def test_criterion_2_routing_identity(line_batches, force_alpha):
     rng = np.random.default_rng(2024)
     # the routed products and the factor sum are exact for every draw
     for _ in range(200):
@@ -186,8 +186,10 @@ def test_criterion_2_routing_identity(line_batches):
         assert np.array_equal(bg.task[0], (1.0 - alpha) * bg.g_theta)
         assert np.array_equal(bg.task[1], alpha * bg.g_theta)
     for alpha, row in ((0.0, 1), (1.0, 0)):
+        force_alpha(alpha)
         line_batches.clear()
-        fl.train_subspace(ds, replace(cfg, fixed_alpha=alpha), arch=arch)
+        fl.train_subspace(ds, cfg, arch=arch)
+        assert line_batches
         assert all(np.all(bg.task[row] == 0.0) for _, bg in line_batches)
 
 

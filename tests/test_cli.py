@@ -125,11 +125,12 @@ def test_train_negative_test_fraction_fails_before_loading(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_train_fixed_alpha_names_flag_before_loading(tmp_path, capsys):
+def test_train_metric_names_flag_before_loading(tmp_path, capsys):
+    # --metric sets fairness_metric: the error names the flag, not the dest
     out = tmp_path / "model.ckpt"
-    code = run(train_args(tmp_path / "missing.csv", out, ["--fixed-alpha", "1.5"]))
+    code = run(train_args(tmp_path / "missing.csv", out, ["--metric", "gini"]))
     assert code == 2
-    assert "error: --fixed-alpha must be in [0, 1]" in capsys.readouterr().err
+    assert "error: --metric must be one of ('dp', 'eo', 'eodd')" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -25,10 +25,14 @@ def _dest(command: str, param: str) -> str | None:
 
 
 def test_every_training_parameter_maps_to_its_flag():
-    skip = {"train": set(), "compare": {"fixed_alpha"}}
-    wrong = [(command, f.name) for command in skip for f in fields(TrainConfig)
-             if f.name not in skip[command] and _dest(command, f.name) != f.name]
-    assert wrong == []
+    # the shared training flags set exactly TrainConfig's fields, plus the
+    # schema's include_sensitive, and train and compare both take all of them
+    shared = cli._Parser(add_help=False)
+    cli._add_train_flags(shared)
+    dests = {action.dest for action in shared.flags.values()}
+    assert dests == {f.name for f in fields(TrainConfig)} | {"include_sensitive"}
+    for command in ("train", "compare"):
+        assert [d for d in dests if _dest(command, d) is None] == []
 
 
 def test_every_synth_parameter_maps_to_a_synth_flag():

@@ -92,6 +92,23 @@ def test_schema_label_column_must_not_be_the_sensitive_column(tmp_path):
         FeatureTransform.from_meta(meta, ds.dim)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("label_column", 1), ("sensitive_column", None), ("positive_label_value", 1),
+    ("positive_sensitive_value", b"1"), ("include_sensitive", 1),
+    ("include_sensitive", "yes"), ("include_sensitive", None),
+])
+def test_schema_refuses_a_field_of_the_wrong_type(field, value):
+    with pytest.raises(ParameterError) as info:
+        CsvSchema(**{field: value})
+    assert info.value.param == field
+
+
+def test_schema_keeps_a_numpy_bool_as_a_bool():
+    schema = CsvSchema(include_sensitive=np.bool_(True))
+    assert schema.include_sensitive is True
+    assert schema == CsvSchema(include_sensitive=True)
+
+
 def test_load_csv_missing_value_names_line(tmp_path):
     p = write(tmp_path, "a,label,group\n1,1,0\n,0,1\n")
     with pytest.raises(RowParseError, match="line 3"):

@@ -83,9 +83,9 @@ def test_interpolate_range_check():
     dict(epochs=0), dict(batch_size=1), dict(learning_rate=0.0),
     dict(learning_rate=float("nan")), dict(fairness_weight=-1.0),
     dict(diversity_weight=-0.5), dict(fairness_metric="nope"),
-    dict(seed=-1), dict(fixed_alpha=1.5),
+    dict(seed=-1), dict(seed=True),
     dict(epochs=2.0), dict(batch_size=16.0), dict(seed=1.5),
-    dict(learning_rate="0.1"), dict(fairness_weight=None), dict(fixed_alpha="0.3"),
+    dict(learning_rate="0.1"), dict(fairness_weight=None), dict(learning_rate=True),
     dict(learning_rate=10**400), dict(fairness_weight="0.5"),
 ])
 def test_train_config_validation(kwargs):
@@ -100,6 +100,7 @@ def test_numpy_integers_train_like_python_integers():
     i = np.int64
     ds = synth_biased(i(100), i(3), 0.5, 0.4, 1.0, seed=i(1))
     cfg = TrainConfig(epochs=i(1), batch_size=i(32), seed=np.uint8(2))
+    assert all(type(getattr(cfg, name)) is int for name in ("epochs", "batch_size", "seed"))
     got = train_subspace(ds, cfg, arch=MlpArchitecture(i(3), (np.int32(4),)))
     want = train_subspace(synth_biased(100, 3, 0.5, 0.4, 1.0, seed=1),
                           TrainConfig(epochs=1, batch_size=32, seed=2),
@@ -116,31 +117,29 @@ def test_meta_snapshot_pinned():
         "config.epochs": "1", "config.batch_size": "512",
         "config.learning_rate": "0.001", "config.fairness_weight": "1.0",
         "config.diversity_weight": "1.0", "config.fairness_metric": "dp",
-        "config.seed": "0", "config.fixed_alpha": "",
+        "config.seed": "0",
     }
     cfg = TrainConfig(epochs=3, batch_size=128, learning_rate=0.1 + 0.2,
                       fairness_weight=0.5, diversity_weight=2.0,
-                      fairness_metric="eodd", seed=5, fixed_alpha=0.3)
+                      fairness_metric="eodd", seed=5)
     assert cfg.meta_snapshot() == {
         "config.epochs": "3", "config.batch_size": "128",
         "config.learning_rate": "0.30000000000000004",
         "config.fairness_weight": "0.5", "config.diversity_weight": "2.0",
         "config.fairness_metric": "eodd", "config.seed": "5",
-        "config.fixed_alpha": "0.3",
     }
 
 
 def test_numpy_reals_record_the_metadata_of_equal_python_floats():
     # a float32 0.3 is the float 0.30000001192092896, which training uses
     typed = TrainConfig(epochs=1, learning_rate=np.float64(0.01),
-                        fairness_weight=np.float32(0.5), diversity_weight=np.int64(2),
-                        fixed_alpha=np.float32(0.3))
-    plain = TrainConfig(epochs=1, learning_rate=0.01, fairness_weight=0.5,
-                        diversity_weight=2.0, fixed_alpha=0.30000001192092896)
+                        fairness_weight=np.float32(0.3), diversity_weight=np.int64(2))
+    plain = TrainConfig(epochs=1, learning_rate=0.01, fairness_weight=0.30000001192092896,
+                        diversity_weight=2.0)
     assert typed.meta_snapshot() == plain.meta_snapshot()
-    assert typed.meta_snapshot()["config.fixed_alpha"] == "0.30000001192092896"
+    assert typed.meta_snapshot()["config.fairness_weight"] == "0.30000001192092896"
     assert all(type(getattr(typed, name)) is float for name in
-               ("learning_rate", "fairness_weight", "diversity_weight", "fixed_alpha"))
+               ("learning_rate", "fairness_weight", "diversity_weight"))
 
 
 # ------------------------------------------------- gradient routing
@@ -156,39 +155,41 @@ def test_routing_factors_applied_exactly(line_batches):
         assert (1.0 - alpha) + alpha == 1.0
 
 
-def test_degenerate_alpha_zeroes_task_gradients(line_batches):
+def test_degenerate_alpha_zeroes_task_gradients(line_batches, force_alpha):
     ds = small_dataset()
+    cfg = TrainConfig(epochs=1, batch_size=16, seed=3)
     for alpha, row in ((0.0, 1), (1.0, 0)):
-        cfg = TrainConfig(epochs=1, batch_size=16, seed=3, fixed_alpha=alpha)
+        force_alpha(alpha)
         line_batches.clear()
         train_subspace(ds, cfg, arch=ARCH)
+        assert [a for a, _ in line_batches] == [alpha] * 4
         for _, bg in line_batches:
             assert np.all(bg.task[row] == 0.0)
 
 
-def test_fixed_alpha_zero_without_regularizer_freezes_fairness_endpoint():
+def test_fixed_alpha_zero_without_regularizer_freezes_fairness_endpoint(force_alpha):
     ds = small_dataset()
-    cfg = TrainConfig(epochs=2, batch_size=16, seed=5, fixed_alpha=0.0,
-                      diversity_weight=0.0)
+    cfg = TrainConfig(epochs=2, batch_size=16, seed=5, diversity_weight=0.0)
+    force_alpha(0.0)
     model = train_subspace(ds, cfg, arch=ARCH)
     assert np.array_equal(model.w_fair, init_params(ARCH, cfg.seed + 1))
     assert not np.array_equal(model.w_acc, init_params(ARCH, cfg.seed))
 
 
-def test_fixed_alpha_one_without_regularizer_freezes_accuracy_endpoint():
+def test_fixed_alpha_one_without_regularizer_freezes_accuracy_endpoint(force_alpha):
     ds = small_dataset()
-    cfg = TrainConfig(epochs=2, batch_size=16, seed=5, fixed_alpha=1.0,
-                      diversity_weight=0.0)
+    cfg = TrainConfig(epochs=2, batch_size=16, seed=5, diversity_weight=0.0)
+    force_alpha(1.0)
     model = train_subspace(ds, cfg, arch=ARCH)
     assert np.array_equal(model.w_acc, init_params(ARCH, cfg.seed))
     assert not np.array_equal(model.w_fair, init_params(ARCH, cfg.seed + 1))
 
 
 def test_fixed_alpha_zero_with_regularizer_moves_fairness_endpoint_by_reg_only(
-        line_batches):
+        line_batches, force_alpha):
     ds = small_dataset()
-    cfg = TrainConfig(epochs=1, batch_size=16, seed=5, fixed_alpha=0.0,
-                      diversity_weight=1.0)
+    cfg = TrainConfig(epochs=1, batch_size=16, seed=5, diversity_weight=1.0)
+    force_alpha(0.0)
     model = train_subspace(ds, cfg, arch=ARCH)
     for _, bg in line_batches:
         assert np.all(bg.task[1] == 0.0)
@@ -233,8 +234,10 @@ def test_predict_matches_direct_forward():
     assert np.array_equal(predict(model, 0.0, x), forward(ARCH, model.w_acc, x)[0])
     assert np.array_equal(predict(model, 1.0, x), forward(ARCH, model.w_fair, x)[0])
     assert np.array_equal(predict(model, 0.3, x), predict(model, 0.3, x))
-    with pytest.raises(ParameterError):
-        predict(model, 1.2, x)
+    for alpha in (1.2, "0.5", None, [0.5]):
+        with pytest.raises(ParameterError) as exc:
+            predict(model, alpha, x)
+        assert exc.value.param == "alpha"
 
 
 def test_one_row_predict_is_forward_at_the_interpolated_weights():
