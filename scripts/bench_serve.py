@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
-"""Time serving a trained line: 1-row predicts and a whole-split sweep.
+"""Time serving a trained line: 1-row and 512-row predicts and a
+whole-split sweep.
 
 A line is trained at the acceptance size (8000-row synth, 6 features,
-test fraction 0.25, 8 epochs). Two cases, each timed by bench_ingest's
+test fraction 0.25, 8 epochs). Three cases, each timed by bench_ingest's
 _timed (one warm-up call, then RUNS timed calls):
 
 - predict_1row: one call is a block of BLOCK (2000) 1-row predict calls,
   each at its own alpha ~ U[0, 1) on a random test row, as serve-line's
   requests; per_call_s is the fastest block's mean time per call;
+- predict_512row: the same for a block of BLOCK_512 (200) predict calls on
+  the first 512 test rows, each at the next of the same alphas;
 - alpha_sweep_2000: one call is a 21-alpha alpha_sweep over the 2000-row
   test split.
 
@@ -29,6 +32,7 @@ from bench_ingest import ROOT, SEED, _timed, record
 import fairline as fl  # bench_ingest put this tree's src/ on sys.path
 
 BLOCK = 2000
+BLOCK_512 = 200
 
 
 def measure() -> dict:
@@ -38,15 +42,26 @@ def measure() -> dict:
     alphas = rng.uniform(size=BLOCK).tolist()
     rows = [test.features[r:r + 1] for r in rng.integers(test.n, size=BLOCK)]
 
+    rows_512 = test.features[:512]
+
     def predict_block():
         for alpha, x in zip(alphas, rows):
             fl.predict(line, alpha, x)
 
-    block = _timed(predict_block)
+    def predict_block_512():
+        for alpha in alphas[:BLOCK_512]:
+            fl.predict(line, alpha, rows_512)
+
     return {
-        "predict_1row": {**block, "calls": BLOCK, "per_call_s": block["min_s"] / BLOCK},
+        "predict_1row": _per_call(predict_block, BLOCK),
+        "predict_512row": _per_call(predict_block_512, BLOCK_512),
         "alpha_sweep_2000": _timed(lambda: fl.alpha_sweep(line, test)),
     }
+
+
+def _per_call(block, calls: int) -> dict:
+    timed = _timed(block)
+    return {**timed, "calls": calls, "per_call_s": timed["min_s"] / calls}
 
 
 def main(argv=None) -> int:
@@ -55,7 +70,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_serve.json")
     args = parser.parse_args(argv)
     cases = measure()
-    print(f"{args.label} predict_1row per_call_us={cases['predict_1row']['per_call_s'] * 1e6:.2f}")
+    for case in ("predict_1row", "predict_512row"):
+        print(f"{args.label} {case} per_call_us={cases[case]['per_call_s'] * 1e6:.2f}")
     record(args.label, cases, args.out)
     return 0
 

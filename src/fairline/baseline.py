@@ -65,11 +65,11 @@ def fixed_batch_gradients(arch: MlpArchitecture, weights: np.ndarray,
                           x: np.ndarray, y: np.ndarray, s: np.ndarray,
                           fairness_weight: float, metric: str,
                           workspace: Workspace | None = None) -> BatchGradients:
-    """The k = 1 BatchGradients of one batch: task and grads are both g_theta
-    as a (1, m) view, and loss_reg is None."""
+    """The k = 1 BatchGradients of one batch: grads is the task loss's
+    gradient at weights as a (1, m) view, and loss_reg is None."""
     g, loss_ce, loss_fair = _task_gradient(arch, weights, x, y, s, metric,
                                            fairness_weight, workspace=workspace)
-    return BatchGradients(g, g[None], g[None], loss_ce, loss_fair, None)
+    return BatchGradients(g[None], loss_ce, loss_fair, None)
 
 
 def train_fixed(train: Dataset, config: TrainConfig, fairness_weight: float,

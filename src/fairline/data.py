@@ -610,7 +610,9 @@ def synth_biased(n: int, d: int, group_fraction: float, base_rate_gap: float,
     (too extreme for this n and seed). A noise so large that a generated
     column's mean or stdev is not finite in float64 raises ParameterError
     naming noise: that bound is not derived up front but caught from the
-    fit's own finiteness check.
+    fit's own finiteness check. Nor is a size bound: a size numpy refuses to
+    allocate raises ParameterError naming n if the per-row draws fail, and d
+    if the (n, d) feature matrix does.
     """
     if check_integer(n, "n") < 40:
         raise ParameterError("must be >= 40", param="n")
@@ -626,20 +628,31 @@ def synth_biased(n: int, d: int, group_fraction: float, base_rate_gap: float,
         raise ParameterError("must be non-negative", param="seed")
 
     rng = np.random.default_rng(seed)
-    sensitive = (rng.random(n) < group_fraction).astype(np.float64)
-    rate = np.where(sensitive == 0.0, 0.5 + base_rate_gap / 2, 0.5 - base_rate_gap / 2)
-    labels = (rng.random(n) < rate).astype(np.float64)
+    try:
+        sensitive = (rng.random(n) < group_fraction).astype(np.float64)
+        rate = np.where(sensitive == 0.0, 0.5 + base_rate_gap / 2, 0.5 - base_rate_gap / 2)
+        labels = (rng.random(n) < rate).astype(np.float64)
+    except (ValueError, MemoryError):  # numpy refuses a length it cannot hold
+        raise ParameterError("too large: numpy cannot allocate the per-row draws",
+                             param="n") from None
     if not (np.any(sensitive == 0.0) and np.any(sensitive == 1.0)):
         raise ParameterError(f"too extreme for n={n} and seed={seed}: a group came out empty",
                              param="group_fraction")
 
+    # Drawn before the direction vectors, each the size of one of its rows,
+    # so a d numpy cannot hold fails here, at once.
+    try:
+        scaled_noise = noise * rng.standard_normal((n, d))
+    except (ValueError, MemoryError):
+        raise ParameterError(f"too large for n={n}: numpy cannot allocate the feature matrix",
+                             param="d") from None
     u_label = np.ones(d) / np.sqrt(d)
     u_group = np.array([1.0 if i % 2 == 0 else -1.0 for i in range(d)])
     u_group /= np.linalg.norm(u_group)
     features = (
         _LABEL_SHIFT * (labels - 0.5)[:, None] * u_label[None, :]
         + _GROUP_SHIFT * (sensitive - 0.5)[:, None] * u_group[None, :]
-        + noise * rng.standard_normal((n, d))
+        + scaled_noise
     )
     transform = FeatureTransform.numeric([f"x{i + 1}" for i in range(d)])
     try:

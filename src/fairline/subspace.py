@@ -88,41 +88,24 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     step: int = 0
-    # Two scratch arrays of the moments' shape, so that a step allocates
-    # only its result.
-    _scratch: np.ndarray = field(init=False, repr=False, compare=False)
 
     BETA1 = 0.9
     BETA2 = 0.999
     EPS = 1e-8
-
-    def __post_init__(self):
-        self._scratch = np.empty((2, *self.m.shape))
 
     @classmethod
     def zeros(cls, shape) -> "AdamState":
         return cls(np.zeros(shape), np.zeros(shape))
 
     def apply(self, w: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
-        """One Adam step: the updated weights, as a new array of w's shape.
-        The moments update in place and every intermediate goes to a scratch
-        array, in the order of the textbook form m = b1 * m + (1 - b1) * g;
-        v = b2 * v + (1 - b2) * g * g; w - lr * m_hat / (sqrt(v_hat) + eps),
-        so the result is bit-identical to it. Updating w in place too read
-        slower end to end, so the result keeps its own array."""
+        """One Adam step (Kingma & Ba, 2015), written as the textbook
+        update: the updated weights, as a new array of w's shape."""
         self.step += 1
-        term, denom = self._scratch
-        self.m *= self.BETA1
-        self.m += np.multiply(1.0 - self.BETA1, grad, out=term)
-        self.v *= self.BETA2
-        np.multiply(1.0 - self.BETA2, grad, out=term)
-        self.v += np.multiply(term, grad, out=term)
-        np.divide(self.v, 1.0 - self.BETA2 ** self.step, out=denom)
-        np.sqrt(denom, out=denom)
-        denom += self.EPS
-        np.divide(self.m, 1.0 - self.BETA1 ** self.step, out=term)
-        np.multiply(lr, term, out=term)
-        return np.subtract(w, np.divide(term, denom, out=term))
+        self.m = self.BETA1 * self.m + (1.0 - self.BETA1) * grad
+        self.v = self.BETA2 * self.v + (1.0 - self.BETA2) * grad * grad
+        m_hat = self.m / (1.0 - self.BETA1 ** self.step)
+        v_hat = self.v / (1.0 - self.BETA2 ** self.step)
+        return w - lr * m_hat / (np.sqrt(v_hat) + self.EPS)
 
 
 @dataclass
@@ -144,6 +127,10 @@ class SubspaceModel:
 def interpolate(w1: np.ndarray, w2: np.ndarray, alpha: float) -> np.ndarray:
     """Componentwise (1 - alpha) * w1 + alpha * w2 for alpha in [0, 1].
 
+    alpha must be a number by errors.check_real's rule, so a bool or an
+    array, even a 0-d one, raises ParameterError naming alpha, as does a
+    number outside [0, 1].
+
     Evaluated in the branched lerp form (anchor + factor * difference,
     anchored at the nearer endpoint) so that alpha = 0 returns w1 exactly,
     alpha = 1 returns w2 exactly, and w1 == w2 returns that vector exactly
@@ -152,11 +139,11 @@ def interpolate(w1: np.ndarray, w2: np.ndarray, alpha: float) -> np.ndarray:
     """
     if w1.shape != w2.shape:
         raise ShapeError(f"interpolate: length mismatch {w1.shape} vs {w2.shape}")
-    try:
-        in_range = 0.0 <= alpha <= 1.0
-    except TypeError:  # not a number; catching it costs a valid alpha nothing
-        in_range = False
-    if not in_range:
+    # check_real costs about 0.8 µs a call, 4% of a 1-row predict on a
+    # 2-vCPU Xeon, so a plain float skips it
+    if type(alpha) is not float:
+        alpha = check_real(alpha, "alpha")
+    if not 0.0 <= alpha <= 1.0:
         raise ParameterError(f"must be in [0, 1], got {alpha!r}", param="alpha")
     # One allocation, then in place: the same bits as w1 + alpha * (w2 - w1),
     # since IEEE multiplication and addition commute.
@@ -173,12 +160,11 @@ def interpolate(w1: np.ndarray, w2: np.ndarray, alpha: float) -> np.ndarray:
 
 @dataclass
 class BatchGradients:
-    """Gradients and loss parts of one training batch of a (k, m) weight
-    array: k = 2 for the endpoint pair, k = 1 for a fixed model."""
+    """The gradient Adam applies for one training batch of a (k, m) weight
+    array, k = 2 for the endpoint pair and k = 1 for a fixed model, and the
+    batch's loss parts."""
 
-    g_theta: np.ndarray  # d(task loss)/d(theta), shape (m,)
-    task: np.ndarray  # (k, m): g_theta routed to each row, (1 - alpha) and alpha
-    grads: np.ndarray  # (k, m): task + diversity parts; what Adam applies
+    grads: np.ndarray  # (k, m)
     loss_ce: float
     loss_fair: float | None  # None when the batch lacked a required group cell
     loss_reg: float | None  # None for k = 1: no diversity regularizer
@@ -211,23 +197,23 @@ def batch_gradients(arch: MlpArchitecture, w_acc: np.ndarray, w_fair: np.ndarray
                     alpha: float, x: np.ndarray, y: np.ndarray, s: np.ndarray,
                     config: TrainConfig, workspace: Workspace | None = None
                     ) -> BatchGradients:
-    """One batch of the subspace objective: loss parts, theta-gradient, and
-    the (2, m) endpoint gradients, routed task part plus the directly-added
-    regularizer gradients. Each row is written in place, with the products
-    and the sum of the textbook form, so the bits are the same."""
+    """One batch of the subspace objective: the loss parts and the (2, m)
+    endpoint gradients. Row 0 is (1 - alpha) * g + diversity_weight *
+    grad_w1 and row 1 is alpha * g + diversity_weight * grad_w2, with g the
+    theta-gradient of the task loss and grad_w1, grad_w2 the squared
+    cosine's. Each row is written in place with that form's products and
+    sum, so its bits are that form's."""
     theta = interpolate(w_acc, w_fair, alpha)
-    g_theta, loss_ce, loss_fair = _task_gradient(
+    g, loss_ce, loss_fair = _task_gradient(
         arch, theta, x, y, s, config.fairness_metric, config.fairness_weight * alpha,
         workspace=workspace)
-    task = np.empty((2, g_theta.shape[0]))
-    np.multiply(1.0 - alpha, g_theta, out=task[0])
-    np.multiply(alpha, g_theta, out=task[1])
+    grads = np.empty((2, g.shape[0]))
+    np.multiply(1.0 - alpha, g, out=grads[0])
+    np.multiply(alpha, g, out=grads[1])
     reg = squared_cosine(w_acc, w_fair)
-    grads = np.empty_like(task)
-    np.multiply(config.diversity_weight, reg.grad_w1, out=grads[0])
-    np.multiply(config.diversity_weight, reg.grad_w2, out=grads[1])
-    grads += task
-    return BatchGradients(g_theta, task, grads, loss_ce, loss_fair, reg.value)
+    grads[0] += np.multiply(config.diversity_weight, reg.grad_w1, out=reg.grad_w1)
+    grads[1] += np.multiply(config.diversity_weight, reg.grad_w2, out=reg.grad_w2)
+    return BatchGradients(grads, loss_ce, loss_fair, reg.value)
 
 
 def _train_loop(train: Dataset, config: TrainConfig, arch: MlpArchitecture | None,

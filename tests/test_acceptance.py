@@ -151,7 +151,7 @@ def test_criterion_1_gradient_correctness():
 # =====================================================================
 
 @criterion("criterion 2: gradient-routing identity (exact factors, exact products)")
-def test_criterion_2_routing_identity(line_batches, force_alpha):
+def test_criterion_2_routing_identity(line_batches, line_parts, force_alpha):
     rng = np.random.default_rng(2024)
     # the routed products and the factor sum are exact for every draw
     for _ in range(200):
@@ -176,21 +176,32 @@ def test_criterion_2_routing_identity(line_batches, force_alpha):
     # degenerate cases zero the respective endpoint's task gradient exactly
     assert np.all((0.0 * g) == 0.0)
     assert np.array_equal(1.0 * g, g)
-    # and the same holds for the gradients a real training batch applies
+    # and the same holds for the gradients Adam applies in a real training
+    # batch: without the regularizer, exactly the routed products; with it,
+    # bit for bit the routed products plus the scaled squared-cosine gradients
     ds = fl.synth_biased(64, 3, 0.5, 0.3, 1.0, seed=0)
     arch = MlpArchitecture(3, (4,))
-    cfg = fl.TrainConfig(epochs=1, batch_size=16, seed=3)
-    fl.train_subspace(ds, cfg, arch=arch)
-    assert line_batches
-    for alpha, bg in line_batches:
-        assert np.array_equal(bg.task[0], (1.0 - alpha) * bg.g_theta)
-        assert np.array_equal(bg.task[1], alpha * bg.g_theta)
+    for cfg in (fl.TrainConfig(epochs=1, batch_size=16, seed=3, diversity_weight=0.0),
+                fl.TrainConfig(epochs=1, batch_size=16, seed=3)):
+        line_batches.clear()
+        fl.train_subspace(ds, cfg, arch=arch)
+        assert line_batches
+        for args, bg in line_batches:
+            alpha, weight = args[3], cfg.diversity_weight
+            g, reg = line_parts(*args)
+            if weight == 0.0:
+                assert np.array_equal(bg.grads[0], (1.0 - alpha) * g)
+                assert np.array_equal(bg.grads[1], alpha * g)
+            want = np.stack(((1.0 - alpha) * g + weight * reg.grad_w1,
+                             alpha * g + weight * reg.grad_w2))
+            assert bg.grads.tobytes() == want.tobytes()
+    cfg = fl.TrainConfig(epochs=1, batch_size=16, seed=3, diversity_weight=0.0)
     for alpha, row in ((0.0, 1), (1.0, 0)):
         force_alpha(alpha)
         line_batches.clear()
         fl.train_subspace(ds, cfg, arch=arch)
         assert line_batches
-        assert all(np.all(bg.task[row] == 0.0) for _, bg in line_batches)
+        assert all(np.all(bg.grads[row] == 0.0) for _, bg in line_batches)
 
 
 # =====================================================================

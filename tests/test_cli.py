@@ -57,7 +57,11 @@ def test_synth_invalid_gap_names_flag(tmp_path, capsys):
     (["--noise", "inf"], "error: --noise too large: a generated column's mean or stdev"),
     (["--n", "40", "--group-fraction", "0.001"],
      "error: --group-fraction too extreme for n=40 and seed=0: a group came out empty"),
-], ids=["noise-1e200", "noise-inf", "empty-group"])
+    # sizes numpy refuses at once, before it touches any memory
+    (["--n", str(10**20)], "error: --n too large: numpy cannot allocate the per-row draws"),
+    (["--n", "40", "--d", str(10**11)],
+     "error: --d too large for n=40: numpy cannot allocate the feature matrix"),
+], ids=["noise-1e200", "noise-inf", "empty-group", "n-huge", "d-huge"])
 def test_synth_fault_of_the_generated_data_names_its_flag(argv, message, tmp_path, capsys):
     out = tmp_path / "x.csv"
     assert run(["synth", *argv, "--seed", "0", "--out", str(out)]) == 2

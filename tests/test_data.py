@@ -316,6 +316,8 @@ def test_synth_swapped_encoding_mirrors_gap():
     # faults of the generated data: an empty group, a column whose stdev
     # is not finite in float64
     dict(group_fraction=1e-6), dict(noise=1e200), dict(noise=float("inf")),
+    # sizes numpy refuses at once, before it touches any memory
+    dict(n=10**20), dict(d=10**11),
 ])
 def test_synth_parameter_errors(kwargs):
     base = dict(n=100, d=3, group_fraction=0.5, base_rate_gap=0.2, noise=1.0, seed=0)

@@ -144,27 +144,40 @@ def test_numpy_reals_record_the_metadata_of_equal_python_floats():
 
 # ------------------------------------------------- gradient routing
 
-def test_routing_factors_applied_exactly(line_batches):
+def test_routing_factors_applied_exactly(line_batches, line_parts):
+    # what Adam applies is the textbook form, bit for bit: the theta-gradient
+    # times (1 - alpha) and alpha, plus diversity_weight times each
+    # endpoint's squared-cosine gradient
     ds = small_dataset()
-    cfg = TrainConfig(epochs=1, batch_size=16, seed=3)
-    train_subspace(ds, cfg, arch=ARCH)
-    assert len(line_batches) == 4
-    for alpha, bg in line_batches:
-        assert np.array_equal(bg.task[0], (1.0 - alpha) * bg.g_theta)
-        assert np.array_equal(bg.task[1], alpha * bg.g_theta)
-        assert (1.0 - alpha) + alpha == 1.0
+    for weight in (0.0, 0.37, 1.0):
+        line_batches.clear()
+        train_subspace(ds, TrainConfig(epochs=1, batch_size=16, seed=3,
+                                       diversity_weight=weight), arch=ARCH)
+        assert len(line_batches) == 4
+        for args, bg in line_batches:
+            alpha = args[3]
+            g, reg = line_parts(*args)
+            want = np.stack(((1.0 - alpha) * g + weight * reg.grad_w1,
+                             alpha * g + weight * reg.grad_w2))
+            assert bg.grads.tobytes() == want.tobytes()
+            if weight == 0.0:
+                assert np.array_equal(bg.grads[0], (1.0 - alpha) * g)
+                assert np.array_equal(bg.grads[1], alpha * g)
+            assert (1.0 - alpha) + alpha == 1.0
 
 
-def test_degenerate_alpha_zeroes_task_gradients(line_batches, force_alpha):
+def test_degenerate_alpha_zeroes_task_gradients(line_batches, line_parts, force_alpha):
     ds = small_dataset()
     cfg = TrainConfig(epochs=1, batch_size=16, seed=3)
     for alpha, row in ((0.0, 1), (1.0, 0)):
         force_alpha(alpha)
         line_batches.clear()
         train_subspace(ds, cfg, arch=ARCH)
-        assert [a for a, _ in line_batches] == [alpha] * 4
-        for _, bg in line_batches:
-            assert np.all(bg.task[row] == 0.0)
+        assert [args[3] for args, _ in line_batches] == [alpha] * 4
+        for args, bg in line_batches:
+            _, reg = line_parts(*args)
+            reg_row = (reg.grad_w1, reg.grad_w2)[row]
+            assert np.array_equal(bg.grads[row], cfg.diversity_weight * reg_row)
 
 
 def test_fixed_alpha_zero_without_regularizer_freezes_fairness_endpoint(force_alpha):
@@ -186,15 +199,39 @@ def test_fixed_alpha_one_without_regularizer_freezes_accuracy_endpoint(force_alp
 
 
 def test_fixed_alpha_zero_with_regularizer_moves_fairness_endpoint_by_reg_only(
-        line_batches, force_alpha):
+        line_batches, line_parts, force_alpha):
     ds = small_dataset()
     cfg = TrainConfig(epochs=1, batch_size=16, seed=5, diversity_weight=1.0)
     force_alpha(0.0)
     model = train_subspace(ds, cfg, arch=ARCH)
-    for _, bg in line_batches:
-        assert np.all(bg.task[1] == 0.0)
-        assert np.any(bg.grads[1] != 0.0)  # regularizer gradient is all that remains
+    for args, bg in line_batches:
+        _, reg = line_parts(*args)
+        assert np.array_equal(bg.grads[1], reg.grad_w2)  # the regularizer's alone
+        assert np.any(bg.grads[1] != 0.0)
     assert not np.array_equal(model.w_fair, init_params(ARCH, cfg.seed + 1))
+
+
+def test_adam_step_is_the_textbook_update():
+    # Kingma & Ba's update, written out: every step's weights and moments
+    # match it bit for bit, over gradients scaled from 1e-9 to 1e5
+    b1, b2, eps, lr = 0.9, 0.999, 1e-8, 0.001
+    rng = np.random.default_rng(29)
+    for shape in ((1, ARCH.param_count), (2, ARCH.param_count)):
+        adam = AdamState.zeros(shape)
+        w = rng.standard_normal(shape)
+        m, v = np.zeros(shape), np.zeros(shape)
+        want = w.copy()
+        for t in range(1, 61):
+            g = rng.standard_normal(shape) * 10.0 ** rng.integers(-9, 6)
+            m = b1 * m + (1 - b1) * g
+            v = b2 * v + (1 - b2) * g * g
+            m_hat = m / (1 - b1 ** t)
+            v_hat = v / (1 - b2 ** t)
+            want = want - lr * m_hat / (np.sqrt(v_hat) + eps)
+            w = adam.apply(w, g, lr)
+            assert adam.step == t
+            assert w.tobytes() == want.tobytes()
+            assert adam.m.tobytes() == m.tobytes() and adam.v.tobytes() == v.tobytes()
 
 
 def test_one_adam_state_over_two_rows_steps_each_row_as_its_own_state():
@@ -234,7 +271,12 @@ def test_predict_matches_direct_forward():
     assert np.array_equal(predict(model, 0.0, x), forward(ARCH, model.w_acc, x)[0])
     assert np.array_equal(predict(model, 1.0, x), forward(ARCH, model.w_fair, x)[0])
     assert np.array_equal(predict(model, 0.3, x), predict(model, 0.3, x))
-    for alpha in (1.2, "0.5", None, [0.5]):
+    # any Real is served as the float it equals
+    for alpha, same in ((np.float64(0.3), 0.3), (np.float32(0.25), 0.25), (1, 1.0)):
+        assert predict(model, alpha, x).tobytes() == predict(model, same, x).tobytes()
+    # a bool or an array is not a number, whatever its size: as alpha_sweep
+    for alpha in (1.2, float("nan"), "0.5", None, [0.5], True, False, np.True_,
+                  np.array(0.5), np.array([0.5]), np.array([0.2, 0.7])):
         with pytest.raises(ParameterError) as exc:
             predict(model, alpha, x)
         assert exc.value.param == "alpha"
@@ -315,7 +357,8 @@ def test_skipped_batch_contributes_no_fairness_gradient():
     theta = interpolate(w1, w2, 0.5)
     pred, cache = forward(ARCH, theta, x)
     g_ce = backward(ARCH, theta, cache, bce(pred, y).grad_pred)
-    assert np.array_equal(bg.g_theta, g_ce)
+    assert np.array_equal(bg.grads[0], 0.5 * g_ce)
+    assert np.array_equal(bg.grads[1], 0.5 * g_ce)
 
 
 # ------------------------------------------------- numeric failure
@@ -501,8 +544,7 @@ def test_each_batch_holds_the_rows_of_its_indices_in_order():
 
     def step(arch, W, x, y, s, workspace):
         seen.append((x.copy(), y.copy(), s.copy()))
-        zeros = np.zeros((1, m))
-        return BatchGradients(zeros[0], zeros, zeros, 0.0, None, None)
+        return BatchGradients(np.zeros((1, m)), 0.0, None, None)
 
     _train_loop(train, config, ARCH, (config.seed,), step)
     want = [idx for epoch in range(2) for idx in batches(train, 16, config.seed, epoch)]
