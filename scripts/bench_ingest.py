@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Time CSV ingest and CSV writing at the acceptance size.
+"""Time CSV ingest and CSV writing at the acceptance size, and trace the
+memory of CSV writing.
 
 Four cases, each called once to warm up and then RUNS (15) times:
 
@@ -13,12 +14,17 @@ Four cases, each called once to warm up and then RUNS (15) times:
   with a one-hot column, which no benchmark workload reads;
 - write_csv_8000: write_csv of the 8000-row dataset, as `synth` writes it.
 
-Each case records the min and the max/min spread of its run times. The
-session (its --label, the cases, and the environment: Python, numpy, BLAS
-and its thread count, nproc) is appended to the JSON file --out, so runs of
-two trees in alternating sessions, with one --out, sit side by side. The
-tree's own src/ is imported; files go to a temporary directory removed on
-exit. About 3 s on 2 cores.
+Each case records the min and the max/min spread of its run times. After
+the timed runs, so that their times stay comparable with sessions recorded
+without it, one write_csv of a synth dataset of each MEMORY_ROWS size (6
+features) runs under tracemalloc, which records its peak in MB (2^20 bytes,
+as perfbench's peak_rss_mb): the most that write_csv's own Python objects
+and numpy buffers held at once. The session (its --label, the cases, the
+memory cases, and the environment: Python, numpy, BLAS and its thread
+count, nproc) is appended to the JSON file --out, so runs of two trees in
+alternating sessions, with one --out, sit side by side. The tree's own src/
+is imported; files go to a temporary directory removed on exit. About 7 s on
+2 cores.
 
 Usage: python scripts/bench_ingest.py --label NAME [--out BENCH_ingest.json]
 """
@@ -27,6 +33,7 @@ import argparse
 import json
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 from time import perf_counter
 
@@ -40,6 +47,7 @@ from run import environment  # noqa: E402
 
 SEED = 1
 RUNS = 15
+MEMORY_ROWS = (8000, 200_000)
 
 
 def _timed(fn) -> dict:
@@ -71,13 +79,32 @@ def measure() -> dict:
         }
 
 
-def record(label: str, cases: dict, out: Path) -> None:
-    """Print each case and append the session ({label, cases, environment})
-    to the JSON file out, creating it if missing."""
+def write_csv_peak(n: int) -> dict:
+    """tracemalloc's peak, in MB, during one write_csv of an n-row synth
+    dataset with 6 features; the dataset is made before tracing starts."""
+    ds = fl.synth_biased(n, 6, 0.5, 0.4, 1.0, seed=SEED)
+    with tempfile.TemporaryDirectory() as tmp:
+        tracemalloc.start()
+        try:
+            write_csv(ds, Path(tmp) / "w.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return {"rows": n, "traced_peak_mb": peak / 2**20}
+
+
+def record(label: str, cases: dict, out: Path, memory: dict | None = None) -> None:
+    """Print each case and append the session ({label, cases, environment},
+    and memory when given) to the JSON file out, creating it if missing."""
     for name, case in cases.items():
         print(f"{label} {name} min_s={case['min_s']:.4f} spread={case['spread']:.2f}")
+    session = {"label": label, "cases": cases}
+    if memory is not None:
+        for name, case in memory.items():
+            print(f"{label} {name} traced_peak_mb={case['traced_peak_mb']:.3f}")
+        session["memory"] = memory
     report = json.loads(out.read_text()) if out.exists() else {"sessions": []}
-    report["sessions"].append({"label": label, "cases": cases, "environment": environment(SEED)})
+    report["sessions"].append({**session, "environment": environment(SEED)})
     out.write_text(json.dumps(report, indent=1) + "\n")
 
 
@@ -86,7 +113,9 @@ def main(argv=None) -> int:
     parser.add_argument("--label", required=True, help="name of the tree measured")
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_ingest.json")
     args = parser.parse_args(argv)
-    record(args.label, measure(), args.out)
+    cases = measure()
+    memory = {f"write_csv_{n}": write_csv_peak(n) for n in MEMORY_ROWS}
+    record(args.label, cases, args.out, memory)
     return 0
 
 

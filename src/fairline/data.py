@@ -16,8 +16,9 @@ stdev 1 (one-hot and group columns stay 0/1). Training records the
 transform in the checkpoint, and serving loads a CSV through it, so served
 rows get the training schema and encoding; a checkpoint that records none
 is refused. write_csv writes the raw rows back in the transform's schema,
-one-hot blocks as their category, so its output reads back through the
-transform to the same raw matrix.
+one-hot blocks as their category, one block of rows at a time, so its
+output reads back through the transform to the same raw matrix; it refuses
+a raw matrix that would not.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property, partial
@@ -214,20 +216,6 @@ class FeatureTransform:
     def apply(self, raw: np.ndarray) -> np.ndarray:
         """The model-ready features of a raw matrix."""
         return (raw - self.mean) / self.scale
-
-    def decode(self, raw: np.ndarray) -> list[list[str]]:
-        """Per source column, each row's CSV cell: a number as its repr, a
-        one-hot block as its category, quoted only if it must be."""
-        cols, j = [], 0
-        for cats in self.vocab:
-            if cats is None:
-                cols.append(list(map(repr, raw[:, j].tolist())))
-                j += 1
-                continue
-            text = [_csv_cell(c) for c in cats]
-            cols.append([text[k] for k in raw[:, j:j + len(cats)].argmax(axis=1).tolist()])
-            j += len(cats)
-        return cols
 
     def to_meta(self) -> dict[str, str]:
         """The checkpoint metadata entry that from_meta reads back exactly:
@@ -561,6 +549,12 @@ def _check_missing(header: list[str], cols: list[list[str]], lines: list[int]) -
         raise RowParseError(lines[k], f"missing value in column '{header[i]}'")
 
 
+# Rows write_csv formats and writes at a time, so that the cell text it holds
+# is one block's. 1024 rows wrote the 8000-row synth file as fast as one
+# block of all its rows did.
+_CSV_BLOCK_ROWS = 1024
+
+
 def _csv_cell(text: str) -> str:
     """text as one RFC-4180 cell, quoted only if it must be."""
     buf = io.StringIO()
@@ -570,28 +564,84 @@ def _csv_cell(text: str) -> str:
     return buf.getvalue()[:-2]
 
 
+def _check_rows(ok: np.ndarray, values: np.ndarray, column: str, rule: str) -> None:
+    """Raise ValidationError at the first row where ok is False, naming the
+    1-based data row, column, the row's values there, and the rule broken."""
+    if not ok.all():
+        k = int(ok.argmin())
+        raise ValidationError(f"cannot write data row {k + 1}: column '{column}' holds "
+                              f"{values[k].tolist()!r}, {rule}")
+
+
 def write_csv(ds: Dataset, path) -> None:
     """Write ds's raw rows as an RFC-4180 CSV that load_csv reads back
     through ds.transform to the same raw matrix: a header row of the source
     feature columns and the schema's label and sensitive columns, then per
     row the numbers as repr floats, each one-hot block as its category, and
     label and group as the schema's positive value for 1 and, for 0, "0"
-    (or "1" when the positive value is "0"). Its cost is the numbers' repr:
-    on the 8000-row synth file, repr of the 48,000 floats alone took 37.0
-    ms, the whole write_csv 36.4 ms (2-vCPU Xeon VM)."""
-    schema = ds.transform.schema
-    cols = ds.transform.decode(ds.raw)
-    for col, positive in ((ds.labels, schema.positive_label_value),
-                          (ds.sensitive, schema.positive_sensitive_value)):
-        one, zero = _csv_cell(positive), "1" if positive == "0" else "0"
-        cols.append([one if v else zero for v in col.tolist()])
-    header = [*ds.transform.columns, schema.label_column, schema.sensitive_column]
+    (or "1" when the positive value is "0").
+
+    A raw matrix that would not read back so raises ValidationError, naming
+    the column and the 1-based data row, before the file is opened: a
+    numeric cell that is not finite, a one-hot block row that is not one
+    1.0 among 0.0s, or, with schema.include_sensitive, a group column that
+    differs from ds.sensitive. Columns are checked in the transform's order,
+    each one's first bad row first.
+
+    Rows are formatted and written _CSV_BLOCK_ROWS at a time, so the cell
+    text alive at once is one block's, whatever ds.n. Its time is the
+    numbers' repr."""
+    transform, schema, raw = ds.transform, ds.transform.schema, ds.raw
+    # Per source column: its first raw column, and None for a number or the
+    # cell text of each category, built once for the whole file.
+    cells, j = [], 0
+    for name, cats in zip(transform.columns, transform.vocab):
+        if cats is None:
+            _check_rows(np.isfinite(raw[:, j]), raw[:, j], name, "not a finite number")
+            cells.append((j, None))
+            j += 1
+            continue
+        block = raw[:, j:j + len(cats)]
+        _check_rows((np.count_nonzero(block, axis=1) == 1) & (block == 1.0).any(axis=1),
+                    block, name, "not one 1.0 among 0.0s")
+        cells.append((j, [_csv_cell(c) for c in cats]))
+        j += len(cats)
+    if schema.include_sensitive:
+        _check_rows(raw[:, j] == ds.sensitive, raw[:, j], schema.sensitive_column,
+                    "not the row's value in ds.sensitive")
+    flags = [(col, _csv_cell(positive), "1" if positive == "0" else "0")
+             for col, positive in ((ds.labels, schema.positive_label_value),
+                                   (ds.sensitive, schema.positive_sensitive_value))]
+    header = [*transform.columns, schema.label_column, schema.sensitive_column]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         # Only names, categories and positive values can need quoting, and
         # _csv_cell quotes each once; joining the cells skips csv's per-cell
         # scan.
         fh.write(",".join(map(_csv_cell, header)) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in zip(*cols))
+        for start in range(0, ds.n, _CSV_BLOCK_ROWS):
+            rows = slice(start, start + _CSV_BLOCK_ROWS)
+            fh.writelines(_csv_lines(raw[rows], cells,
+                                     [(col[rows], one, zero) for col, one, zero in flags]))
+
+
+def _csv_lines(raw: np.ndarray, cells: list, flags: list) -> Iterator[str]:
+    """The CSV lines of a block of raw rows: per (j, text) in cells, raw
+    column j as repr floats when text is None, else the one-hot block from
+    column j as text[k] for its 1.0 at j + k; then per (col, one, zero) in
+    flags, one for each 1.0 in col and zero for each 0.0. A function of its
+    own because under tracemalloc each allocation costs more in a longer
+    code object: made in write_csv's body, the traced write took 3x as
+    long."""
+    cols = []
+    for j, text in cells:
+        if text is None:
+            cols.append(list(map(repr, raw[:, j].tolist())))
+        else:
+            codes = raw[:, j:j + len(text)].argmax(axis=1)
+            cols.append(list(map(text.__getitem__, codes.tolist())))
+    for col, one, zero in flags:
+        cols.append([one if v else zero for v in col.tolist()])
+    return (",".join(row) + "\n" for row in zip(*cols))
 
 
 def synth_biased(n: int, d: int, group_fraction: float, base_rate_gap: float,
