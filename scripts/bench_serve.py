@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Time serving a trained line: 1-row and 512-row predicts and a
-whole-split sweep.
+"""Time serving a trained line: 1-row, 512-row and 2000-row predicts and
+a whole-split sweep.
 
 A line is trained at the acceptance size (8000-row synth, 6 features,
 test fraction 0.25, 8 epochs). Three cases, each timed by bench_ingest's
@@ -11,6 +11,8 @@ _timed (one warm-up call, then RUNS timed calls):
   requests; per_call_s is the fastest block's mean time per call;
 - predict_512row: the same for a block of BLOCK_512 (200) predict calls on
   the first 512 test rows, each at the next of the same alphas;
+- predict_2000row: the same for a block of BLOCK_2000 (50) predict calls on
+  the whole 2000-row test split, which predict serves in 512-row chunks;
 - alpha_sweep_2000: one call is a 21-alpha alpha_sweep over the 2000-row
   test split.
 
@@ -33,6 +35,7 @@ import fairline as fl  # bench_ingest put this tree's src/ on sys.path
 
 BLOCK = 2000
 BLOCK_512 = 200
+BLOCK_2000 = 50
 
 
 def measure() -> dict:
@@ -42,19 +45,20 @@ def measure() -> dict:
     alphas = rng.uniform(size=BLOCK).tolist()
     rows = [test.features[r:r + 1] for r in rng.integers(test.n, size=BLOCK)]
 
-    rows_512 = test.features[:512]
-
     def predict_block():
         for alpha, x in zip(alphas, rows):
             fl.predict(line, alpha, x)
 
-    def predict_block_512():
-        for alpha in alphas[:BLOCK_512]:
-            fl.predict(line, alpha, rows_512)
+    def predict_rows(x, calls):
+        def block():
+            for alpha in alphas[:calls]:
+                fl.predict(line, alpha, x)
+        return _per_call(block, calls)
 
     return {
         "predict_1row": _per_call(predict_block, BLOCK),
-        "predict_512row": _per_call(predict_block_512, BLOCK_512),
+        "predict_512row": predict_rows(test.features[:512], BLOCK_512),
+        "predict_2000row": predict_rows(test.features, BLOCK_2000),
         "alpha_sweep_2000": _timed(lambda: fl.alpha_sweep(line, test)),
     }
 
@@ -70,7 +74,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_serve.json")
     args = parser.parse_args(argv)
     cases = measure()
-    for case in ("predict_1row", "predict_512row"):
+    for case in ("predict_1row", "predict_512row", "predict_2000row"):
         print(f"{args.label} {case} per_call_us={cases[case]['per_call_s'] * 1e6:.2f}")
     record(args.label, cases, args.out)
     return 0

@@ -3,8 +3,12 @@
 reports.
 
 Run it on two trees and diff the output to check that a change keeps
-checkpoints, fixed models, CSVs and reports bit-identical. Each line is
-`name sha256`; the compare runs also print their `frontier_gap=` line.
+checkpoints, fixed models, CSVs and reports bit-identical. The first line,
+`blas_core=<name>`, names the OpenBLAS kernel that computed them: checkpoint
+bits hold per kernel (under OPENBLAS_CORETYPE=Haswell and SkylakeX the
+checkpoint lines differ, the data and report lines do not), so a diff from
+another machine names its cause. Each other line is `name sha256`; the
+compare runs also print their `frontier_gap=` line.
 Nothing reads a fixed model back from a file, so one is pinned by its
 weight bytes and its sorted `key=value` metadata lines. Files go to a
 temporary directory that is removed on exit. The tree's own `src/` is
@@ -15,6 +19,7 @@ Usage: python scripts/bits.py
 
 import contextlib
 import csv
+import ctypes
 import hashlib
 import io
 import logging
@@ -31,6 +36,25 @@ from fairline import cli  # noqa: E402
 
 METRICS = ("dp", "eo", "eodd")
 FIXED_WEIGHTS = (0.0, 0.5, 1.0)
+
+
+def blas_core() -> str:
+    """The core name the first OpenBLAS loaded in this process reports, found
+    by path in /proc/self/maps, or "unknown" where none reports one."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            # fields: address, perms, offset, dev, inode, then the path
+            paths = sorted({fields[5].strip() for fields in (line.split(maxsplit=5) for line in fh)
+                            if len(fields) == 6 and "openblas" in fields[5]})
+    except OSError:
+        return "unknown"
+    for path in paths:
+        for name in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
+            corename = getattr(ctypes.CDLL(path), name, None)
+            if corename is not None:
+                corename.argtypes, corename.restype = [], ctypes.c_char_p
+                return corename().decode()
+    return "unknown"
 
 
 def _sha(path: Path) -> str:
@@ -162,6 +186,7 @@ def _cli_outputs(tmp: Path):
 def main() -> int:
     # quiet the per-epoch INFO lines; cli.main's basicConfig is then a no-op
     logging.basicConfig(stream=sys.stderr, level=logging.WARNING)
+    print(f"blas_core={blas_core()}", flush=True)
     with tempfile.TemporaryDirectory() as tmp:
         for source in (_library_checkpoints, _cli_outputs):
             for name, value in source(Path(tmp)):

@@ -19,7 +19,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from .data import Dataset
 from .errors import FairlineError, ParameterError, ShapeError, check_integer, check_real
-from .model import MlpArchitecture, Workspace, forward
+from .model import MlpArchitecture, Workspace, _serve
 from .subspace import (
     BatchGradients, TrainConfig, _task_gradient, _train_loop, train_subspace)
 from .tensor import blas_threads, limit_blas_threads
@@ -171,11 +171,11 @@ def _pooled_run(task):
 
 
 def predict_fixed(model: FixedModel, x: np.ndarray) -> np.ndarray:
-    """The model's predictions on x. Outside tests only the benchmark's
+    """The model's predictions on x, served in model.CHUNK-row pieces as
+    compare's grid scoring serves them. Outside tests only the benchmark's
     trace list (perfbench/spans.py) names it; compare scores grid models
     through evaluation._score."""
-    pred, _ = forward(model.arch, model.weights, x)
-    return pred
+    return _serve(model.arch, model.weights, x)
 
 
 def save_fixed_checkpoint(model: FixedModel, path) -> None:

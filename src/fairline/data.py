@@ -105,6 +105,13 @@ class FeatureTransform:
     mean and scale hold one value per encoded column; one-hot and group
     columns have mean 0 and scale 1, so apply is (raw - mean) / scale
     throughout.
+
+    The names and categories are those load_csv could read back from what
+    write_csv writes, else ParameterError: the names are text without
+    surrounding whitespace, distinct, and neither the label nor the
+    sensitive column; each vocab entry is None or a non-empty tuple of
+    distinct, non-empty texts without surrounding whitespace, in sorted
+    order.
     """
 
     columns: tuple[str, ...]
@@ -114,6 +121,26 @@ class FeatureTransform:
     scale: np.ndarray
 
     META_KEY = "transform"  # the checkpoint metadata key that holds the JSON form
+
+    def __post_init__(self):
+        if len(self.vocab) != len(self.columns):
+            raise ParameterError("must hold one entry per column", param="vocab")
+        taken = {self.schema.label_column, self.schema.sensitive_column}
+        for name, cats in zip(self.columns, self.vocab):
+            if not _stripped_text(name):
+                raise ParameterError(f"must be texts without surrounding whitespace, "
+                                     f"got {name!r}", param="columns")
+            if name in taken:
+                raise ParameterError(f"must be distinct and not the label or sensitive "
+                                     f"column, got {name!r}", param="columns")
+            taken.add(name)
+            if cats is not None and not (
+                    isinstance(cats, tuple) and cats
+                    and all(_stripped_text(c) and c for c in cats)
+                    and list(cats) == sorted(set(cats))):
+                raise ParameterError(f"of column {name!r} must be None or a sorted, non-empty "
+                                     f"tuple of distinct, non-empty texts without "
+                                     f"surrounding whitespace, got {cats!r}", param="vocab")
 
     @classmethod
     def _unfitted(cls, columns, vocab, schema: CsvSchema) -> "FeatureTransform":
@@ -230,34 +257,23 @@ class FeatureTransform:
     def from_meta(cls, meta: dict[str, str], input_dim: int) -> "FeatureTransform":
         """The transform in checkpoint metadata. A schema field the JSON
         lacks takes the default schema's value, which is how a transform
-        recorded before the schema was reads. A missing or malformed value, a
-        feature column named twice or like the label or sensitive column, or
-        a width that is not input_dim raises CheckpointError."""
+        recorded before the schema was reads. A missing or malformed value,
+        the constructor's ParameterError on the names or categories among
+        them, or a width that is not input_dim raises CheckpointError."""
         text = meta.get(cls.META_KEY)
         if text is None:
             raise CheckpointError(f"checkpoint records no feature transform ('{cls.META_KEY}' key)")
         try:
             obj = json.loads(text)
             columns = [c["name"] for c in obj["columns"]]
-            vocab = [c["categories"] for c in obj["columns"]]
-            schema = {f.name: obj.get(f.name, f.default) for f in fields(CsvSchema)}
+            vocab = [tuple(c["categories"]) if isinstance(c["categories"], list)
+                     else c["categories"] for c in obj["columns"]]
+            schema = CsvSchema(**{f.name: obj.get(f.name, f.default) for f in fields(CsvSchema)})
             mean = np.array(obj["mean"], dtype=np.float64)
             scale = np.array(obj["scale"], dtype=np.float64)
-            if not (all(isinstance(name, str) for name in columns)
-                    and all(cats is None or (isinstance(cats, list) and cats
-                                             and all(isinstance(c, str) for c in cats)
-                                             and cats == sorted(set(cats)))
-                            for cats in vocab)):
-                raise ValueError("bad column list")
-            schema = CsvSchema(**schema)
+            transform = cls._unfitted(columns, vocab, schema)
         except (ValueError, TypeError, KeyError, RecursionError, ParameterError) as exc:
             raise CheckpointError(f"malformed feature transform: {exc}") from None
-        if (len(set(columns)) != len(columns)
-                or {schema.label_column, schema.sensitive_column} & set(columns)):
-            raise CheckpointError("malformed feature transform: a feature column is named "
-                                  "twice or like the label or sensitive column")
-        transform = cls._unfitted(columns, [None if c is None else tuple(c) for c in vocab],
-                                  schema)
         if not (mean.shape == scale.shape == (transform.width,)
                 and np.all(np.isfinite(mean)) and np.all(np.isfinite(scale) & (scale > 0))):
             raise CheckpointError("malformed feature transform: bad mean or scale")
@@ -265,6 +281,12 @@ class FeatureTransform:
             raise CheckpointError(f"feature transform has {transform.width} columns, "
                                   f"the network {input_dim} inputs")
         return replace(transform, mean=mean, scale=scale)
+
+
+def _stripped_text(value) -> bool:
+    """Whether value is a str that str.strip, as load_csv applies it to every
+    cell and header name, leaves as it is."""
+    return isinstance(value, str) and value == value.strip()
 
 
 def _floats(cells: list[str]) -> np.ndarray:

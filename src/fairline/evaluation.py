@@ -5,10 +5,11 @@ Relaxed metrics are computed in one global pass over the full prediction
 vector (no batching). Hard metrics threshold at HARD_THRESHOLD, inclusive.
 
 alpha_sweep and compare_to_grid score a whole split per alpha or per fixed
-model through _score. It forwards the split in CHUNK-row pieces through one
-model Workspace into one prediction vector, both reused for every point, so
-a sweep allocates no split-sized activations; the predictions are
-bit-identical to one allocating forward over all rows. The split's group
+model through _score. It serves the split through model._serve, in
+model.CHUNK-row pieces through one model Workspace reused for every point,
+so a sweep allocates no split-sized activations. predict and predict_fixed
+serve through model._serve too: the same chunks, so the same bits, on any
+BLAS whose GEMM is deterministic for a given shape. The split's group
 cells are taken once, and each point's record equals evaluate_predictions'
 on the same predictions. Overflow in a served model raises NumericError
 after numpy's default RuntimeWarnings; the CLI turns those warnings off.
@@ -28,7 +29,7 @@ from .baseline import (
 from .data import Dataset, FeatureTransform, open_text
 from .errors import CheckpointError, FrontierRangeError, NumericError, ParameterError, check_real
 from .losses import METRIC_GAPS, Cells, check_lengths, group_cells, group_gap
-from .model import MlpArchitecture, Workspace, forward
+from .model import CHUNK, MlpArchitecture, Workspace, _serve
 from .subspace import SubspaceModel, TrainConfig, interpolate
 
 logger = logging.getLogger(__name__)
@@ -37,11 +38,6 @@ DEFAULT_ALPHA_GRID = tuple(k / 20 for k in range(21))
 
 # A prediction at or above this counts as positive in the hard metrics.
 HARD_THRESHOLD = 0.5
-
-# Rows per forward call when a whole split is served. 512 timed fastest for a
-# 256-wide hidden layer (256 read the same); the workspace, CHUNK + 1 rows, is
-# then about 1.1 MB: the [x | 1] input and the (513, 257) activation buffer.
-CHUNK = 512
 
 
 def check_alpha_grid(grid) -> list[float]:
@@ -125,17 +121,11 @@ def _score(arch: MlpArchitecture, x: np.ndarray, y: np.ndarray, s: np.ndarray,
     """The MetricsRecord on rows (x, y, s) of each (name, params, values)
     point, with the fields in values set. Predictions that are not all
     finite raise NumericError naming the point."""
-    n = x.shape[0]
-    # Chunks start at multiples of CHUNK, and a lone last row joins the chunk
-    # before it: BLAS serves a 1-row product with another kernel, whose bits
-    # differ from those of the same row in a forward over all rows.
-    bounds = [*range(0, max(n - 1, 1), CHUNK), n]
-    workspace, pred = Workspace(arch, min(CHUNK + 1, n)), np.empty(n)
+    workspace = Workspace(arch, min(CHUNK + 1, x.shape[0]))
     cells = _row_set_cells(y, s)
     records = []
     for name, params, values in points:
-        for lo, hi in zip(bounds, bounds[1:]):
-            pred[lo:hi] = forward(arch, params, x[lo:hi], workspace=workspace)[0]
+        pred = _serve(arch, params, x, workspace)
         if not np.isfinite(pred).all():
             raise NumericError(f"the served model's predictions at {name} are not finite")
         records.append(replace(_evaluate(pred, y, cells), **values))
@@ -146,8 +136,9 @@ def alpha_sweep(model: SubspaceModel, test: Dataset,
                 grid=DEFAULT_ALPHA_GRID) -> list[MetricsRecord]:
     """Evaluate the single checkpoint at every grid alpha on identical data.
 
-    Each alpha's predictions equal predict(model, alpha, test.features).
-    Non-finite predictions raise NumericError, naming the alpha.
+    Each alpha's predictions equal predict(model, alpha, test.features): the
+    same chunks, so the same bits, on any BLAS whose GEMM is deterministic
+    for a given shape. Non-finite predictions raise NumericError, naming the alpha.
     """
     grid = check_alpha_grid(grid)
     seed = _meta_seed(model.train_meta)

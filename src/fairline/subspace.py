@@ -27,7 +27,7 @@ from .data import Dataset, batches
 from .errors import (
     EmptyGroupError, NumericError, ParameterError, ShapeError, check_integer, check_real)
 from .losses import FAIRNESS_METRICS, bce, fairness_loss, squared_cosine
-from .model import MlpArchitecture, Workspace, backward, forward, init_params
+from .model import MlpArchitecture, Workspace, _serve, backward, forward, init_params
 
 logger = logging.getLogger(__name__)
 
@@ -313,13 +313,14 @@ def train_subspace(train: Dataset, config: TrainConfig,
 def predict(model: SubspaceModel, alpha: float, x: np.ndarray) -> np.ndarray:
     """Forward pass at the interpolated weights for the chosen trade-off.
 
-    A row's prediction can differ by a few ulp with the number of rows in
-    x: BLAS multiplies one row by a matrix-vector kernel and more rows by a
-    matrix-matrix one, which sum in another order. So predict(model, a,
-    x[i:i + 1]) need not equal predict(model, a, x)[i] bit for bit."""
-    theta = interpolate(model.w_acc, model.w_fair, alpha)
-    pred, _ = forward(model.arch, theta, x)
-    return pred
+    The rows are served in model.CHUNK-row pieces, as alpha_sweep serves a
+    split: the same chunks, so the same bits, on any BLAS whose GEMM is
+    deterministic for a given shape. A row's prediction can still differ by
+    a few ulp with the number of rows in x: BLAS multiplies one row by a
+    matrix-vector kernel and more rows by a matrix-matrix one, which sum in
+    another order. So predict(model, a, x[i:i + 1]) need not equal
+    predict(model, a, x)[i] bit for bit."""
+    return _serve(model.arch, interpolate(model.w_acc, model.w_fair, alpha), x)
 
 
 def save_checkpoint(model: SubspaceModel, path) -> None:

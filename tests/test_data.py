@@ -360,6 +360,49 @@ def test_write_csv_reports_the_first_column_then_the_first_row(tmp_path):
         write_csv(ds, tmp_path / "out.csv")
 
 
+# (columns, vocab, the parameter named): a transform whose names or categories
+# load_csv could not read back from write_csv's file, with what it raised
+_UNREADABLE = {
+    "empty-category": (("c",), (("", "a"),), "vocab"),  # missing value in column 'c'
+    "padded-category": (("c",), ((" b", "a"),), "vocab"),  # unknown category 'b'
+    "padded-name": ((" x",), (None,), "columns"),  # not found in header
+    "label-name": (("label",), (None,), "columns"),  # duplicate column names
+    "group-name": (("group",), (None,), "columns"),
+    "name-twice": (("x", "x"), (None, None), "columns"),  # duplicate column names
+    "not-text": ((1,), (None,), "columns"),
+    "unsorted": (("c",), (("b", "a"),), "vocab"),  # from_meta refused its checkpoint
+    "category-twice": (("c",), (("a", "a"),), "vocab"),
+    "no-categories": (("c",), ((),), "vocab"),
+    "category-list": (("c",), (["a", "b"],), "vocab"),
+    "short-vocab": (("x", "y"), (None,), "vocab"),
+}
+
+
+def _transform(columns, vocab) -> FeatureTransform:
+    width = sum(1 if cats is None else len(cats) for cats in vocab)
+    return FeatureTransform(columns, vocab, CsvSchema(), np.zeros(width), np.ones(width))
+
+
+@pytest.mark.parametrize("columns, vocab, param", _UNREADABLE.values(), ids=_UNREADABLE)
+def test_transform_refuses_names_and_categories_that_do_not_read_back(columns, vocab, param):
+    with pytest.raises(ParameterError) as info:
+        _transform(columns, vocab)
+    assert info.value.param == param
+
+
+# the cases a checkpoint's JSON can hold: a JSON list is read as a tuple
+@pytest.mark.parametrize("case", sorted(set(_UNREADABLE) - {"category-list", "short-vocab"}))
+def test_transform_from_meta_refuses_names_and_categories_that_do_not_read_back(case):
+    columns, vocab, _ = _UNREADABLE[case]
+    width = sum(1 if cats is None else len(cats) for cats in vocab)
+    meta = {FeatureTransform.META_KEY: json.dumps({
+        "columns": [{"name": name, "categories": None if cats is None else list(cats)}
+                    for name, cats in zip(columns, vocab)],
+        "mean": [0.0] * width, "scale": [1.0] * width})}
+    with pytest.raises(CheckpointError, match="^malformed feature transform: (columns|vocab) "):
+        FeatureTransform.from_meta(meta, width)
+
+
 def test_transform_meta_round_trips_exactly(tmp_path):
     text = "x,c,y,s\n0.1,b,yes,M\n0.7,a,no,F\n1e-300,b,yes,F\n"
     schema = CsvSchema("y", "s", "yes", "F", include_sensitive=True)

@@ -1,7 +1,11 @@
 import os
+import platform
 import resource
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,12 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairline import baseline, evaluation
-from fairline.baseline import predict_fixed, sweep_fixed
+from fairline.baseline import FixedModel, predict_fixed, sweep_fixed
 from fairline.data import split, synth_biased
 from fairline.errors import (
     EmptyGroupError, FairlineError, FrontierRangeError, NumericError, ParameterError)
 from fairline.evaluation import (
-    CHUNK,
     DEFAULT_ALPHA_GRID,
     HARD_THRESHOLD,
     REPORT_HEADER,
@@ -31,8 +34,8 @@ from fairline.evaluation import (
     write_report,
 )
 from fairline.losses import FAIRNESS_METRICS, METRIC_GAPS, fairness_loss
-from fairline.model import MlpArchitecture, forward, init_params
-from fairline.subspace import SubspaceModel, TrainConfig, predict, train_subspace
+from fairline.model import CHUNK, MlpArchitecture, forward, init_params
+from fairline.subspace import SubspaceModel, TrainConfig, interpolate, predict, train_subspace
 
 
 def rec(error_rate, fairness, **kwargs):
@@ -379,17 +382,32 @@ def scored(monkeypatch):
     return preds
 
 
-@pytest.mark.parametrize("n", [1, 100, CHUNK, 2 * CHUNK + 37],
-                         ids=["one-row", "under-chunk", "one-chunk", "chunks-and-rest"])
+# (rows, piece bounds): pieces start at multiples of CHUNK, and a lone last
+# row joins the piece before it
+_PIECES = {"one-row": (1, [0, 1]), "under-chunk": (100, [0, 100]),
+           "one-chunk": (CHUNK, [0, CHUNK]), "chunk-and-a-row": (CHUNK + 1, [0, CHUNK + 1]),
+           "chunks-and-rest": (2 * CHUNK + 37, [0, CHUNK, 2 * CHUNK, 2 * CHUNK + 37])}
+
+
+def _forward_pieces(arch, params, x, bounds) -> bytes:
+    """The bytes of one allocating forward per piece, concatenated."""
+    return np.concatenate([forward(arch, params, x[lo:hi])[0]
+                           for lo, hi in zip(bounds, bounds[1:])]).tobytes()
+
+
+@pytest.mark.parametrize("n, bounds", _PIECES.values(), ids=_PIECES)
 @pytest.mark.parametrize("hidden", [(256,), (32, 16)], ids=["256", "32-16"])
-def test_serve_is_byte_equal_to_one_allocating_forward(n, hidden, scored):
+def test_serve_is_byte_equal_to_one_allocating_forward(n, bounds, hidden, scored):
+    # one allocating forward per piece: a row's bits may depend on the row
+    # count of its GEMM (they do under OpenBLAS's Haswell kernel), so the
+    # pieces are part of the identity
     arch = MlpArchitecture(6, hidden)
     x = np.random.default_rng(n).standard_normal((n, 6))
     weights = [init_params(arch, 0), init_params(arch, 1), init_params(arch, 0)]
-    # the workspace and the prediction vector are reused across the points
+    # the workspace is reused across the points
     records = _score(arch, x, np.zeros(n), np.zeros(n),
                      [(i, w, {"seed": i}) for i, w in enumerate(weights)])
-    assert scored == [forward(arch, w, x)[0].tobytes() for w in weights]
+    assert scored == [_forward_pieces(arch, w, x, bounds) for w in weights]
     assert [r.seed for r in records] == [0, 1, 2]
 
 
@@ -447,7 +465,8 @@ def test_alpha_sweep_and_compare_to_grid_equal_a_predict_loop():
 def test_alpha_sweep_serves_a_lone_last_row_in_a_multi_row_chunk(seed, monkeypatch):
     # 513 rows: a last CHUNK of one row would take BLAS's matrix-vector
     # kernel, whose sums differ in the last bits from the same row's in a
-    # forward over all rows; on OpenBLAS a few alphas of each seed differ.
+    # multi-row forward; predict serves the same pieces, so the rule itself
+    # is pinned by test_serve_is_byte_equal_to_one_allocating_forward.
     test = synth_biased(CHUNK + 1, 6, 0.5, 0.4, 1.0, seed=seed)
     arch = MlpArchitecture(6)
     model = SubspaceModel(arch, init_params(arch, seed), init_params(arch, seed + 1))
@@ -462,6 +481,61 @@ def test_alpha_sweep_serves_a_lone_last_row_in_a_multi_row_chunk(seed, monkeypat
     assert len(preds) == len(DEFAULT_ALPHA_GRID)
     for a, pred in zip(DEFAULT_ALPHA_GRID, preds):
         assert pred.tobytes() == predict(model, a, test.features).tobytes(), a
+
+
+@pytest.mark.parametrize("n, bounds", _PIECES.values(), ids=_PIECES)
+def test_predict_and_predict_fixed_forward_in_the_sweeps_pieces(n, bounds):
+    arch = MlpArchitecture(6, (32, 16))
+    x = np.random.default_rng(n).standard_normal((n, 6))
+    model = SubspaceModel(arch, init_params(arch, 0), init_params(arch, 1))
+    fixed = FixedModel(arch, init_params(arch, 2), 0.5)
+    theta = interpolate(model.w_acc, model.w_fair, 0.3)
+    assert predict(model, 0.3, x).tobytes() == _forward_pieces(arch, theta, x, bounds)
+    assert predict_fixed(fixed, x).tobytes() == _forward_pieces(arch, fixed.weights, x, bounds)
+
+
+# Run in a child process under OpenBLAS's Haswell kernels, whose GEMM gives a
+# row other bits in a call with another row count: alpha_sweep equals predict
+# only because both forward the same pieces. Prints the kernel, then the
+# number of (architecture, seed, alpha) vectors that differ.
+_SWEEP_EQUALS_PREDICT = """
+from fairline import evaluation
+from fairline.data import synth_biased
+from fairline.model import MlpArchitecture, init_params
+from fairline.subspace import SubspaceModel, predict
+from bits import blas_core
+
+preds, evaluate = [], evaluation._evaluate
+evaluation._evaluate = lambda pred, y, cells: preds.append(pred.copy()) or evaluate(pred, y, cells)
+grid, differ = [k / 10 for k in range(11)], 0
+for hidden in [(256,), (32, 16), (64, 64), (16, 8, 4)]:
+    arch = MlpArchitecture(6, hidden)
+    for seed in range(4):
+        test = synth_biased(1500, 6, 0.5, 0.4, 1.0, seed=seed)
+        model = SubspaceModel(arch, init_params(arch, seed), init_params(arch, seed + 1))
+        preds.clear()
+        evaluation.alpha_sweep(model, test, grid)
+        differ += sum(p.tobytes() != predict(model, a, test.features).tobytes()
+                      for a, p in zip(grid, preds, strict=True))
+print(blas_core(), differ)
+"""
+
+
+def _dynamic_openblas() -> bool:
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64")
+                    or not _dynamic_openblas(),
+                    reason="needs an x86-64 OpenBLAS built with DYNAMIC_ARCH")
+def test_alpha_sweep_equals_predict_under_the_haswell_kernel():
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(str(root / d) for d in ("src", "scripts"))
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell", "PYTHONPATH": path}
+    out = subprocess.run([sys.executable, "-c", _SWEEP_EQUALS_PREDICT], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["Haswell", "0"]
 
 
 def _small_compare():
