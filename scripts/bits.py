@@ -49,8 +49,12 @@ def blas_core() -> str:
     except OSError:
         return "unknown"
     for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:  # e.g. a library file deleted since it was loaded
+            continue
         for name in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
-            corename = getattr(ctypes.CDLL(path), name, None)
+            corename = getattr(lib, name, None)
             if corename is not None:
                 corename.argtypes, corename.restype = [], ctypes.c_char_p
                 return corename().decode()

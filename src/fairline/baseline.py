@@ -19,7 +19,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from .data import Dataset
 from .errors import FairlineError, ParameterError, ShapeError, check_integer, check_real
-from .model import MlpArchitecture, Workspace, _serve
+from .model import MlpArchitecture, Workspace, _serve, forward
 from .subspace import (
     BatchGradients, TrainConfig, _task_gradient, _train_loop, train_subspace)
 from .tensor import blas_threads, limit_blas_threads
@@ -172,9 +172,12 @@ def _pooled_run(task):
 
 def predict_fixed(model: FixedModel, x: np.ndarray) -> np.ndarray:
     """The model's predictions on x, served in model.CHUNK-row pieces as
-    compare's grid scoring serves them. Outside tests only the benchmark's
-    trace list (perfbench/spans.py) names it; compare scores grid models
-    through evaluation._score."""
+    compare's grid scoring serves them; a 1-row x goes straight to forward,
+    as in predict. Outside tests only the benchmark's trace list
+    (perfbench/spans.py) names it; compare scores grid models through
+    evaluation._score."""
+    if x.ndim == 2 and len(x) == 1:
+        return forward(model.arch, model.weights, x)[0]
     return _serve(model.arch, model.weights, x)
 
 

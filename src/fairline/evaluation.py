@@ -29,7 +29,7 @@ from .baseline import (
 from .data import Dataset, FeatureTransform, open_text
 from .errors import CheckpointError, FrontierRangeError, NumericError, ParameterError, check_real
 from .losses import METRIC_GAPS, Cells, check_lengths, group_cells, group_gap
-from .model import CHUNK, MlpArchitecture, Workspace, _serve
+from .model import MlpArchitecture, _serve, _serve_workspace
 from .subspace import SubspaceModel, TrainConfig, interpolate
 
 logger = logging.getLogger(__name__)
@@ -121,7 +121,7 @@ def _score(arch: MlpArchitecture, x: np.ndarray, y: np.ndarray, s: np.ndarray,
     """The MetricsRecord on rows (x, y, s) of each (name, params, values)
     point, with the fields in values set. Predictions that are not all
     finite raise NumericError naming the point."""
-    workspace = Workspace(arch, min(CHUNK + 1, x.shape[0]))
+    workspace = _serve_workspace(arch, x.shape[0])
     cells = _row_set_cells(y, s)
     records = []
     for name, params, values in points:

@@ -214,8 +214,8 @@ def _serve(arch: MlpArchitecture, params: np.ndarray, x: np.ndarray,
     start at multiples of CHUNK. A lone last row joins the piece before it:
     BLAS serves a 1-row product with another kernel, whose bits differ from
     those of the same row in a multi-row product. Each piece goes through
-    workspace, which must then hold min(CHUNK + 1, rows of x) rows, or
-    allocates without one."""
+    workspace, made by _serve_workspace for x's row count, or allocates
+    without one."""
     if x.ndim != 2 or x.shape[0] <= CHUNK + 1:  # one piece, or forward refuses x
         return forward(arch, params, x, workspace)[0]
     n = x.shape[0]
@@ -224,6 +224,11 @@ def _serve(arch: MlpArchitecture, params: np.ndarray, x: np.ndarray,
     for lo, hi in zip(bounds, bounds[1:]):
         pred[lo:hi] = forward(arch, params, x[lo:hi], workspace)[0]
     return pred
+
+
+def _serve_workspace(arch: MlpArchitecture, rows: int) -> Workspace:
+    """A workspace that holds _serve's largest piece of a rows-row x."""
+    return Workspace(arch, min(CHUNK + 1, rows))
 
 
 def backward(arch: MlpArchitecture, params: np.ndarray, cache: ForwardCache,

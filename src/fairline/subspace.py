@@ -319,8 +319,14 @@ def predict(model: SubspaceModel, alpha: float, x: np.ndarray) -> np.ndarray:
     a few ulp with the number of rows in x: BLAS multiplies one row by a
     matrix-vector kernel and more rows by a matrix-matrix one, which sum in
     another order. So predict(model, a, x[i:i + 1]) need not equal
-    predict(model, a, x)[i] bit for bit."""
-    return _serve(model.arch, interpolate(model.w_acc, model.w_fair, alpha), x)
+    predict(model, a, x)[i] bit for bit.
+
+    A 1-row x, one piece under any chunking, goes straight to forward: a
+    serving request is one forward call, with no chunk loop around it."""
+    theta = interpolate(model.w_acc, model.w_fair, alpha)
+    if x.ndim == 2 and len(x) == 1:
+        return forward(model.arch, theta, x)[0]
+    return _serve(model.arch, theta, x)
 
 
 def save_checkpoint(model: SubspaceModel, path) -> None:

@@ -526,9 +526,11 @@ def _dynamic_openblas() -> bool:
     return "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
 
 
-@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64")
+@pytest.mark.skipif(sys.platform != "linux"
+                    or platform.machine().lower() not in ("x86_64", "amd64")
                     or not _dynamic_openblas(),
-                    reason="needs an x86-64 OpenBLAS built with DYNAMIC_ARCH")
+                    reason="needs Linux (bits.blas_core reads /proc/self/maps) and an "
+                           "x86-64 OpenBLAS built with DYNAMIC_ARCH")
 def test_alpha_sweep_equals_predict_under_the_haswell_kernel():
     root = Path(__file__).resolve().parent.parent
     path = os.pathsep.join(str(root / d) for d in ("src", "scripts"))
