@@ -32,27 +32,16 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 import fairline as fl  # noqa: E402
-from fairline import cli  # noqa: E402
+from fairline import cli, tensor  # noqa: E402
 
 METRICS = ("dp", "eo", "eodd")
 FIXED_WEIGHTS = (0.0, 0.5, 1.0)
 
 
 def blas_core() -> str:
-    """The core name the first OpenBLAS loaded in this process reports, found
-    by path in /proc/self/maps, or "unknown" where none reports one."""
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            # fields: address, perms, offset, dev, inode, then the path
-            paths = sorted({fields[5].strip() for fields in (line.split(maxsplit=5) for line in fh)
-                            if len(fields) == 6 and "openblas" in fields[5]})
-    except OSError:
-        return "unknown"
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:  # e.g. a library file deleted since it was loaded
-            continue
+    """The core name the first OpenBLAS loaded in this process reports, or
+    "unknown" where none reports one."""
+    for lib in tensor._openblas_libs():
         for name in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
             corename = getattr(lib, name, None)
             if corename is not None:

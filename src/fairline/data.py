@@ -686,18 +686,12 @@ def synth_biased(n: int, d: int, group_fraction: float, base_rate_gap: float,
     allocate raises ParameterError naming n if the per-row draws fail, and d
     if the (n, d) feature matrix does.
     """
-    if check_integer(n, "n") < 40:
-        raise ParameterError("must be >= 40", param="n")
-    if check_integer(d, "d") < 2:
-        raise ParameterError("must be >= 2", param="d")
-    if not 0.0 < check_real(group_fraction, "group_fraction") < 1.0:
-        raise ParameterError("must be in (0, 1)", param="group_fraction")
-    if not 0.0 <= check_real(base_rate_gap, "base_rate_gap") <= 1.0:
-        raise ParameterError("must be in [0, 1]", param="base_rate_gap")
-    if not check_real(noise, "noise") > 0.0:
-        raise ParameterError("must be > 0", param="noise")
-    if check_integer(seed, "seed") < 0:
-        raise ParameterError("must be non-negative", param="seed")
+    check_integer(n, "n", 40)
+    check_integer(d, "d", 2)
+    check_real(group_fraction, "group_fraction", 0.0, 1.0, exclusive=True)
+    check_real(base_rate_gap, "base_rate_gap", 0.0, 1.0)
+    check_real(noise, "noise", 0.0, exclusive=True)
+    check_integer(seed, "seed", 0)
 
     rng = np.random.default_rng(seed)
     try:
@@ -736,9 +730,8 @@ def synth_biased(n: int, d: int, group_fraction: float, base_rate_gap: float,
 
 
 def check_test_fraction(test_fraction: float) -> None:
-    """split's rule for test_fraction: strictly between 0 and 1."""
-    if not 0.0 < check_real(test_fraction, "test_fraction") < 1.0:
-        raise ParameterError("must be in (0, 1)", param="test_fraction")
+    """split's rule for test_fraction: a number in (0, 1)."""
+    check_real(test_fraction, "test_fraction", 0.0, 1.0, exclusive=True)
 
 
 def split(ds: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
@@ -749,8 +742,7 @@ def split(ds: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Datase
     are refitted on the training rows' raw values and applied to both parts.
     """
     check_test_fraction(test_fraction)
-    if check_integer(seed, "seed") < 0:
-        raise ParameterError("must be non-negative", param="seed")
+    check_integer(seed, "seed", 0)
     n = ds.n
     n_test = int(round(n * test_fraction))
     n_test = min(max(n_test, 1), n - 1)
@@ -780,11 +772,8 @@ def batches(ds: Dataset, batch_size: int, shuffle_seed: int, epoch: int) -> list
     The permutation is seeded by (shuffle_seed, epoch); the last slice may be
     short but is never dropped.
     """
-    if check_integer(batch_size, "batch_size") < 2:
-        raise ParameterError("must be >= 2", param="batch_size")
-    if check_integer(shuffle_seed, "shuffle_seed") < 0:
-        raise ParameterError("must be non-negative", param="shuffle_seed")
-    if check_integer(epoch, "epoch") < 0:
-        raise ParameterError("must be non-negative", param="epoch")
+    check_integer(batch_size, "batch_size", 2)
+    check_integer(shuffle_seed, "shuffle_seed", 0)
+    check_integer(epoch, "epoch", 0)
     perm = np.random.default_rng([shuffle_seed, epoch]).permutation(ds.n)
     return [perm[i:i + batch_size] for i in range(0, ds.n, batch_size)]

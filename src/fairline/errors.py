@@ -1,5 +1,8 @@
-"""Exception types shared across the package, and the number-parameter rules."""
+"""Exception types shared across the package, and the number-parameter rules:
+check_integer and check_real, one rule per kind of number, check a value's
+type and range in one call that states the range."""
 
+import math
 from numbers import Integral, Real
 
 
@@ -20,25 +23,34 @@ class ParameterError(FairlineError):
         self.param, self.rule = param, rule
 
 
-def check_integer(value, param: str) -> int:
+def check_integer(value, param: str, minimum: int) -> int:
     """The integer-parameter rule: value is an Integral, a Python or a numpy
-    integer, and comes back as an int. A bool, or a float even with an
-    integral value, raises ParameterError naming param."""
-    if not isinstance(value, Integral) or isinstance(value, bool):
-        raise ParameterError(f"must be an integer, got {value!r}", param=param)
-    return int(value)
+    integer, >= minimum, and comes back as an int. Anything else, a bool or a
+    float even with an integral value included, raises ParameterError naming
+    param: "<param> must be an integer >= <minimum>, got <value>"."""
+    if isinstance(value, Integral) and not isinstance(value, bool) and value >= minimum:
+        return int(value)
+    raise ParameterError(f"must be an integer >= {minimum}, got {value!r}", param=param)
 
 
-def check_real(value, param: str) -> float:
+def check_real(value, param: str, low: float, high: float = math.inf, *,
+               exclusive: bool = False) -> float:
     """The real-parameter rule: value is a Real, a Python or numpy integer or
-    float, and comes back as a float. Anything else, a bool or text included,
-    or an integer too large for a float, raises ParameterError naming param."""
+    float, finite and in [low, high], or in (low, high) when exclusive, and
+    comes back as a float. Anything else, a bool, text, NaN or an integer too
+    large for a float included, raises ParameterError naming param: "<param>
+    must be a number in [low, high], got <value>", an excluded end, inf
+    included, written with ( or )."""
     if isinstance(value, Real) and not isinstance(value, bool):
         try:
-            return float(value)
+            x = float(value)
         except OverflowError:
-            pass
-    raise ParameterError(f"must be a number, got {value!r}", param=param)
+            x = math.nan
+        if math.isfinite(x) and (low < x < high if exclusive else low <= x <= high):
+            return x
+    interval = (f"{'(' if exclusive else '['}{low:g}, {high:g}"
+                f"{')' if exclusive or high == math.inf else ']'}")
+    raise ParameterError(f"must be a number in {interval}, got {value!r}", param=param)
 
 
 class EmptyGroupError(FairlineError):

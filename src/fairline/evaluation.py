@@ -41,14 +41,11 @@ HARD_THRESHOLD = 0.5
 
 
 def check_alpha_grid(grid) -> list[float]:
-    """The alpha-grid rule: non-empty, every alpha a number in [0, 1];
-    returns floats."""
-    grid = [check_real(a, "alpha_grid") for a in grid]
+    """The alpha-grid rule: non-empty, every alpha a number in [0, 1] by
+    errors.check_real; returns floats."""
+    grid = [check_real(a, "alpha_grid", 0.0, 1.0) for a in grid]
     if not grid:
         raise ParameterError("must be non-empty", param="alpha_grid")
-    for a in grid:
-        if not 0.0 <= a <= 1.0:
-            raise ParameterError(f"value {a} must be in [0, 1]", param="alpha_grid")
     return grid
 
 

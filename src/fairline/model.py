@@ -58,7 +58,7 @@ from functools import cached_property
 import numpy as np
 
 from . import tensor
-from .errors import ParameterError, ShapeError, check_integer
+from .errors import ShapeError, check_integer
 
 
 @dataclass(frozen=True)
@@ -67,11 +67,9 @@ class MlpArchitecture:
     hidden_dims: tuple[int, ...] = (256,)
 
     def __post_init__(self):
-        object.__setattr__(self, "input_dim", check_integer(self.input_dim, "input_dim"))
+        object.__setattr__(self, "input_dim", check_integer(self.input_dim, "input_dim", 1))
         object.__setattr__(self, "hidden_dims",
-                           tuple(check_integer(h, "hidden_dims") for h in self.hidden_dims))
-        if self.input_dim < 1 or any(h < 1 for h in self.hidden_dims):
-            raise ParameterError("all layer widths must be >= 1")
+                           tuple(check_integer(h, "hidden_dims", 1) for h in self.hidden_dims))
 
     # Computed once per architecture: forward and backward read them on
     # every call.
@@ -164,8 +162,7 @@ def layer_views(arch: MlpArchitecture, params: np.ndarray) -> list[tuple[np.ndar
 
 def init_params(arch: MlpArchitecture, seed: int) -> np.ndarray:
     """Glorot-uniform weights (+-sqrt(6 / (fan_in + fan_out))), zero biases."""
-    if check_integer(seed, "seed") < 0:
-        raise ParameterError("must be non-negative", param="seed")
+    check_integer(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     params = np.zeros(arch.param_count)
     for w, _ in layer_views(arch, params):

@@ -39,10 +39,10 @@ _BLAS_THREAD_FUNCS = (
 
 
 @functools.cache
-def _openblas_threads() -> tuple:
-    """(setter, getter) of every OpenBLAS loaded in this process that has
-    both, looked up once per process (a forked child inherits the lookup).
-    Empty where none is found: another BLAS, or no /proc/self/maps."""
+def _openblas_libs() -> tuple:
+    """Every OpenBLAS loaded in this process that ctypes can open, found by
+    path in /proc/self/maps, looked up once per process (a forked child
+    inherits the lookup). Empty for another BLAS, or no /proc/self/maps."""
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
             # fields: address, perms, offset, dev, inode, then the path
@@ -50,12 +50,20 @@ def _openblas_threads() -> tuple:
                      if len(fields) == 6 and "openblas" in fields[5]}
     except OSError:
         return ()
-    found = []
+    libs = []
     for path in sorted(paths):
         try:
-            lib = ctypes.CDLL(path)
+            libs.append(ctypes.CDLL(path))
         except OSError:  # e.g. a library file deleted since it was loaded
-            continue
+            pass
+    return tuple(libs)
+
+
+@functools.cache
+def _openblas_threads() -> tuple:
+    """(setter, getter) of every OpenBLAS of _openblas_libs that has both."""
+    found = []
+    for lib in _openblas_libs():
         names = next((pair for pair in _BLAS_THREAD_FUNCS
                       if all(hasattr(lib, name) for name in pair)), None)
         if names is not None:
@@ -85,9 +93,6 @@ def blas_threads() -> int | None:
     return libs[0][1]() if libs else None
 
 
-# Smallest positive double and the largest double below 1: sigmoid output is
-# clamped into this open interval so downstream logs and group means never
-# see an exact 0 or 1 even for extreme logits.
 # sigmoid's constants are read-only 0-d arrays: a ufunc converts a Python
 # float or numpy scalar operand on every call, which costs about 0.2 us of
 # the 0.5 us a 1-element ufunc takes, and a 0-d array operand it does not.
@@ -97,6 +102,9 @@ def _constant(value: float) -> np.ndarray:
     return a
 
 
+# Smallest positive double and the largest double below 1: sigmoid output is
+# clamped into this open interval so downstream logs and group means never
+# see an exact 0 or 1 even for extreme logits.
 _SIG_LO = _constant(np.nextafter(0.0, 1.0))
 _SIG_HI = _constant(np.nextafter(1.0, 0.0))
 _ZERO, _ONE, _MINUS_ONE = _constant(0.0), _constant(1.0), _constant(-1.0)

@@ -54,7 +54,8 @@ def test_synth_invalid_gap_names_flag(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, message", [
     (["--noise", "1e200"], "error: --noise too large: a generated column's mean or stdev"),
-    (["--noise", "inf"], "error: --noise too large: a generated column's mean or stdev"),
+    # inf is refused by noise's own rule, before any data is generated
+    (["--noise", "inf"], "error: --noise must be a number in (0, inf), got inf"),
     (["--n", "40", "--group-fraction", "0.001"],
      "error: --group-fraction too extreme for n=40 and seed=0: a group came out empty"),
     # sizes numpy refuses at once, before it touches any memory
@@ -73,7 +74,7 @@ def test_synth_rule_without_cli_copy_names_flag(tmp_path, capsys):
     # only synth_biased checks n; the CLI names the flag in its error
     out = tmp_path / "x.csv"
     assert run(["synth", "--n", "10", "--out", str(out)]) == 2
-    assert "error: --n must be >= 40" in capsys.readouterr().err
+    assert "error: --n must be an integer >= 40, got 10" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -7,10 +7,16 @@ are their parameter names, and cli.main names a ParameterError's parameter
 by the flag whose dest it is. A renamed dest or a new parameter would
 otherwise only show as a parameter that silently keeps its default, or as
 an error that names the library parameter instead of its flag.
+
+Each command also applies every number rule before it reads a file: an
+out-of-range value of any numeric flag is a usage error naming the flag,
+even where the input files do not exist.
 """
 
 import inspect
 from dataclasses import fields
+
+import pytest
 
 from fairline import cli
 from fairline.data import CsvSchema, synth_biased
@@ -65,3 +71,29 @@ def test_schema_flag_defaults_are_the_default_schema():
         # epoch count and YODO_SEED seed
         assert cli._from_args(TrainConfig, args) == \
             TrainConfig(epochs=8, seed=cli._default_seed())
+
+
+# one out-of-range value per numeric flag, by the flag's name without dashes
+OUT_OF_RANGE = {
+    "n": "39", "d": "1", "group-fraction": "1", "gap": "-0.1", "noise": "0", "seed": "-1",
+    "epochs": "0", "batch-size": "1", "learning-rate": "0", "fairness-weight": "-1",
+    "diversity-weight": "inf", "test-fraction": "1", "grid": "0.5,1.5",
+    "fairness-grid": "0,-1", "jobs": "0",
+}
+
+
+@pytest.mark.parametrize("command", ["synth", "train", "sweep", "compare"])
+def test_every_numeric_flag_is_checked_before_any_file_is_read(command, tmp_path, capsys):
+    # every input file is missing: a check that ran after a load would exit 3
+    missing, out = str(tmp_path / "missing"), tmp_path / "out"
+    files = {"synth": [], "train": ["--data", missing], "sweep": ["--checkpoint", missing,
+             "--test", missing], "compare": ["--data", missing, "--checkpoint", missing]}
+    flags = [(key, action) for key, action in COMMANDS[command].flags.items()
+             if action.type in (int, float, cli.floats)]
+    assert flags and [key for key, _ in flags if key not in OUT_OF_RANGE] == []
+    for key, action in flags:
+        argv = [command, *files[command], "--out", str(out), f"--{key}={OUT_OF_RANGE[key]}"]
+        rule = "an integer >= " if action.type is int else "a number in "
+        assert cli.main(argv) == 2, key
+        assert f"error: --{key} must be {rule}" in capsys.readouterr().err
+        assert not out.exists()

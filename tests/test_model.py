@@ -41,8 +41,8 @@ def test_layer_spans_tile_the_parameter_vector(hidden_dims):
 
 
 @pytest.mark.parametrize("input_dim,hidden_dims,param", [
-    pytest.param(0, (4,), None, id="zero-input"),
-    pytest.param(3, (0,), None, id="zero-width"),
+    pytest.param(0, (4,), "input_dim", id="zero-input"),
+    pytest.param(3, (0,), "hidden_dims", id="zero-width"),
     pytest.param(3.0, (4,), "input_dim", id="float-input"),
     pytest.param(3, (4.5,), "hidden_dims", id="float-width"),
 ])
