@@ -18,7 +18,7 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from .data import Dataset
-from .errors import FairlineError, ParameterError, ShapeError, check_integer, check_real
+from .errors import FairlineError, ShapeError, check_grid, check_integer, check_real
 from .model import MlpArchitecture, Workspace, _serve, forward
 from .subspace import (
     BatchGradients, TrainConfig, _task_gradient, _train_loop, train_subspace)
@@ -30,12 +30,8 @@ DEFAULT_FAIRNESS_GRID = tuple(k / 20 for k in range(21))
 
 
 def check_fairness_grid(grid) -> list[float]:
-    """The fairness-grid rule: non-empty, every value a number in [0, inf)
-    by errors.check_real; returns floats."""
-    grid = [check_real(a, "fairness_grid", 0.0) for a in grid]
-    if not grid:
-        raise ParameterError("must be non-empty", param="fairness_grid")
-    return grid
+    """The fairness-grid rule: errors.check_grid in [0, inf)."""
+    return check_grid(grid, "fairness_grid", 0.0)
 
 
 def check_jobs(jobs) -> int:

@@ -111,7 +111,7 @@ class FeatureTransform:
     surrounding whitespace, distinct, and neither the label nor the
     sensitive column; each vocab entry is None or a non-empty tuple of
     distinct, non-empty texts without surrounding whitespace, in sorted
-    order.
+    order. A transform must encode a column: with no columns, the group.
     """
 
     columns: tuple[str, ...]
@@ -141,6 +141,9 @@ class FeatureTransform:
                 raise ParameterError(f"of column {name!r} must be None or a sorted, non-empty "
                                      f"tuple of distinct, non-empty texts without "
                                      f"surrounding whitespace, got {cats!r}", param="vocab")
+        if not (self.columns or self.schema.include_sensitive):
+            raise ParameterError("must not be empty when the group is not a feature",
+                                 param="columns")
 
     @classmethod
     def _unfitted(cls, columns, vocab, schema: CsvSchema) -> "FeatureTransform":
@@ -154,27 +157,31 @@ class FeatureTransform:
         return cls._unfitted(columns, [None] * len(columns), CsvSchema())
 
     @classmethod
-    def infer(cls, header: list[str], cols: list[list[str]],
-              schema: CsvSchema) -> tuple["FeatureTransform", dict[str, np.ndarray]]:
-        """The encoding of cols (one list of cells per header column), with
-        identity statistics: every column but the label and sensitive ones,
-        numeric where every cell parses as a float, else one-hot over its
-        sorted distinct values; the group is a feature as the schema says.
-        Also returns each numeric column's floats by name, parsed with one
-        float() per cell, for encode to take without parsing again."""
-        columns, vocab, floats = [], [], {}
+    def infer(cls, header: list[str], cols: list,
+              schema: CsvSchema) -> tuple["FeatureTransform", list]:
+        """The encoding of cols (per header column, a float64 array or a
+        list of cells), with identity statistics: every column but the label
+        and sensitive ones, numeric where it is an array or every cell parses
+        as a float, else one-hot over its sorted distinct values; the group
+        is a feature as the schema says. Also returns cols with each numeric
+        column parsed, one float() per cell, unless a number is not finite:
+        encode's fault quotes the cell."""
+        columns, vocab, parsed = [], [], []
         for name, cells in zip(header, cols):
-            if name in (schema.label_column, schema.sensitive_column):
-                continue
-            try:
-                floats[name] = _floats(cells)
-                vocab.append(None)
-            except ValueError:
-                vocab.append(tuple(sorted(set(cells))))
-            columns.append(name)
+            if name not in (schema.label_column, schema.sensitive_column):
+                columns.append(name)
+                try:
+                    values = cells if isinstance(cells, np.ndarray) else _floats(cells)
+                except ValueError:
+                    vocab.append(tuple(sorted(set(cells))))
+                else:
+                    vocab.append(None)
+                    if np.isfinite(values).all():
+                        cells = values
+            parsed.append(cells)
         if not columns and not schema.include_sensitive:
             raise SchemaError("no feature columns besides label/sensitive")
-        return cls._unfitted(columns, vocab, schema), floats
+        return cls._unfitted(columns, vocab, schema), parsed
 
     @property
     def width(self) -> int:
@@ -194,26 +201,26 @@ class FeatureTransform:
                 for flag in ([True] if cats is None else [False] * len(cats))]
         return np.array(mask + [False] * self.schema.include_sensitive, dtype=bool)
 
-    def encode(self, header: list[str], cols: list[list[str]], lines: list[int],
-               sensitive: np.ndarray, floats: dict[str, np.ndarray]) -> np.ndarray:
-        """The (len(lines), width) raw matrix of cols, one list of cells per
-        header column, lines[k] being row k's file line. floats holds numeric
-        columns already parsed (infer's), by name; any other numeric column
-        is parsed here, once per cell. A column the transform names must be
-        in the header (SchemaError); a cell of a numeric column must be a
-        finite number and one of a one-hot column in its vocabulary
-        (RowParseError with the line). Columns are checked in the
-        transform's order, each one's first bad cell in file order, so a bad
-        cell in an earlier column wins over one on an earlier line. Other
-        header columns are ignored."""
-        n = len(lines)
+    def encode(self, header: list[str], cols: list, lines: list[int] | None,
+               sensitive: np.ndarray) -> np.ndarray:
+        """The (len(sensitive), width) raw matrix of cols, per header column
+        a float64 array of finite numbers, taken as it is, or a list of
+        cells, lines[k] being row k's file line (None if no cell can be at
+        fault). A column the transform names must be in the header
+        (SchemaError); a cell of a numeric column must be a finite number
+        and one of a one-hot column in its vocabulary (RowParseError with
+        the line). Columns are checked in the transform's order, each one's
+        first bad cell in file order, so a bad cell in an earlier column
+        wins over one on an earlier line. Other header columns are
+        ignored."""
+        n = len(sensitive)
         blocks = []
         for name, cats in zip(self.columns, self.vocab):
             if name not in header:
                 raise SchemaError(f"feature column '{name}' not found in header {header}")
             cells = cols[header.index(name)]
             if cats is None:
-                blocks.append(_numbers(name, cells, lines, floats.get(name))[:, None])
+                blocks.append(_numbers(name, cells, lines)[:, None])
                 continue
             codes = list(map({c: k for k, c in enumerate(cats)}.get, cells))
             if None in codes:
@@ -294,16 +301,16 @@ def _floats(cells: list[str]) -> np.ndarray:
     return np.fromiter(map(float, cells), np.float64, len(cells))
 
 
-def _numbers(name: str, cells: list[str], lines: list[int],
-             values: np.ndarray | None) -> np.ndarray:
-    """A numeric column's floats: values when its cells were parsed already,
-    else the cells parsed here; a cell that is not a finite number raises
-    RowParseError with its line."""
-    if values is None:
-        try:
-            values = _floats(cells)
-        except ValueError:  # a served file's cell that is not a number at all
-            values = np.array([_float_or_nan(c) for c in cells])
+def _numbers(name: str, cells, lines: list[int] | None) -> np.ndarray:
+    """A numeric column's floats: cells itself when it is an array (of
+    finite numbers), else the cells parsed here, once each; a cell that is
+    not a finite number raises RowParseError with its line."""
+    if isinstance(cells, np.ndarray):
+        return cells
+    try:
+        values = _floats(cells)
+    except ValueError:  # a served file's cell that is not a number at all
+        values = np.array([_float_or_nan(c) for c in cells])
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         k = int(bad[0])
@@ -390,41 +397,54 @@ def load_csv(path, schema_or_transform: CsvSchema | FeatureTransform) -> Dataset
     an unknown category raise RowParseError with the file line on which the
     row ends.
 
-    Two readers give the same Dataset. A file whose feature columns are all
-    numbers is first read by numpy's C reader (_read_numeric): no quote in
-    the header or in a label, group or ignored cell, no line that could hold
-    a cell over csv.field_size_limit(), every label and group cell present,
-    positive labels and both groups, every number finite, and a transform,
-    if given, with no one-hot column. Its numbers are the bits float()
-    gives: numpy parses each with the same PyOS_string_to_double.
-    Any other file, every faulty one among them, is read by csv.reader
-    (_read_rows), the only reader that raises, and the only one of a one-hot
-    column.
+    Faults come in this order: the first ragged row, over-long cell or
+    empty cell in file order, then the label and group checks, then per
+    feature column, in the transform's order, its first non-finite number or
+    unknown category, then fitting's overflow. A byte that is not UTF-8
+    raises when the reader reaches it: before any empty cell is reported,
+    and before an earlier ragged row when both fall in one read chunk of the
+    decoder.
 
-    _read_rows reads the file column by column: the rows are transposed once
-    into stripped columns, each column is checked for empty cells as a whole,
-    and each numeric cell is parsed by one float() call. Faults come in this
-    order: the first ragged row, over-long cell or empty cell in file order,
-    then the label and group checks, then per feature column, in the
-    transform's order, its first non-finite number or unknown category. A
-    byte that is not UTF-8 raises when the reader reaches it: before any
-    empty cell is reported, and before an earlier ragged row when both fall
-    in one read chunk of the decoder. Fitting's overflow fault comes last.
+    Two tokenizers give the same table (header, columns, lines): numpy's C
+    reader (_read_numeric) where it reads the file as csv.reader would, and
+    csv.reader (_read_rows), which raises the faults of the file's text, for
+    any other file. One table step (_dataset) does the rest for both.
     """
     fit = isinstance(schema_or_transform, CsvSchema)
     schema = schema_or_transform if fit else schema_or_transform.schema
     transform = None if fit else schema_or_transform
-    raw, labels, sensitive, transform = (_read_numeric(path, schema, transform)
-                                         or _read_rows(path, schema, transform))
+    return _dataset(_read_numeric(path, schema, transform) or _read_rows(path, schema),
+                    schema, transform)
+
+
+def _dataset(table, schema: CsvSchema, transform: FeatureTransform | None) -> Dataset:
+    """The Dataset of a tokenizer's table, through transform, or through one
+    inferred on the table and fitted when it is None: binarizes the label
+    and group, raising their faults, then encodes."""
+    header, cols, lines = table
+    labels = _binary(cols[header.index(schema.label_column)], schema.positive_label_value)
+    sensitive = _binary(cols[header.index(schema.sensitive_column)],
+                        schema.positive_sensitive_value)
+    if not np.any(labels == 1.0):
+        raise ValidationError(f"label column '{schema.label_column}' has no cell equal to "
+                              f"the positive label {schema.positive_label_value!r}")
+    if not (np.any(sensitive == 0.0) and np.any(sensitive == 1.0)):
+        raise ValidationError(f"sensitive column '{schema.sensitive_column}' has a single group")
+    fit = transform is None
     if fit:
-        transform = transform.fit(raw)
-    return Dataset(raw, labels, sensitive, transform)
+        transform, cols = FeatureTransform.infer(header, cols, schema)
+    raw = transform.encode(header, cols, lines, sensitive)
+    return Dataset(raw, labels, sensitive, transform.fit(raw) if fit else transform)
 
 
 def _read_numeric(path, schema: CsvSchema, transform: FeatureTransform | None):
-    """(raw, labels, sensitive, unfitted transform) of the file at path, read
-    by np.loadtxt, or None where that read could differ from _read_rows' or
-    _read_rows would raise. transform is None to infer an all-numeric one.
+    """The table (header, columns, None) of the file at path, read by
+    np.loadtxt: a float64 array per feature column (every column but the
+    label and group when transform is None), else a list of stripped cells.
+    None where that read could differ from _read_rows' or _read_rows would
+    raise, for a one-hot transform, and for a non-finite number, whose fault
+    needs a line number. Its numbers are the bits float() gives: numpy
+    parses each with the same PyOS_string_to_double.
 
     The open file streams line by line into np.loadtxt, one field per header
     column: float64 for a feature column, a Python string (an object field)
@@ -444,11 +464,9 @@ def _read_numeric(path, schema: CsvSchema, transform: FeatureTransform | None):
             first = fh.readline()
             header = [h.strip() for h in first.rstrip("\r\n").split(",")]
             columns = ([h for h in header if h not in (label, group)] if transform is None
-                       else list(transform.columns))
+                       else transform.columns)
             if ('"' in first or len(set(header)) != len(header)
-                    or not {label, group, *columns} <= set(header)
-                    or {label, group} & set(columns)
-                    or not (columns or schema.include_sensitive)):
+                    or not {label, group, *columns} <= set(header)):
                 return None
             dtype = np.dtype([(f"f{j}", np.float64 if h in columns else object)
                               for j, h in enumerate(header)])
@@ -461,24 +479,18 @@ def _read_numeric(path, schema: CsvSchema, transform: FeatureTransform | None):
                               quotechar=None, ndmin=1)
     except (OSError, ValueError):  # _read_rows raises the fault, if it is one
         return None
-    by_name = {h: rows[f"f{j}"] for j, h in enumerate(header)}
-    cells = {}
-    for h, col in by_name.items():
+    cols = []
+    for j, h in enumerate(header):
+        col = rows[f"f{j}"]
         if h in columns:
-            continue
-        cells[h] = list(map(str.strip, col.tolist()))
-        if "" in cells[h] or '"' in "".join(cells[h]):
-            return None
-    labels = _binary(cells[label], schema.positive_label_value)
-    sensitive = _binary(cells[group], schema.positive_sensitive_value)
-    raw = np.column_stack([by_name[c] for c in columns]
-                          + [sensitive] * schema.include_sensitive)
-    if not (labels.any() and 0 < sensitive.sum() < len(sensitive)
-            and np.isfinite(raw).all()):
-        return None
-    if transform is None:
-        transform = FeatureTransform._unfitted(columns, [None] * len(columns), schema)
-    return raw, labels, sensitive, transform
+            if not np.isfinite(col).all():
+                return None
+        else:
+            col = list(map(str.strip, col.tolist()))
+            if "" in col or '"' in "".join(col):
+                return None
+        cols.append(col)
+    return header, cols, None
 
 
 def _short_lines(path) -> bool:
@@ -494,10 +506,11 @@ def _short_lines(path) -> bool:
     return True
 
 
-def _read_rows(path, schema: CsvSchema, transform: FeatureTransform | None):
-    """(raw, labels, sensitive, unfitted transform or the given one) of the
-    file at path, read by csv.reader, raising load_csv's faults in their
-    order. transform is None to infer one."""
+def _read_rows(path, schema: CsvSchema):
+    """The table (header, columns, lines) of the file at path, read by
+    csv.reader: lists of stripped cells, lines[k] the file line on which
+    data row k ends. Raises the faults of the file's text, in load_csv's
+    order."""
     with open_text(path, lambda exc: DataError(f"{path}: not UTF-8 text ({exc.reason})"),
                    newline="") as fh:
         reader = csv.reader(fh)
@@ -515,45 +528,26 @@ def _read_rows(path, schema: CsvSchema, transform: FeatureTransform | None):
                 raise SchemaError(f"column '{col}' not found in header {header}")
         rows: list[list[str]] = []
         lines: list[int] = []
+        fault = None
         try:
             for row in reader:
-                if len(row) != len(header):
-                    if not row:
-                        continue
-                    # an empty cell on an earlier line is the first fault
-                    _check_missing(header, _columns(rows), lines)
-                    raise RowParseError(reader.line_num,
-                                        f"expected {len(header)} cells, got {len(row)}")
-                rows.append(row)
-                lines.append(reader.line_num)
+                if len(row) == len(header):
+                    rows.append(row)
+                    lines.append(reader.line_num)
+                elif row:
+                    fault = RowParseError(reader.line_num,
+                                          f"expected {len(header)} cells, got {len(row)}")
+                    break
         except csv.Error as exc:
-            _check_missing(header, _columns(rows), lines)
-            raise RowParseError(reader.line_num, str(exc)) from None
-    if not rows:
-        raise ValidationError(f"{path}: no data rows")
-    cols = _columns(rows)
+            fault = RowParseError(reader.line_num, str(exc))
+    cols = [list(map(str.strip, col)) for col in zip(*rows)]
     del rows  # the columns hold every cell now
-    _check_missing(header, cols, lines)
-    labels = _binary(cols[header.index(schema.label_column)], schema.positive_label_value)
-    sensitive = _binary(cols[header.index(schema.sensitive_column)],
-                        schema.positive_sensitive_value)
-    if not np.any(labels == 1.0):
-        raise ValidationError(f"label column '{schema.label_column}' has no cell equal to "
-                              f"the positive label {schema.positive_label_value!r}")
-    if not (np.any(sensitive == 0.0) and np.any(sensitive == 1.0)):
-        raise ValidationError(
-            f"sensitive column '{schema.sensitive_column}' has a single group"
-        )
-    if transform is None:
-        transform, floats = FeatureTransform.infer(header, cols, schema)
-    else:
-        floats = {}
-    return transform.encode(header, cols, lines, sensitive, floats), labels, sensitive, transform
-
-
-def _columns(rows: list[list[str]]) -> list[list[str]]:
-    """rows transposed into columns of stripped cells."""
-    return [list(map(str.strip, col)) for col in zip(*rows)]
+    _check_missing(header, cols, lines)  # before a fault on a later line
+    if fault is not None:
+        raise fault
+    if not lines:
+        raise ValidationError(f"{path}: no data rows")
+    return header, cols, lines
 
 
 def _binary(cells: list[str], positive: str) -> np.ndarray:
@@ -686,12 +680,11 @@ def synth_biased(n: int, d: int, group_fraction: float, base_rate_gap: float,
     allocate raises ParameterError naming n if the per-row draws fail, and d
     if the (n, d) feature matrix does.
     """
-    check_integer(n, "n", 40)
-    check_integer(d, "d", 2)
-    check_real(group_fraction, "group_fraction", 0.0, 1.0, exclusive=True)
-    check_real(base_rate_gap, "base_rate_gap", 0.0, 1.0)
-    check_real(noise, "noise", 0.0, exclusive=True)
-    check_integer(seed, "seed", 0)
+    n, d = check_integer(n, "n", 40), check_integer(d, "d", 2)
+    group_fraction = check_real(group_fraction, "group_fraction", 0.0, 1.0, exclusive=True)
+    base_rate_gap = check_real(base_rate_gap, "base_rate_gap", 0.0, 1.0)
+    noise = check_real(noise, "noise", 0.0, exclusive=True)
+    seed = check_integer(seed, "seed", 0)
 
     rng = np.random.default_rng(seed)
     try:

@@ -1,6 +1,6 @@
 """Exception types shared across the package, and the number-parameter rules:
 check_integer and check_real, one rule per kind of number, check a value's
-type and range in one call that states the range."""
+type and range in one call that states the range, and check_grid a grid's."""
 
 import math
 from numbers import Integral, Real
@@ -51,6 +51,15 @@ def check_real(value, param: str, low: float, high: float = math.inf, *,
     interval = (f"{'(' if exclusive else '['}{low:g}, {high:g}"
                 f"{')' if exclusive or high == math.inf else ']'}")
     raise ParameterError(f"must be a number in {interval}, got {value!r}", param=param)
+
+
+def check_grid(values, param: str, low: float, high: float = math.inf) -> list[float]:
+    """The grid rule: values is non-empty, each value by check_real in
+    [low, high]; returns the floats. Else ParameterError naming param."""
+    grid = [check_real(v, param, low, high) for v in values]
+    if not grid:
+        raise ParameterError("must be non-empty", param=param)
+    return grid
 
 
 class EmptyGroupError(FairlineError):

@@ -27,7 +27,7 @@ import numpy as np
 from .baseline import (
     DEFAULT_FAIRNESS_GRID, _grid_tasks, _train_runs, check_fairness_grid, check_jobs, sweep_fixed)
 from .data import Dataset, FeatureTransform, open_text
-from .errors import CheckpointError, FrontierRangeError, NumericError, ParameterError, check_real
+from .errors import CheckpointError, FrontierRangeError, NumericError, ParameterError, check_grid
 from .losses import METRIC_GAPS, Cells, check_lengths, group_cells, group_gap
 from .model import MlpArchitecture, _serve, _serve_workspace
 from .subspace import SubspaceModel, TrainConfig, interpolate
@@ -41,12 +41,8 @@ HARD_THRESHOLD = 0.5
 
 
 def check_alpha_grid(grid) -> list[float]:
-    """The alpha-grid rule: non-empty, every alpha a number in [0, 1] by
-    errors.check_real; returns floats."""
-    grid = [check_real(a, "alpha_grid", 0.0, 1.0) for a in grid]
-    if not grid:
-        raise ParameterError("must be non-empty", param="alpha_grid")
-    return grid
+    """The alpha-grid rule: errors.check_grid in [0, 1]."""
+    return check_grid(grid, "alpha_grid", 0.0, 1.0)
 
 
 @dataclass(frozen=True)

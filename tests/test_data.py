@@ -5,6 +5,7 @@ import tempfile
 import tracemalloc
 import warnings
 from dataclasses import FrozenInstanceError, fields, replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from fairline.data import (
     CsvSchema,
     Dataset,
     FeatureTransform,
+    _dataset,
     _read_numeric,
     _read_rows,
     batches,
@@ -375,6 +377,7 @@ _UNREADABLE = {
     "no-categories": (("c",), ((),), "vocab"),
     "category-list": (("c",), (["a", "b"],), "vocab"),
     "short-vocab": (("x", "y"), (None,), "vocab"),
+    "no-columns": ((), (), "columns"),  # no feature columns besides label/sensitive
 }
 
 
@@ -440,6 +443,14 @@ def test_synth_deterministic():
     assert np.array_equal(a.features, b.features)
     assert np.array_equal(a.labels, b.labels)
     assert np.array_equal(a.sensitive, b.sensitive)
+
+
+def test_synth_computes_with_the_floats_its_rules_return():
+    a = synth_biased(40, 2, Fraction(1, 2), Fraction(2, 5), Fraction(1), 0)
+    b = synth_biased(40, 2, 0.5, 0.4, 1.0, 0)
+    assert (a.raw.tobytes(), a.labels.tobytes(), a.sensitive.tobytes()) == (
+        b.raw.tobytes(), b.labels.tobytes(), b.sensitive.tobytes())
+    assert a.transform.to_meta() == b.transform.to_meta()
 
 
 def _rate_gap(ds):
@@ -703,8 +714,7 @@ def _reference(path, encoding):
     """load_csv by the csv.reader path alone."""
     fit = isinstance(encoding, CsvSchema)
     schema = encoding if fit else encoding.schema
-    raw, labels, sensitive, transform = _read_rows(path, schema, None if fit else encoding)
-    return Dataset(raw, labels, sensitive, transform.fit(raw) if fit else transform)
+    return _dataset(_read_rows(path, schema), schema, None if fit else encoding)
 
 
 def _outcome(read, path, encoding):
@@ -788,10 +798,18 @@ def test_load_csv_reads_every_file_as_the_csv_reader_path(
     ("a,e,label,group\n1, ,1,0\n2,x,0,1\n", True),
     ('a,e,label,group\n1,"x,y",1,0\n2,x,0,1\n', True),
     ("a,label,group\n" + "0" * 200_000 + ",1,0\n2,0,1\n", False),
+    ("a,label,group\n1,0,0\n2,0,1\n", False),
+    ("a,label,group\n1,0,0\n2,0,1\n", True),
+    ("a,label,group\n1,1,1\n2,0,1\n", False),
+    ("a,label,group\n1,1,1\n2,0,1\n", True),
+    ("label,group\n1,0\n0,1\n", False),
+    ("label,group\n1,0\n0,1\n", True),
 ], ids=["label-extends-positive", "label-longer-than-field", "quoted-label", "quoted-header",
         "quoted-comma-in-header", "nul-in-label", "nul-in-group", "blank-line-above-header",
         "nan", "overflow", "float-only-syntax", "unicode-whitespace", "quoted-empty-ignored",
-        "blank-ignored", "quoted-comma-ignored", "cell-over-csv-field-limit"])
+        "blank-ignored", "quoted-comma-ignored", "cell-over-csv-field-limit",
+        "no-positive-label", "no-positive-label-served", "single-group", "single-group-served",
+        "no-feature-columns", "no-feature-columns-served"])
 def test_load_csv_reads_known_hard_files_as_the_csv_reader_path(tmp_path, text, served):
     encoding = SCHEMA
     if served:

@@ -1,9 +1,11 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package, script or test file imports a name it never
+uses.
 
 No linter runs on this repository, so an import that a deletion leaves
 behind (a dataclasses `field`, say) would otherwise stay. This reads each
-src/fairline/*.py file as a syntax tree. __init__.py is skipped: its imports
-are the package's re-exports.
+src/fairline/*.py, scripts/*.py and tests/*.py file as a syntax tree,
+named by its file name in the package and by directory/file elsewhere.
+__init__.py is skipped: its imports are the package's re-exports.
 """
 
 import ast
@@ -11,8 +13,11 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "fairline"
-MODULES = {p.name: p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"}
+ROOT = Path(__file__).resolve().parent.parent
+DIRECTORIES = {"": ROOT / "src" / "fairline", "scripts/": ROOT / "scripts",
+               "tests/": ROOT / "tests"}
+MODULES = {prefix + p.name: p for prefix, directory in DIRECTORIES.items()
+           for p in sorted(directory.glob("*.py")) if p.name != "__init__.py"}
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -33,6 +38,10 @@ def _unused_imports(source: str) -> list[str]:
 
 def test_the_walk_sees_the_training_modules():
     assert {"subspace.py", "baseline.py"} <= set(MODULES)
+
+
+def test_the_walk_sees_scripts_and_tests():
+    assert {"scripts/bits.py", "tests/test_data.py", "tests/conftest.py"} <= set(MODULES)
 
 
 def test_an_unused_import_is_reported():
